@@ -1,28 +1,23 @@
 """Integer kernels behind the combinatorics and enumeration code.
 
-Every kernel exists twice: as a numba ``@njit``-compiled loop and as a
-vectorized numpy routine. The numba path is used by default whenever numba
-imports cleanly; set ``OFI_AUDIT_NO_NUMBA=1`` to force the numpy path.
-``benchmarks/bench_kernels.py`` times the two against each other.
+:func:`pair_score_counts` is the closed form for the multiplicity of every
+score difference. The ``enum_*`` kernels are brute-force numpy
+enumerations that use no closed form, so ``verify`` has an independent
+side to compare against. The plain-loop ``_*_loops`` functions are the
+test suite's reference for both; production code does not call them.
 
 All kernels operate on int64. Full enumeration is capped at n=200 by the
-callers, far below any int64 growth limit; the pair-counting kernel stays
-exact past n=10^5.
+callers; the closed form stays exact up to
+:data:`ofi_audit.combinatorics.DIST_MAX`.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable
-
 import numpy as np
-
-NUMBA_ENV_FLAG = "OFI_AUDIT_NO_NUMBA"
 
 
 # ---------------------------------------------------------------------------
-# Loop implementations. These are the njit sources; they also run as plain
-# Python, which the tests use as a third cross-check.
+# Plain-loop references, used only by the tests.
 # ---------------------------------------------------------------------------
 
 def _pair_score_counts_loops(n: int) -> np.ndarray:
@@ -82,19 +77,26 @@ def _enum_score_sums_loops(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized numpy implementations. The enumeration kernels stay brute
-# force: they materialize the (fn, fp) plane per tp and mask it, rather
-# than using any closed form.
+# The closed form.
 # ---------------------------------------------------------------------------
 
-def _pair_score_counts_numpy(n: int) -> np.ndarray:
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for s in range(n + 1):
-        # pairs with fp + fn = s hit the differences -s, -s+2, ..., s,
-        # one pair each, all with multiplicity n - s + 1
-        counts[n - s : n + s + 1 : 2] += n - s + 1
-    return counts
+def pair_score_counts(n: int) -> np.ndarray:
+    """Multiplicity of every score difference fp - fn over all quadruples
+    with cell sum n, indexed d + n, in closed form.
 
+    The pairs (fp, fn) with fp - fn = d have fp + fn = |d| + 2k for
+    k < m = (n - |d|)//2 + 1, and each leaves n - fp - fn + 1 completions
+    for (tp, tn). Summing over k gives m(n + 1 - |d|) - m(m - 1).
+    """
+    a = np.abs(np.arange(-n, n + 1, dtype=np.int64))
+    m = (n - a) // 2 + 1
+    return m * (n + 1 - a) - m * (m - 1)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force enumeration. These materialize the (fn, fp) plane per tp and
+# mask it, rather than using any closed form.
+# ---------------------------------------------------------------------------
 
 def _fn_fp_plane(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = np.arange(m + 1, dtype=np.int64)
@@ -104,7 +106,8 @@ def _fn_fp_plane(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fn, fp, valid
 
 
-def _enum_count_numpy(n: int) -> int:
+def enum_count(n: int) -> int:
+    """Number of quadruples with cell sum n, counted by enumeration."""
     total = 0
     for tp in range(n + 1):
         _, _, valid = _fn_fp_plane(n - tp)
@@ -112,7 +115,8 @@ def _enum_count_numpy(n: int) -> int:
     return total
 
 
-def _enum_cell_counts_numpy(n: int) -> np.ndarray:
+def enum_cell_counts(n: int) -> np.ndarray:
+    """Per-cell value counts over the full enumeration, shape (4, n + 1)."""
     counts = np.zeros((4, n + 1), dtype=np.int64)
     for tp in range(n + 1):
         m = n - tp
@@ -126,7 +130,8 @@ def _enum_cell_counts_numpy(n: int) -> np.ndarray:
     return counts
 
 
-def _enum_score_counts_numpy(n: int) -> np.ndarray:
+def enum_score_counts(n: int) -> np.ndarray:
+    """Histogram of fp - fn over the full enumeration, indexed d + n."""
     counts = np.zeros(2 * n + 1, dtype=np.int64)
     for tp in range(n + 1):
         fn, fp, valid = _fn_fp_plane(n - tp)
@@ -135,7 +140,8 @@ def _enum_score_counts_numpy(n: int) -> np.ndarray:
     return counts
 
 
-def _enum_score_sums_numpy(n: int) -> tuple[int, int]:
+def enum_score_sums(n: int) -> tuple[int, int]:
+    """Sum and sum of squares of fp - fn over the full enumeration."""
     total = 0
     total_sq = 0
     for tp in range(n + 1):
@@ -144,85 +150,3 @@ def _enum_score_sums_numpy(n: int) -> tuple[int, int]:
         total += int(diffs.sum())
         total_sq += int((diffs * diffs).sum())
     return total, total_sq
-
-
-LOOP_SOURCES: dict[str, Callable] = {
-    "pair_score_counts": _pair_score_counts_loops,
-    "enum_count": _enum_count_loops,
-    "enum_cell_counts": _enum_cell_counts_loops,
-    "enum_score_counts": _enum_score_counts_loops,
-    "enum_score_sums": _enum_score_sums_loops,
-}
-
-BACKENDS: dict[str, dict[str, Callable]] = {
-    "numpy": {
-        "pair_score_counts": _pair_score_counts_numpy,
-        "enum_count": _enum_count_numpy,
-        "enum_cell_counts": _enum_cell_counts_numpy,
-        "enum_score_counts": _enum_score_counts_numpy,
-        "enum_score_sums": _enum_score_sums_numpy,
-    },
-}
-
-
-def _numba_disabled_by_env() -> bool:
-    flag = os.environ.get(NUMBA_ENV_FLAG, "").strip().lower()
-    return flag not in ("", "0", "false")
-
-
-if not _numba_disabled_by_env():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-    else:
-        BACKENDS["numba"] = {
-            name: njit(cache=True, nogil=True)(source)
-            for name, source in LOOP_SOURCES.items()
-        }
-
-_active = "numba" if "numba" in BACKENDS else "numpy"
-
-
-def active_backend() -> str:
-    """Name of the backend the dispatch functions currently use."""
-    return _active
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(BACKENDS))
-
-
-def set_backend(name: str) -> None:
-    """Switch the dispatch backend ("numba" or "numpy")."""
-    global _active
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    _active = name
-
-
-def pair_score_counts(n: int) -> np.ndarray:
-    """Multiplicity of every score difference fp - fn over all quadruples
-    with cell sum n, indexed d + n, via O(n^2) pair counting."""
-    return BACKENDS[_active]["pair_score_counts"](n)
-
-
-def enum_count(n: int) -> int:
-    """Number of quadruples with cell sum n, counted by enumeration."""
-    return int(BACKENDS[_active]["enum_count"](n))
-
-
-def enum_cell_counts(n: int) -> np.ndarray:
-    """Per-cell value counts over the full enumeration, shape (4, n + 1)."""
-    return BACKENDS[_active]["enum_cell_counts"](n)
-
-
-def enum_score_counts(n: int) -> np.ndarray:
-    """Histogram of fp - fn over the full enumeration, indexed d + n."""
-    return BACKENDS[_active]["enum_score_counts"](n)
-
-
-def enum_score_sums(n: int) -> tuple[int, int]:
-    """Sum and sum of squares of fp - fn over the full enumeration."""
-    total, total_sq = BACKENDS[_active]["enum_score_sums"](n)
-    return int(total), int(total_sq)

@@ -146,8 +146,8 @@ def pairwise(
     """Fill the full square grid of OFI or DI over the table's groups.
 
     Order defaults to lexicographic; a caller-supplied order may also
-    select a subset (at least two groups). The diagonal compares each
-    group with itself.
+    select a subset (at least two distinct groups). The diagonal compares
+    each group with itself.
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"metric must be one of {GRID_METRICS}, got {metric!r}")
@@ -156,9 +156,11 @@ def pairwise(
         raise InsufficientGroupsError(
             f"pairwise {metric} needs at least 2 groups, have {len(names)}"
         )
-    for name in names:
+    for index, name in enumerate(names):
         if name not in table.groups:
             raise ValueError(f"unknown group {name!r}")
+        if name in names[:index]:
+            raise ValueError(f"duplicate group {name!r} in group order")
     score = ofi if metric == "ofi" else disparate_impact
     cells = tuple(
         tuple(score(table.groups[gi], table.groups[gj]) for gj in names)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, _kernels
+from . import __version__
 from .audit import (
     AuditConfig,
     InsufficientGroupsError,
@@ -19,6 +18,7 @@ from .audit import (
     serialize_report,
 )
 from .combinatorics import (
+    DIST_MAX,
     b_stats,
     marginal_benefit_distribution,
     non_triangular_witness,
@@ -37,7 +37,7 @@ from .metrics import (
     ofi,
     ofi_verdict,
 )
-from .verification import ENUMERATION_MAX, run_identity_checks
+from .verification import run_identity_checks
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -128,17 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser(
         "dist", help="marginal-benefit score distribution over all confusion matrices of size n"
     )
-    p_dist.add_argument("--n", type=int, required=True, help="sample size (>= 1)")
+    p_dist.add_argument("--n", type=int, required=True, help=f"sample size (1 to {DIST_MAX})")
 
     p_verify = sub.add_parser(
         "verify", help="check every counting/distribution identity against full enumeration"
     )
     p_verify.add_argument("--n-min", type=int, default=1)
     p_verify.add_argument("--n-max", type=int, default=40)
-    p_verify.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
-        help="thread count for the per-size checks (default: available parallelism)",
-    )
 
     return parser
 
@@ -261,9 +257,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        return _fail("dist", f"--n must be >= 1, got {args.n}")
-    dist = marginal_benefit_distribution(args.n)
+    try:
+        dist = marginal_benefit_distribution(args.n)
+    except ValueError as exc:
+        return _fail("dist", str(exc))
     stats = b_stats(args.n)
     witness = non_triangular_witness(args.n)
 
@@ -283,20 +280,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_min < 1 or args.n_min > args.n_max:
-        return _fail("verify", f"need 1 <= --n-min <= --n-max, got [{args.n_min}, {args.n_max}]")
-    if args.n_max > ENUMERATION_MAX:
-        return _fail(
-            "verify",
-            f"--n-max {args.n_max} exceeds the enumeration guard {ENUMERATION_MAX} "
-            f"(full enumeration is O(n^3)); refusing to start",
-        )
-    workers = max(1, args.workers)
-    print(
-        f"verifying identities for n in [{args.n_min}, {args.n_max}] "
-        f"(kernel backend: {_kernels.active_backend()}, workers: {workers})"
-    )
-    results = run_identity_checks(args.n_min, args.n_max, workers=workers)
+    try:
+        results = run_identity_checks(args.n_min, args.n_max)
+    except ValueError as exc:
+        return _fail("verify", str(exc))
+    print(f"verifying identities for n in [{args.n_min}, {args.n_max}]")
     for result in results:
         status = "ok  " if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.description}  [{result.detail}]")

@@ -9,7 +9,7 @@ set of all such quadruples this module provides
   (:func:`count_value`) and the total number of quadruples is
   ``(n+1)(n+2)(n+3)/6`` (:func:`total_combinations`),
 * the exact multiplicity of every marginal-benefit score ``(fp - fn)/n``,
-  computed in O(n^2) without enumeration
+  in closed form and O(n) without enumeration
   (:func:`marginal_benefit_distribution`), and
 * the distribution's exact moments: mean 0, variance ``(n+4)/(10n)``
   (:func:`b_stats`).
@@ -26,10 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from . import _kernels
 
 #: Standard deviation of a symmetric triangular distribution on [-1, 1].
 TRIANGULAR_STD = 1 / math.sqrt(6)
+
+#: Largest n for :func:`marginal_benefit_distribution`: the largest n whose
+#: total count (n+1)(n+2)(n+3)/6 still fits in the int64 multiplicities.
+DIST_MAX = 3_810_776
 
 
 def _require_positive(n: int, what: str = "n") -> None:
@@ -99,55 +105,52 @@ def count_increment(x: int, n: int) -> int:
     return count_value(x, n + 1) - count_value(x, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreDistribution:
     """Exact multiplicity of every score (fp - fn)/n over all quadruples.
 
-    Scores are reduced Fractions whose denominator divides n. The
-    multiplicities sum to total_combinations(n), the map is symmetric
-    around zero, and zero is the unique mode.
+    ``counts[d + n]`` is the multiplicity of the score d/n, for d in
+    [-n, n]. The multiplicities sum to total_combinations(n), the array is
+    symmetric, and its middle entry (score zero) is the unique maximum.
     """
 
     n: int
-    counts: dict[Fraction, int]
+    counts: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreDistribution):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.counts, other.counts)
 
     def total(self) -> int:
-        return sum(self.counts.values())
-
-    def count_for(self, score: Fraction) -> int:
-        return self.counts.get(Fraction(score), 0)
-
-    def sorted_scores(self) -> list[Fraction]:
-        return sorted(self.counts)
+        return int(self.counts.sum())
 
     def mode(self) -> Fraction:
         """Score with the highest multiplicity (smallest such score on ties)."""
-        return max(self.sorted_scores(), key=lambda s: (self.counts[s], -s))
+        return Fraction(int(np.argmax(self.counts)) - self.n, self.n)
 
     def csv_rows(self) -> Iterator[tuple[int, int, int]]:
         """Rows (score_numerator, score_denominator, multiplicity) in
         ascending score order, with scores in lowest terms."""
-        for score in self.sorted_scores():
-            yield score.numerator, score.denominator, self.counts[score]
+        n = self.n
+        for d, mult in enumerate(self.counts.tolist(), start=-n):
+            g = math.gcd(d, n)
+            yield d // g, n // g, mult
 
 
 def marginal_benefit_distribution(n: int) -> ScoreDistribution:
     """Distribution of the marginal-benefit score over all quadruples.
 
-    Computed without enumerating quadruples: every pair (fp, fn) with
-    fp + fn <= n leaves n - fp - fn samples for the remaining two cells
-    and therefore contributes multiplicity n - fp - fn + 1 to the score
-    (fp - fn)/n. Accumulating per difference is O(n^2) total work, which
-    keeps n up to about 10^5 tractable.
+    Computed in closed form without enumerating quadruples (see
+    :func:`ofi_audit._kernels.pair_score_counts`), in O(n) time and memory.
+    Raises ValueError for n outside [1, DIST_MAX].
     """
     _require_positive(n)
-    raw = _kernels.pair_score_counts(n)
-    counts = {
-        Fraction(offset - n, n): int(mult)
-        for offset, mult in enumerate(raw)
-        if mult > 0
-    }
-    return ScoreDistribution(n=n, counts=counts)
+    if n > DIST_MAX:
+        raise ValueError(
+            f"n must be <= {DIST_MAX}, got {n}; the total count would overflow int64"
+        )
+    return ScoreDistribution(n=n, counts=_kernels.pair_score_counts(n))
 
 
 @dataclass(frozen=True)

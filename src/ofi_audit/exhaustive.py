@@ -8,9 +8,9 @@ subcommand).
 Two routes are provided. The ``stream_*`` functions walk the tuple stream
 from :func:`ofi_audit.combinatorics.enumerate_cms` and apply the exact
 metric functions record by record; they are pure Python and practical up
-to n of a few dozen. The unprefixed functions run on the enumeration
-kernels (numba or numpy) and handle n in the hundreds; they are themselves
-checked against the stream route.
+to n of a few dozen. The unprefixed functions run on the numpy enumeration
+kernels and handle n in the hundreds; they are themselves checked against
+the stream route.
 """
 
 from __future__ import annotations
@@ -40,13 +40,7 @@ def cell_value_counts(n: int) -> np.ndarray:
 
 def score_histogram(n: int) -> ScoreDistribution:
     """Histogram of (fp - fn)/n over the full enumeration."""
-    raw = _kernels.enum_score_counts(n)
-    counts = {
-        Fraction(offset - n, n): int(mult)
-        for offset, mult in enumerate(raw)
-        if mult > 0
-    }
-    return ScoreDistribution(n=n, counts=counts)
+    return ScoreDistribution(n=n, counts=_kernels.enum_score_counts(n))
 
 
 def score_moments(n: int) -> tuple[Fraction, Fraction]:
@@ -75,11 +69,11 @@ def stream_cell_value_counts(n: int) -> list[Counter]:
 
 def stream_score_histogram(n: int) -> ScoreDistribution:
     """Histogram built by mapping the exact marginal-benefit metric over
-    the stream of quadruples."""
-    counts: Counter = Counter(
-        marginal_benefit(BinaryConfusion(*cm)) for cm in enumerate_cms(n)
-    )
-    return ScoreDistribution(n=n, counts=dict(counts))
+    the stream of quadruples; each score s lands at index s*n + n."""
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    for cm in enumerate_cms(n):
+        counts[int(marginal_benefit(BinaryConfusion(*cm)) * n) + n] += 1
+    return ScoreDistribution(n=n, counts=counts)
 
 
 def stream_score_moments(n: int) -> tuple[Fraction, Fraction]:

@@ -8,9 +8,10 @@ quadruples at the cap).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import exhaustive
 from .combinatorics import (
@@ -33,7 +34,7 @@ IDENTITIES: tuple[tuple[str, str], ...] = (
     ("cell-counts", "enumerated per-cell value counts match the triangular closed form"),
     ("count-sum", "per-cell counts summed over all values equal the total count"),
     ("count-increment", "count growth per added sample equals n - x + 2"),
-    ("distribution", "pair-counting distribution matches the enumeration histogram"),
+    ("distribution", "closed-form distribution matches the enumeration histogram"),
     ("distribution-total", "distribution multiplicities sum to the total count"),
     ("distribution-symmetry", "multiplicities at s and -s agree"),
     ("distribution-mode", "zero is the unique most frequent score"),
@@ -85,27 +86,30 @@ def _check_single_n(n: int) -> dict[str, str | None]:
     dist = marginal_benefit_distribution(n)
     hist = exhaustive.score_histogram(n)
     if dist != hist:
-        failures["distribution"] = f"n={n}: pair counting and enumeration disagree"
+        failures["distribution"] = f"n={n}: closed form and enumeration disagree"
 
     if dist.total() != expected_total:
         failures["distribution-total"] = (
             f"n={n}: multiplicities sum to {dist.total()}, expected {expected_total}"
         )
 
-    for score, mult in dist.counts.items():
-        if dist.counts.get(-score) != mult:
-            failures["distribution-symmetry"] = (
-                f"n={n}: counts[{score}]={mult} but counts[{-score}]={dist.counts.get(-score)}"
-            )
-            break
+    # counts[i] is the multiplicity of the score (i - n)/n
+    counts = dist.counts
+    asymmetric = np.flatnonzero(counts != counts[::-1])
+    if asymmetric.size:
+        i = int(asymmetric[0])
+        failures["distribution-symmetry"] = (
+            f"n={n}: counts[{Fraction(i - n, n)}]={counts[i]} "
+            f"but counts[{Fraction(n - i, n)}]={counts[2 * n - i]}"
+        )
 
-    zero_count = dist.count_for(Fraction(0))
-    for score, mult in dist.counts.items():
-        if score != 0 and mult >= zero_count:
-            failures["distribution-mode"] = (
-                f"n={n}: counts[{score}]={mult} >= counts[0]={zero_count}"
-            )
-            break
+    rivals = np.flatnonzero(counts >= counts[n])
+    rivals = rivals[rivals != n]
+    if rivals.size:
+        i = int(rivals[0])
+        failures["distribution-mode"] = (
+            f"n={n}: counts[{Fraction(i - n, n)}]={counts[i]} >= counts[0]={counts[n]}"
+        )
 
     mean, variance = exhaustive.score_moments(n)
     if mean != 0 or variance != Fraction(n + 4, 10 * n):
@@ -132,14 +136,11 @@ def _check_single_n(n: int) -> dict[str, str | None]:
     return failures
 
 
-def run_identity_checks(
-    n_min: int = 1, n_max: int = STREAM_CHECK_MAX, workers: int = 1
-) -> list[CheckResult]:
+def run_identity_checks(n_min: int = 1, n_max: int = STREAM_CHECK_MAX) -> list[CheckResult]:
     """Evaluate every identity for each n in [n_min, n_max].
 
-    Raises ValueError for an empty or infeasible range. With workers > 1
-    the per-n work is spread over a thread pool (the numba kernels release
-    the GIL); results are identical either way.
+    Raises ValueError for an empty or infeasible range, before any
+    enumeration starts.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -150,11 +151,7 @@ def run_identity_checks(
         )
 
     ns = range(n_min, n_max + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_n = list(pool.map(_check_single_n, ns))
-    else:
-        per_n = [_check_single_n(n) for n in ns]
+    per_n = [_check_single_n(n) for n in ns]
 
     stream_span = [n for n in ns if n <= STREAM_CHECK_MAX]
     results = []

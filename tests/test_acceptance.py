@@ -18,6 +18,8 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from ofi_audit import exhaustive
 from ofi_audit.audit import build_report, parse_report
 from ofi_audit.cli import main
@@ -129,12 +131,11 @@ def test_distribution_properties():
         dist = marginal_benefit_distribution(n)
         if dist.total() != total_combinations(n):
             ok = False
-        zero = dist.count_for(Fraction(0))
-        for score, mult in dist.counts.items():
-            if dist.counts.get(-score) != mult:
-                ok = False
-            if score != 0 and mult >= zero:
-                ok = False
+        counts = dist.counts  # multiplicity of the score (i - n)/n at index i
+        if not np.array_equal(counts, counts[::-1]):
+            ok = False
+        if np.delete(counts, n).max() >= counts[n]:
+            ok = False
         if n <= 40 and dist != exhaustive.stream_score_histogram(n):
             ok = False
     elapsed = time.perf_counter() - start

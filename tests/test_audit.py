@@ -97,6 +97,16 @@ class TestPairwise:
         with pytest.raises(ValueError, match="unknown group"):
             pairwise(table, "ofi", group_order=("i", "k"))
 
+    def test_duplicate_group_in_order(self):
+        table = table_from(SCENARIO_A)
+        with pytest.raises(ValueError, match="duplicate group 'i'"):
+            pairwise(table, "ofi", group_order=("i", "i"))
+        with pytest.raises(ValueError, match="duplicate group 'j'"):
+            pairwise(table, "di", group_order=("j", "i", "j"))
+        # a subset of distinct groups stays valid
+        three = table_from({**SCENARIO_A, "k": BinaryConfusion(2, 1, 1, 2)})
+        assert pairwise(three, "ofi", group_order=("i", "j")).group_order == ("i", "j")
+
 
 class TestDiagnose:
     def test_truth_table(self):

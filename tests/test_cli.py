@@ -7,6 +7,7 @@ import pytest
 
 from ofi_audit.audit import parse_report
 from ofi_audit.cli import main
+from ofi_audit.combinatorics import DIST_MAX
 
 
 def run(capsys, *argv):
@@ -89,6 +90,17 @@ class TestAudit:
         )
         assert code == 1
         assert "[report]" in err and "'k'" in err
+
+    def test_duplicate_group_in_order(self, capsys, fixtures_dir):
+        code, out, err = run(
+            capsys,
+            "audit",
+            "--input", str(fixtures_dir / "scenario_a.csv"),
+            "--group-order", "i,i",
+        )
+        assert code == 1
+        assert out == ""
+        assert "error [report]" in err and "duplicate group 'i'" in err
 
     def test_all_artifacts_written(self, capsys, fixtures_dir, tmp_path):
         code, _, _ = run(
@@ -223,6 +235,12 @@ class TestDist:
         assert code == 1
         assert "[dist]" in err
 
+    def test_rejects_n_past_the_int64_limit(self, capsys):
+        code, out, err = run(capsys, "dist", "--n", str(DIST_MAX + 1))
+        assert code == 1
+        assert out == ""
+        assert "error [dist]" in err and str(DIST_MAX) in err
+
 
 class TestVerify:
     def test_small_range_passes(self, capsys):
@@ -241,10 +259,3 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n-min", "9", "--n-max", "3")
         assert code == 1
         assert "[verify]" in err
-
-    def test_workers_do_not_change_results(self, capsys):
-        code_one, out_one, _ = run(capsys, "verify", "--n-max", "8", "--workers", "1")
-        code_two, out_two, _ = run(capsys, "verify", "--n-max", "8", "--workers", "4")
-        assert code_one == code_two == 0
-        # headers differ by worker count; identity lines must match
-        assert out_one.splitlines()[1:] == out_two.splitlines()[1:]

@@ -4,11 +4,14 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ofi_audit import exhaustive
+from ofi_audit import _kernels, exhaustive
 from ofi_audit.combinatorics import (
+    DIST_MAX,
     TRIANGULAR_STD,
+    ScoreDistribution,
     b_stats,
     count_increment,
     count_sum_identity,
@@ -128,7 +131,8 @@ class TestCountIncrement:
 class TestDistribution:
     def test_size_one(self):
         dist = marginal_benefit_distribution(1)
-        assert dist.counts == {Fraction(-1): 1, Fraction(0): 2, Fraction(1): 1}
+        # scores -1, 0, 1 at indices d + n
+        assert dist.counts.tolist() == [1, 2, 1]
 
     def test_matches_enumeration_histogram(self):
         for n in range(1, 15):
@@ -138,18 +142,18 @@ class TestDistribution:
     def test_total_symmetry_mode(self, n):
         dist = marginal_benefit_distribution(n)
         assert dist.total() == total_combinations(n)
-        zero = dist.count_for(Fraction(0))
-        for score, mult in dist.counts.items():
-            assert dist.counts[-score] == mult
-            if score != 0:
-                assert mult < zero
+        counts = dist.counts
+        assert np.array_equal(counts, counts[::-1])
+        assert np.delete(counts, n).max() < counts[n]
         assert dist.mode() == 0
 
     def test_scores_are_reduced_with_denominator_dividing_n(self):
-        dist = marginal_benefit_distribution(12)
-        for score in dist.counts:
-            assert 12 % score.denominator == 0
-            assert -1 <= score <= 1
+        rows = list(marginal_benefit_distribution(12).csv_rows())
+        assert len(rows) == 25
+        for num, den, _ in rows:
+            assert math.gcd(num, den) == 1
+            assert 12 % den == 0
+            assert -1 <= Fraction(num, den) <= 1
 
     def test_csv_rows_ascending(self):
         rows = list(marginal_benefit_distribution(3).csv_rows())
@@ -157,9 +161,30 @@ class TestDistribution:
         assert scores == sorted(scores)
         assert sum(mult for _, _, mult in rows) == total_combinations(3)
 
+    def test_csv_rows_match_reduced_fractions(self):
+        for n in range(1, 61):
+            oracle = _kernels._pair_score_counts_loops(n)
+            expected = [
+                (Fraction(d, n).numerator, Fraction(d, n).denominator, oracle[d + n])
+                for d in range(-n, n + 1)
+            ]
+            assert list(marginal_benefit_distribution(n).csv_rows()) == expected
+
+    def test_equality_compares_every_multiplicity(self):
+        dist = marginal_benefit_distribution(7)
+        assert dist == ScoreDistribution(n=7, counts=dist.counts.copy())
+        changed = dist.counts.copy()
+        changed[3] += 1
+        assert dist != ScoreDistribution(n=7, counts=changed)
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             marginal_benefit_distribution(0)
+
+    def test_limit_is_the_last_total_that_fits_int64(self):
+        assert total_combinations(DIST_MAX) <= 2**63 - 1 < total_combinations(DIST_MAX + 1)
+        with pytest.raises(ValueError, match=str(DIST_MAX)):
+            marginal_benefit_distribution(DIST_MAX + 1)
 
 
 class TestBStats:
@@ -219,7 +244,9 @@ class TestNonTriangularWitness:
         assert b_stats(6).variance == Fraction(1, 6)
         assert non_triangular_witness(6).gap < 1e-12
         dist = marginal_benefit_distribution(6)
-        brute_var = sum(s**2 * m for s, m in dist.counts.items()) / dist.total()
+        brute_var = sum(
+            Fraction(i - 6, 6) ** 2 * m for i, m in enumerate(dist.counts.tolist())
+        ) / dist.total()
         assert brute_var == Fraction(1, 6)
 
     def test_gap_exceeds_008_away_from_the_window(self):

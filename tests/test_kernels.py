@@ -1,15 +1,13 @@
-"""Backend parity and dispatch behavior for the integer kernels."""
-
-import os
-import subprocess
-import sys
+"""The integer kernels against their plain-loop references."""
 
 import numpy as np
 import pytest
 
 from ofi_audit import _kernels
 
-KERNEL_NAMES = sorted(_kernels.LOOP_SOURCES)
+KERNEL_NAMES = (
+    "enum_cell_counts", "enum_count", "enum_score_counts", "enum_score_sums", "pair_score_counts"
+)
 SIZES = (1, 2, 5, 16, 31)
 
 
@@ -24,18 +22,16 @@ def _results_equal(a, b) -> bool:
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 @pytest.mark.parametrize("n", SIZES)
 def test_numpy_matches_plain_loops(name, n):
-    assert _results_equal(
-        _kernels.BACKENDS["numpy"][name](n), _kernels.LOOP_SOURCES[name](n)
-    )
+    kernel = getattr(_kernels, name)
+    loops = getattr(_kernels, f"_{name}_loops")
+    assert _results_equal(kernel(n), loops(n))
 
 
-@pytest.mark.skipif("numba" not in _kernels.BACKENDS, reason="numba backend unavailable")
-@pytest.mark.parametrize("name", KERNEL_NAMES)
-@pytest.mark.parametrize("n", SIZES)
-def test_numba_matches_plain_loops(name, n):
-    assert _results_equal(
-        _kernels.BACKENDS["numba"][name](n), _kernels.LOOP_SOURCES[name](n)
-    )
+def test_closed_form_matches_pair_counting_loops():
+    for n in range(1, 301):
+        assert np.array_equal(
+            _kernels.pair_score_counts(n), _kernels._pair_score_counts_loops(n)
+        ), n
 
 
 def test_counts_are_int64():
@@ -48,32 +44,3 @@ def test_sums_are_python_ints():
     total, total_sq = _kernels.enum_score_sums(9)
     assert type(total) is int and type(total_sq) is int
     assert total == 0  # symmetric differences cancel
-
-
-def test_set_backend_roundtrip():
-    original = _kernels.active_backend()
-    try:
-        for name in _kernels.available_backends():
-            _kernels.set_backend(name)
-            assert _kernels.active_backend() == name
-            assert int(_kernels.enum_count(3)) == 20
-        with pytest.raises(ValueError):
-            _kernels.set_backend("fortran")
-    finally:
-        _kernels.set_backend(original)
-
-
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "from ofi_audit import _kernels; "
-        "print(_kernels.active_backend(), sorted(_kernels.available_backends()))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, _kernels.NUMBA_ENV_FLAG: "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.split(maxsplit=1)[0] == "numpy"
-    assert "numba" not in out.stdout
