@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import __version__
 from .audit import (
@@ -25,7 +28,13 @@ from .combinatorics import (
 )
 from .formatting import format_fixed, format_fraction
 from .heatmap import render_heatmap
-from .ingestion import ColumnSchema, aggregate, flip_polarity, parse_records
+from .ingestion import (
+    ColumnSchema,
+    aggregate,
+    flip_polarity,
+    iter_records,
+    parse_records,
+)
 from .metrics import (
     BinaryConfusion,
     DiKind,
@@ -51,6 +60,21 @@ def _fraction_arg(text: str) -> Fraction:
 def _fail(stage: str, message: str) -> int:
     print(f"error [{stage}]: {message}", file=sys.stderr)
     return 1
+
+
+@contextmanager
+def _open_input(path: str) -> Iterator[TextIO]:
+    # newline="" keeps line separators inside quoted fields as data, and
+    # utf-8-sig drops a leading byte order mark
+    if path != "-":
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            yield handle
+        return
+    handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="")
+    try:
+        yield handle
+    finally:
+        handle.detach()  # leave stdin open
 
 
 def _write_text(path: str, text: str) -> None:
@@ -146,24 +170,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if args.sample < 1:
             return _fail("config", f"--sample must be >= 1, got {args.sample}")
 
-    try:
-        if args.input == "-":
-            lines = sys.stdin.read().splitlines()
-        else:
-            lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        return _fail("input", str(exc))
-
     schema = ColumnSchema(
         group=args.group_col, label=args.label_col, prediction=args.pred_col
     )
     try:
-        records = parse_records(lines, schema, delimiter=args.delimiter)
-    except ValueError as exc:
-        return _fail("parse", str(exc))
-
-    if args.flip:
-        records = flip_polarity(records)
+        with _open_input(args.input) as handle:
+            try:
+                if args.sample is None:
+                    table = aggregate(iter_records(handle, schema, args.delimiter))
+                else:
+                    records = parse_records(handle, schema, args.delimiter)
+            except ValueError as exc:
+                return _fail("parse", str(exc))
+    except OSError as exc:
+        return _fail("input", str(exc))
 
     if args.sample is not None:
         if args.sample > len(records):
@@ -171,14 +191,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 "sample",
                 f"sample size {args.sample} exceeds record count {len(records)}",
             )
-        records = random.Random(args.seed).sample(records, args.sample)
+        # sampling picks positions only, so it commutes with --flip
+        table = aggregate(random.Random(args.seed).sample(records, args.sample))
+
+    if args.flip:
+        table = flip_polarity(table)
 
     group_order = None
     if args.group_order:
         group_order = tuple(name.strip() for name in args.group_order.split(","))
 
     try:
-        table = aggregate(records)
         config = AuditConfig(
             ofi_threshold=args.ofi_threshold,
             di_low=args.di_low,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import index
-from typing import Iterable
+from operator import index, itemgetter
+from typing import Iterable, Iterator
 
 from .metrics import BinaryConfusion
 
@@ -70,17 +70,22 @@ class GroupTable:
     total: BinaryConfusion
 
 
-def parse_records(
+def iter_records(
     source: Iterable[str],
     schema: ColumnSchema | None = None,
     delimiter: str = ",",
-) -> list[PredictionRecord]:
-    """Parse delimiter-separated text with a header row into records.
+) -> Iterator[PredictionRecord]:
+    """Yield one record per data row of delimiter-separated text.
 
-    ``source`` is any iterable of text lines (an open text file works).
-    Row order is preserved. Raises SchemaError when a configured column is
-    missing, RowValueError for a non-binary value, a missing cell or a
-    blank group (carrying the 1-based data row number), and
+    ``source`` is any iterable of text lines; open files with
+    ``newline=""`` so that line separators inside quoted fields stay data,
+    and with ``encoding="utf-8-sig"`` to accept a byte order mark. Blank
+    lines are skipped. Rows with the same raw (group, label, prediction)
+    cells share one record, validated when the cells first appear, so
+    the first bad row is always reported. Raises SchemaError when a
+    configured column is missing, RowValueError for a non-binary value, a
+    missing cell or a blank group (carrying the 1-based data row number),
+    ValueError naming the CSV line for text the csv module rejects, and
     EmptyDatasetError when no data rows follow the header.
     """
     schema = schema or ColumnSchema()
@@ -89,6 +94,8 @@ def parse_records(
         header = next(reader)
     except StopIteration:
         raise SchemaError("input is empty: no header row") from None
+    except csv.Error as exc:
+        raise _csv_error(reader, exc) from exc
 
     positions: dict[str, int] = {}
     for pos, name in enumerate(header):
@@ -99,24 +106,53 @@ def parse_records(
                 f"column {column!r} not found in header {[h.strip() for h in header]}"
             )
 
-    records = []
+    cells = itemgetter(
+        positions[schema.group], positions[schema.label], positions[schema.prediction]
+    )
+    seen: dict[tuple[str, str, str], PredictionRecord] = {}
     row_num = 0
-    for row in reader:
-        if not row:
-            continue
-        row_num += 1
-        group = _cell(row, positions[schema.group], schema.group, row_num).strip()
-        if not group:
-            raise RowValueError(row_num, schema.group, "group identifier is empty")
-        label = _binary(_cell(row, positions[schema.label], schema.label, row_num),
-                        schema.label, row_num)
-        prediction = _binary(_cell(row, positions[schema.prediction], schema.prediction, row_num),
-                             schema.prediction, row_num)
-        records.append(PredictionRecord(group, label, prediction))
+    try:
+        for row in reader:
+            if not row:
+                continue
+            row_num += 1
+            try:
+                record = seen[cells(row)]
+            except (KeyError, IndexError):
+                record = _validate(row, positions, schema, row_num)
+                seen[cells(row)] = record
+            yield record
+    except csv.Error as exc:
+        raise _csv_error(reader, exc) from exc
 
-    if not records:
+    if not row_num:
         raise EmptyDatasetError("no data rows after the header")
-    return records
+
+
+def parse_records(
+    source: Iterable[str],
+    schema: ColumnSchema | None = None,
+    delimiter: str = ",",
+) -> list[PredictionRecord]:
+    """All records of ``source`` as a list, in row order (see iter_records)."""
+    return list(iter_records(source, schema, delimiter))
+
+
+def _csv_error(reader, exc: csv.Error) -> ValueError:
+    return ValueError(f"CSV line {reader.line_num}: {exc}")
+
+
+def _validate(
+    row: list[str], positions: dict[str, int], schema: ColumnSchema, row_num: int
+) -> PredictionRecord:
+    group = _cell(row, positions[schema.group], schema.group, row_num).strip()
+    if not group:
+        raise RowValueError(row_num, schema.group, "group identifier is empty")
+    label = _binary(_cell(row, positions[schema.label], schema.label, row_num),
+                    schema.label, row_num)
+    prediction = _binary(_cell(row, positions[schema.prediction], schema.prediction, row_num),
+                         schema.prediction, row_num)
+    return PredictionRecord(group, label, prediction)
 
 
 def _cell(row: list[str], pos: int, column: str, row_num: int) -> str:
@@ -134,38 +170,42 @@ def _binary(raw: str, column: str, row_num: int) -> int:
     raise RowValueError(row_num, column, f"expected 0 or 1, got {raw!r}")
 
 
-def flip_polarity(records: list[PredictionRecord]) -> list[PredictionRecord]:
-    """Complement every record's label and prediction (0 <-> 1).
+def _flipped(cm: BinaryConfusion) -> BinaryConfusion:
+    return BinaryConfusion(tp=cm.tn, fn=cm.fp, fp=cm.fn, tn=cm.tp)
 
-    Use this when the beneficial outcome is the negative label, e.g. to
-    make a recidivism dataset's positive prediction mean "not a
-    recidivist". Applying it twice restores the input.
+
+def flip_polarity(table: GroupTable) -> GroupTable:
+    """Complement every label and prediction (0 <-> 1) of a table.
+
+    On the counts this swaps tp with tn and fn with fp, in every group and
+    in the total. Use this when the beneficial outcome is the negative
+    label, e.g. to make a recidivism dataset's positive prediction mean
+    "not a recidivist". Applying it twice restores the input.
     """
-    return [
-        PredictionRecord(r.group, 1 - r.label, 1 - r.prediction) for r in records
-    ]
+    return GroupTable(
+        groups={name: _flipped(cm) for name, cm in table.groups.items()},
+        total=_flipped(table.total),
+    )
 
 
-def aggregate(records: list[PredictionRecord]) -> GroupTable:
+def aggregate(records: Iterable[PredictionRecord]) -> GroupTable:
     """Aggregate records into one confusion matrix per group.
 
-    Each record lands in tp/fn/fp/tn according to its (label, prediction)
-    pair. The result is independent of record order; group identifiers
-    compare case-sensitively after trimming (done at record construction).
+    ``records`` may be any iterable, a generator from iter_records
+    included; it is consumed once. Each record lands in tp/fn/fp/tn
+    according to its (label, prediction) pair. The result is independent
+    of record order; group identifiers compare case-sensitively after
+    trimming (done at record construction).
     """
-    if not records:
-        raise EmptyDatasetError("cannot aggregate an empty record list")
     cells: dict[str, list[int]] = {}
     for r in records:
-        quad = cells.setdefault(r.group, [0, 0, 0, 0])
-        if r.label == 1 and r.prediction == 1:
-            quad[0] += 1
-        elif r.label == 1:
-            quad[1] += 1
-        elif r.prediction == 1:
-            quad[2] += 1
-        else:
-            quad[3] += 1
+        quad = cells.get(r.group)
+        if quad is None:
+            quad = cells[r.group] = [0, 0, 0, 0]
+        # tp, fn, fp, tn sit at 3 - 2*label - prediction
+        quad[3 - 2 * r.label - r.prediction] += 1
+    if not cells:
+        raise EmptyDatasetError("cannot aggregate an empty record list")
     groups = {name: BinaryConfusion(*cells[name]) for name in sorted(cells)}
     total = BinaryConfusion(
         sum(q[0] for q in cells.values()),

@@ -38,7 +38,7 @@ from ofi_audit.combinatorics import (
     total_combinations,
 )
 from ofi_audit.formatting import format_fixed
-from ofi_audit.ingestion import aggregate, flip_polarity, parse_records
+from ofi_audit.ingestion import PredictionRecord, aggregate, flip_polarity, parse_records
 from ofi_audit.metrics import (
     BinaryConfusion,
     DiKind,
@@ -231,7 +231,9 @@ def test_pipeline_round_trip(fixtures_dir, tmp_path):
     ok = ok and from_cli.di_grid.value_at("i", "j").value == Fraction(3, 8)
 
     plain = aggregate(records)
-    flipped = aggregate(flip_polarity(records))
+    flipped = flip_polarity(plain)
+    complemented = [PredictionRecord(r.group, 1 - r.label, 1 - r.prediction) for r in records]
+    ok = ok and flipped == aggregate(complemented)
     for name, cm in plain.groups.items():
         ok = ok and marginal_benefit(flipped.groups[name]) == -marginal_benefit(cm)
     check("24-record pipeline round trip with polarity flip", ok)

@@ -1,13 +1,22 @@
 """End-to-end CLI behavior, exit codes and output determinism."""
 
+import contextlib
+import csv
+import io
 import json
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofi_audit.audit import parse_report
+from ofi_audit.audit import build_report, parse_report, serialize_report
 from ofi_audit.cli import main
 from ofi_audit.combinatorics import DIST_MAX
+from ofi_audit.ingestion import RowValueError, aggregate, flip_polarity, parse_records
 
 
 def run(capsys, *argv):
@@ -203,6 +212,118 @@ class TestAudit:
         report = parse_report(out)
         finding = next(p for p in report.pairs if p.first == "i")
         assert finding.diagnosis.value == "algorithmic_bias"
+
+
+BOM = "\ufeff"
+
+# characters of quoted group names: the delimiter, line breaks that
+# str.splitlines() also splits on, and non-ASCII letters
+NAME_PARTS = ["a", "B", "é", " ", ",", "\n", "\r\n", "\u2028", "\u2029", "\x85", "\x0c"]
+
+csv_inputs = st.fixed_dictionaries({
+    "names": st.lists(
+        st.lists(st.sampled_from(NAME_PARTS), min_size=1, max_size=4).map("".join)
+        .filter(str.strip),
+        min_size=2, max_size=4, unique_by=str.strip,
+    ),
+    "rows": st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 1)),
+                     max_size=12),
+    "bom": st.booleans(),
+    "newline": st.sampled_from(["\n", "\r\n"]),
+    "duplicate_header": st.booleans(),
+    "short_row_at": st.none() | st.integers(0, 15),
+    "flip": st.booleans(),
+})
+
+
+def quoted(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+def csv_text(names, rows, newline="\n", bom=False, duplicate_header=False, short_row_at=None):
+    # every group appears, so the report has at least two groups
+    body = [f"{quoted(name)},1,0" for name in names]
+    body += [f"{quoted(names[g % len(names)])},{label},{pred}" for g, label, pred in rows]
+    if duplicate_header:  # a second 'group' column; the first one counts
+        body = [row + ",zz" for row in body]
+    if short_row_at is not None:
+        body.insert(short_row_at, f"{quoted(names[0])},1")
+    header = "group,label,prediction" + (",group" if duplicate_header else "")
+    return (BOM if bom else "") + newline.join([header, *body]) + newline
+
+
+class TestAuditInput:
+    """The CLI reads input bytes the way the library reads an open file."""
+
+    def test_bom_on_input_file(self, capsys, fixtures_dir, tmp_path):
+        plain = (fixtures_dir / "scenario_a.csv").read_bytes()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM.encode("utf-8") + plain)
+        code, out, err = run(capsys, "audit", "--input", str(path))
+        assert code == 0, err
+        assert out == run(capsys, "audit", "--input", str(fixtures_dir / "scenario_a.csv"))[1]
+
+    def test_bom_on_stdin(self, capsys, fixtures_dir, monkeypatch):
+        plain = (fixtures_dir / "scenario_a.csv").read_bytes()
+        stdin = io.TextIOWrapper(io.BytesIO(BOM.encode("utf-8") + plain))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "audit", "--input", "-")
+        assert code == 0, err
+        assert not stdin.closed
+        assert out == run(capsys, "audit", "--input", str(fixtures_dir / "scenario_a.csv"))[1]
+
+    def test_quoted_line_separators_are_data(self, capsys, tmp_path):
+        names = ["x\u2028y", "x\u2029y", "x\x85y", "x\x0cy", "x\r\ny", "z"]
+        path = tmp_path / "separators.csv"
+        path.write_bytes(csv_text(names, [(5, 0, 0)]).encode("utf-8"))
+        code, out, err = run(capsys, "audit", "--input", str(path))
+        assert code == 0, err
+        sizes = json.loads(out)["dataset"]["group_sizes"]
+        assert sizes == {**{name: 1 for name in names}, "z": 2}
+
+    def test_invalid_utf8_fails_at_parse_stage(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("group,label,prediction\na,1,1\nb\xe9,0,0\n".encode("latin-1"))
+        code, out, err = run(capsys, "audit", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error [parse]: ") and "can't decode byte 0xe9" in err
+
+    def test_oversized_field_fails_at_parse_stage(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        field = "a" * (csv.field_size_limit() + 1)
+        path.write_text(f"group,label,prediction\nb,1,1\n{field},0,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "audit", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error [parse]: CSV line 3: field larger than field limit "
+            f"({csv.field_size_limit()})\n"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(csv_inputs)
+    def test_cli_and_library_agree(self, case):
+        text = csv_text(case["names"], case["rows"], case["newline"], case["bom"],
+                        case["duplicate_header"], case["short_row_at"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(text.encode("utf-8"))
+            report_path = Path(tmp) / "report.json"
+            argv = ["audit", "--input", str(path), "--out-report", str(report_path)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + (["--flip"] if case["flip"] else []))
+            try:
+                with open(path, newline="", encoding="utf-8-sig") as fh:
+                    table = aggregate(parse_records(fh))
+            except RowValueError as exc:
+                assert (code, err.getvalue()) == (1, f"error [parse]: {exc}\n")
+                return
+            assert code == 0, err.getvalue()
+            if case["flip"]:
+                table = flip_polarity(table)
+            assert report_path.read_text(encoding="utf-8") == serialize_report(build_report(table))
 
 
 class TestDist:

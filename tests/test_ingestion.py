@@ -15,6 +15,7 @@ from ofi_audit.ingestion import (
     SchemaError,
     aggregate,
     flip_polarity,
+    iter_records,
     parse_records,
 )
 from ofi_audit.metrics import BinaryConfusion, benefit, expected_benefit, marginal_benefit
@@ -95,26 +96,54 @@ class TestParseRecords:
         with pytest.raises(SchemaError):
             parse_records([])
 
+    def test_same_cells_share_one_record(self):
+        lines = ["group,label,prediction", "a,1,0", "b,1,0", "a,1,0", "a ,1,0"]
+        records = parse_records(lines)
+        assert records[0] is records[2]
+        assert records[3] == records[0] and records[3] is not records[0]
+
+    def test_bad_row_after_valid_rows_of_its_group_reports_its_row(self):
+        lines = ["group,label,prediction", "a,1,1", "a,0,1", "b,0,0", "a,2,1", "a,2,1"]
+        stream = iter_records(lines)
+        assert [next(stream) for _ in range(3)] == parse_records(lines[:4])
+        with pytest.raises(RowValueError, match="row 4") as err:
+            next(stream)
+        assert (err.value.row, err.value.column) == (4, "label")
+        with pytest.raises(RowValueError, match="row 4"):
+            parse_records(lines)
+
+
+def complemented(records):
+    """The reference for flip_polarity: every label and prediction flipped."""
+    return [PredictionRecord(r.group, 1 - r.label, 1 - r.prediction) for r in records]
+
 
 class TestFlipPolarity:
     def test_complements_both_fields(self):
-        assert flip_polarity([PredictionRecord("g", 1, 0)]) == [PredictionRecord("g", 0, 1)]
+        flipped = flip_polarity(aggregate([PredictionRecord("g", 1, 0)]))
+        assert flipped == aggregate([PredictionRecord("g", 0, 1)])
 
     @given(records_strategy)
     def test_involution(self, records):
-        assert flip_polarity(flip_polarity(records)) == records
+        table = aggregate(records)
+        assert flip_polarity(table) == aggregate(complemented(records))
+        assert flip_polarity(flip_polarity(table)) == table
 
     def test_flip_swaps_confusion_cells(self):
         rng = random.Random(7)
         records = [
-            PredictionRecord("g", rng.randint(0, 1), rng.randint(0, 1))
-            for _ in range(20)
+            PredictionRecord(rng.choice("gh"), rng.randint(0, 1), rng.randint(0, 1))
+            for _ in range(40)
         ]
-        plain = aggregate(records).groups["g"]
-        flipped = aggregate(flip_polarity(records)).groups["g"]
-        assert (flipped.tp, flipped.fn, flipped.fp, flipped.tn) == (
-            plain.tn, plain.fp, plain.fn, plain.tp
-        )
+        plain = aggregate(records)
+        flipped = flip_polarity(plain)
+        assert flipped == aggregate(complemented(records))
+        pairs = [(plain.total, flipped.total)]
+        pairs += [(cm, flipped.groups[name]) for name, cm in plain.groups.items()]
+        for cm, swapped in pairs:
+            assert (swapped.tp, swapped.fn, swapped.fp, swapped.tn) == (
+                cm.tn, cm.fp, cm.fn, cm.tp
+            )
 
 
 class TestAggregate:
@@ -138,6 +167,12 @@ class TestAggregate:
     def test_empty(self):
         with pytest.raises(EmptyDatasetError):
             aggregate([])
+        with pytest.raises(EmptyDatasetError):
+            aggregate(iter(()))
+
+    def test_consumes_a_record_stream(self):
+        lines = ["group,label,prediction", "a,1,1", "b,0,1", "a,0,0", "b,1,0"]
+        assert aggregate(iter_records(lines)) == aggregate(parse_records(lines))
 
     @given(records_strategy)
     def test_sizes_sum_to_record_count(self, records):
@@ -156,7 +191,8 @@ class TestAggregate:
     @given(records_strategy)
     def test_flip_negates_marginal_benefit(self, records):
         plain = aggregate(records)
-        flipped = aggregate(flip_polarity(records))
+        flipped = flip_polarity(plain)
+        assert flipped == aggregate(complemented(records))
         for name, cm in plain.groups.items():
             assert marginal_benefit(flipped.groups[name]) == -marginal_benefit(cm)
 
