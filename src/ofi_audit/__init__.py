@@ -6,121 +6,36 @@ confusion matrices, aggregates record-level CSV data, renders pairwise
 reports and heatmaps, and provides the counting and distribution analysis
 of the marginal-benefit score over all confusion matrices of a given
 size, verified against brute-force enumeration.
+
+The package root exports what the README's Library example imports, plus
+``parse_report``; everything else is imported from its submodule.
 """
 
 __version__ = "0.1.0"
 
-from .audit import (
-    AuditConfig,
-    AuditReport,
-    Diagnosis,
-    InsufficientGroupsError,
-    PairFinding,
-    PairwiseMatrix,
-    build_report,
-    diagnose,
-    grid_to_csv,
-    pairwise,
-    parse_report,
-    serialize_report,
-)
-from .combinatorics import (
-    BStats,
-    ScoreDistribution,
-    TriangularComparison,
-    b_stats,
-    count_increment,
-    count_sum_identity,
-    count_value,
-    enumerate_cms,
-    marginal_benefit_distribution,
-    non_triangular_witness,
-    termial,
-    total_combinations,
-)
-from .heatmap import HeatmapStyle, render_heatmap
-from .ingestion import (
-    ColumnSchema,
-    EmptyDatasetError,
-    GroupTable,
-    PredictionRecord,
-    RowValueError,
-    SchemaError,
-    aggregate,
-    flip_polarity,
-    iter_records,
-    parse_records,
-)
+from .audit import build_report, parse_report, serialize_report
+from .combinatorics import b_stats, marginal_benefit_distribution
+from .ingestion import aggregate, flip_polarity, iter_records
 from .metrics import (
-    DEFAULT_OFI_THRESHOLD,
-    FOUR_FIFTHS_HIGH,
-    FOUR_FIFTHS_LOW,
-    BiasVerdict,
     BinaryConfusion,
-    DiKind,
-    DiScore,
-    EmptyGroupError,
-    ThresholdError,
-    benefit,
     disparate_impact,
-    expected_benefit,
     four_fifths_verdict,
-    marginal_benefit,
     ofi,
     ofi_verdict,
 )
 
 __all__ = [
-    "AuditConfig",
-    "AuditReport",
-    "BStats",
-    "BiasVerdict",
     "BinaryConfusion",
-    "ColumnSchema",
-    "DEFAULT_OFI_THRESHOLD",
-    "DiKind",
-    "DiScore",
-    "Diagnosis",
-    "EmptyDatasetError",
-    "EmptyGroupError",
-    "FOUR_FIFTHS_HIGH",
-    "FOUR_FIFTHS_LOW",
-    "GroupTable",
-    "HeatmapStyle",
-    "InsufficientGroupsError",
-    "PairFinding",
-    "PairwiseMatrix",
-    "PredictionRecord",
-    "RowValueError",
-    "SchemaError",
-    "ScoreDistribution",
-    "ThresholdError",
-    "TriangularComparison",
     "aggregate",
     "b_stats",
-    "benefit",
     "build_report",
-    "count_increment",
-    "count_sum_identity",
-    "count_value",
-    "diagnose",
     "disparate_impact",
-    "enumerate_cms",
-    "expected_benefit",
     "flip_polarity",
     "four_fifths_verdict",
-    "grid_to_csv",
     "iter_records",
-    "marginal_benefit",
     "marginal_benefit_distribution",
-    "non_triangular_witness",
     "ofi",
     "ofi_verdict",
-    "pairwise",
-    "parse_records",
     "parse_report",
-    "render_heatmap",
     "serialize_report",
-    "termial",
-    "total_combinations",
 ]

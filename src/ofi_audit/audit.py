@@ -20,11 +20,10 @@ from .metrics import (
     DiScore,
     ThresholdError,
     benefit,
-    disparate_impact,
+    di_from_rates,
     expected_benefit,
     four_fifths_verdict,
     marginal_benefit,
-    ofi,
     ofi_verdict,
 )
 
@@ -114,12 +113,14 @@ class GroupMetrics:
 
 @dataclass(frozen=True)
 class PairFinding:
-    """Scores, rule verdicts and diagnosis for one ordered group pair."""
+    """Rule verdicts and diagnosis for one ordered group pair.
+
+    The pair's OFI and DI values live in the report's grids, at
+    ``value_at(first, second)``.
+    """
 
     first: str
     second: str
-    ofi_value: Fraction
-    di: DiScore
     ofi_verdict: BiasVerdict
     di_verdict: BiasVerdict
     diagnosis: Diagnosis
@@ -147,7 +148,9 @@ def pairwise(
 
     Order defaults to lexicographic; a caller-supplied order may also
     select a subset (at least two distinct groups). The diagonal compares
-    each group with itself.
+    each group with itself. Each group's marginal benefit (for OFI) or
+    benefit (for DI) is computed once; a cell is B_i - B_j or the DI rule
+    over the two rates.
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"metric must be one of {GRID_METRICS}, got {metric!r}")
@@ -161,11 +164,12 @@ def pairwise(
             raise ValueError(f"unknown group {name!r}")
         if name in names[:index]:
             raise ValueError(f"duplicate group {name!r} in group order")
-    score = ofi if metric == "ofi" else disparate_impact
-    cells = tuple(
-        tuple(score(table.groups[gi], table.groups[gj]) for gj in names)
-        for gi in names
-    )
+    if metric == "ofi":
+        scores = [marginal_benefit(table.groups[name]) for name in names]
+        cells = tuple(tuple(bi - bj for bj in scores) for bi in scores)
+    else:
+        rates = [benefit(table.groups[name]) for name in names]
+        cells = tuple(tuple(di_from_rates(ri, rj) for rj in rates) for ri in rates)
     return PairwiseMatrix(metric=metric, group_order=names, cells=cells)
 
 
@@ -191,15 +195,11 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
             if i == j:
                 continue
             ofi_value = ofi_grid.cells[i][j]
-            di = di_grid.cells[i][j]
-            assert isinstance(ofi_value, Fraction) and isinstance(di, DiScore)
-            di_v = four_fifths_verdict(di, config.di_low, config.di_high)
+            di_v = four_fifths_verdict(di_grid.cells[i][j], config.di_low, config.di_high)
             pairs.append(
                 PairFinding(
                     first=gi,
                     second=gj,
-                    ofi_value=ofi_value,
-                    di=di,
                     ofi_verdict=ofi_verdict(ofi_value, config.ofi_threshold),
                     di_verdict=di_v,
                     diagnosis=diagnose(ofi_value, di_v, config.ofi_threshold),
@@ -287,8 +287,6 @@ def serialize_report(report: AuditReport) -> str:
             {
                 "first": p.first,
                 "second": p.second,
-                "ofi": _fraction_doc(p.ofi_value),
-                "di": _di_doc(p.di),
                 "ofi_verdict": p.ofi_verdict.value,
                 "di_verdict": p.di_verdict.value,
                 "diagnosis": p.diagnosis.value,
@@ -330,8 +328,6 @@ def parse_report(text: str) -> AuditReport:
         PairFinding(
             first=p["first"],
             second=p["second"],
-            ofi_value=_parse_fraction_doc(p["ofi"]),
-            di=_parse_di_doc(p["di"]),
             ofi_verdict=BiasVerdict(p["ofi_verdict"]),
             di_verdict=BiasVerdict(p["di_verdict"]),
             diagnosis=Diagnosis(p["diagnosis"]),

@@ -77,6 +77,16 @@ def _open_input(path: str) -> Iterator[TextIO]:
         handle.detach()  # leave stdin open
 
 
+def _decode_error_text(exc: UnicodeDecodeError, handle: TextIO) -> str:
+    # the codec's position is inside the chunk it was given; the chunk
+    # ends where the byte stream now stands
+    text = f"input is not UTF-8: can't decode byte 0x{exc.object[exc.start]:02x}"
+    if handle.buffer.seekable():
+        offset = handle.buffer.tell() - len(exc.object) + exc.start
+        text += f" at offset {offset}"
+    return f"{text}: {exc.reason}"
+
+
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -169,6 +179,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
             return _fail("config", "--sample requires --seed for reproducibility")
         if args.sample < 1:
             return _fail("config", f"--sample must be >= 1, got {args.sample}")
+    if len(args.delimiter) != 1 or args.delimiter in '"\r\n':
+        return _fail(
+            "config",
+            "--delimiter must be one character other than a quote, CR or LF, "
+            f"got {args.delimiter!r}",
+        )
 
     schema = ColumnSchema(
         group=args.group_col, label=args.label_col, prediction=args.pred_col
@@ -180,6 +196,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
                     table = aggregate(iter_records(handle, schema, args.delimiter))
                 else:
                     records = parse_records(handle, schema, args.delimiter)
+            except UnicodeDecodeError as exc:
+                return _fail("parse", _decode_error_text(exc, handle))
             except ValueError as exc:
                 return _fail("parse", str(exc))
     except OSError as exc:

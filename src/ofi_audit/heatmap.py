@@ -9,7 +9,6 @@ DI cells are hatched and labeled "undef".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
@@ -18,16 +17,14 @@ from .formatting import format_fixed
 from .metrics import DiKind, DiScore
 
 
-@dataclass(frozen=True)
-class HeatmapStyle:
-    cell_size: int = 64
-    label_space: int = 120
-    font_family: str = "Helvetica, Arial, sans-serif"
-    font_size: int = 12
-    value_places: int = 2
-    low_color: str = "#2166ac"
-    mid_color: str = "#f7f7f7"
-    high_color: str = "#b2182b"
+CELL_SIZE = 64
+LABEL_SPACE = 120
+FONT_FAMILY = "Helvetica, Arial, sans-serif"
+FONT_SIZE = 12
+VALUE_PLACES = 2
+LOW_COLOR = "#2166ac"
+MID_COLOR = "#f7f7f7"
+HIGH_COLOR = "#b2182b"
 
 
 def _hex_to_rgb(color: str) -> tuple[int, int, int]:
@@ -45,14 +42,14 @@ def _mix(c1: str, c2: str, t: float) -> str:
     )
 
 
-def _diverging_color(value: float, center: float, span: float, style: HeatmapStyle) -> str:
+def _diverging_color(value: float, center: float, span: float) -> str:
     # linear interpolation from the center color outward, clamped at the
     # palette edges
     t = (value - center) / span
     t = max(-1.0, min(1.0, t))
     if t < 0:
-        return _mix(style.mid_color, style.low_color, -t)
-    return _mix(style.mid_color, style.high_color, t)
+        return _mix(MID_COLOR, LOW_COLOR, -t)
+    return _mix(MID_COLOR, HIGH_COLOR, t)
 
 
 def _is_dark(color: str) -> bool:
@@ -60,18 +57,17 @@ def _is_dark(color: str) -> bool:
     return 0.299 * r + 0.587 * g + 0.114 * b < 140
 
 
-def render_heatmap(matrix: PairwiseMatrix, style: HeatmapStyle | None = None) -> str:
+def render_heatmap(matrix: PairwiseMatrix) -> str:
     """Render a pairwise grid as an SVG document string."""
-    style = style or HeatmapStyle()
     names = matrix.group_order
     if not names:
         raise ValueError("cannot render an empty matrix")
     size = len(names)
     center, span = (1.0, 1.0) if matrix.metric == "di" else (0.0, 2.0)
 
-    cell = style.cell_size
-    left = style.label_space
-    top = style.label_space
+    cell = CELL_SIZE
+    left = LABEL_SPACE
+    top = LABEL_SPACE
     width = left + size * cell + 10
     height = top + size * cell + 10
 
@@ -86,8 +82,8 @@ def render_heatmap(matrix: PairwiseMatrix, style: HeatmapStyle | None = None) ->
         '      <line x1="0" y1="0" x2="0" y2="8" stroke="#9a9a9a" stroke-width="3"/>\n'
         "    </pattern>\n"
         "  </defs>\n",
-        f'  <text class="title" x="{left}" y="{style.font_size + 6}" '
-        f'font-family="{style.font_family}" font-size="{style.font_size + 2}" '
+        f'  <text class="title" x="{left}" y="{FONT_SIZE + 6}" '
+        f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE + 2}" '
         f'font-weight="bold">{escape(matrix.metric.upper())}</text>\n',
     ]
 
@@ -95,15 +91,15 @@ def render_heatmap(matrix: PairwiseMatrix, style: HeatmapStyle | None = None) ->
         x = left + j * cell + cell / 2
         parts.append(
             f'  <text class="axis-label" x="{x:.1f}" y="{top - 8}" '
-            f'font-family="{style.font_family}" font-size="{style.font_size}" '
+            f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
             f'text-anchor="end" transform="rotate(-40 {x:.1f} {top - 8})">'
             f"{escape(name)}</text>\n"
         )
     for i, name in enumerate(names):
-        y = top + i * cell + cell / 2 + style.font_size / 3
+        y = top + i * cell + cell / 2 + FONT_SIZE / 3
         parts.append(
             f'  <text class="axis-label" x="{left - 8}" y="{y:.1f}" '
-            f'font-family="{style.font_family}" font-size="{style.font_size}" '
+            f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
             f'text-anchor="end">{escape(name)}</text>\n'
         )
 
@@ -123,8 +119,8 @@ def render_heatmap(matrix: PairwiseMatrix, style: HeatmapStyle | None = None) ->
             else:
                 exact = value.value if isinstance(value, DiScore) else value
                 assert isinstance(exact, Fraction)
-                fill = _diverging_color(float(exact), center, span, style)
-                text = format_fixed(exact, style.value_places)
+                fill = _diverging_color(float(exact), center, span)
+                text = format_fixed(exact, VALUE_PLACES)
                 text_color = "#ffffff" if _is_dark(fill) else "#1a1a1a"
             parts.append(
                 f'  <rect class="cell" x="{x}" y="{y}" width="{cell}" height="{cell}" '
@@ -132,8 +128,8 @@ def render_heatmap(matrix: PairwiseMatrix, style: HeatmapStyle | None = None) ->
             )
             parts.append(
                 f'  <text class="cell-value" x="{x + cell / 2:.1f}" '
-                f'y="{y + cell / 2 + style.font_size / 3:.1f}" '
-                f'font-family="{style.font_family}" font-size="{style.font_size}" '
+                f'y="{y + cell / 2 + FONT_SIZE / 3:.1f}" '
+                f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
                 f'text-anchor="middle" fill="{text_color}">{escape(text)}</text>\n'
             )
 

@@ -181,23 +181,29 @@ def ofi(cm_i: BinaryConfusion, cm_j: BinaryConfusion) -> Fraction:
     return marginal_benefit(cm_i) - marginal_benefit(cm_j)
 
 
-def disparate_impact(cm_i: BinaryConfusion, cm_j: BinaryConfusion) -> DiScore:
-    """Disparate impact of group i versus group j.
+def di_from_rates(rate_i: Fraction, rate_j: Fraction) -> DiScore:
+    """The three-state DI rule over two positive-prediction rates.
 
-    The ratio of the groups' positive-prediction rates. Returns a finite
-    value when group j's rate is positive, the contextual value 1 when
-    both rates are zero, and an explicit zero-denominator marker when only
-    group j's rate is zero.
+    A finite ratio when ``rate_j`` is positive, the contextual value 1
+    when both rates are zero, and an explicit zero-denominator marker
+    when only ``rate_j`` is zero.
     """
-    _require_samples(cm_i, "first group")
-    _require_samples(cm_j, "second group")
-    rate_i = Fraction(cm_i.positive_predictions, cm_i.n)
-    rate_j = Fraction(cm_j.positive_predictions, cm_j.n)
     if rate_j > 0:
         return DiScore.finite(rate_i / rate_j)
     if rate_i == 0:
         return DiScore.contextual_one()
     return DiScore.zero_denominator()
+
+
+def disparate_impact(cm_i: BinaryConfusion, cm_j: BinaryConfusion) -> DiScore:
+    """Disparate impact of group i versus group j.
+
+    :func:`di_from_rates` applied to the groups' positive-prediction
+    rates, their benefits.
+    """
+    _require_samples(cm_i, "first group")
+    _require_samples(cm_j, "second group")
+    return di_from_rates(benefit(cm_i), benefit(cm_j))
 
 
 def four_fifths_verdict(

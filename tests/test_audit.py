@@ -1,9 +1,12 @@
 """Pairwise grids, diagnosis logic and report serialization."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofi_audit.audit import (
     AuditConfig,
@@ -16,14 +19,16 @@ from ofi_audit.audit import (
     parse_report,
     serialize_report,
 )
-from ofi_audit.ingestion import PredictionRecord, aggregate
+from ofi_audit.ingestion import GroupTable, PredictionRecord, aggregate
 from ofi_audit.metrics import (
     BiasVerdict,
     BinaryConfusion,
     DiKind,
     DiScore,
     ThresholdError,
+    disparate_impact,
     four_fifths_verdict,
+    ofi,
     ofi_verdict,
 )
 
@@ -108,6 +113,56 @@ class TestPairwise:
         assert pairwise(three, "ofi", group_order=("i", "j")).group_order == ("i", "j")
 
 
+counts = st.integers(min_value=0, max_value=6)
+# a group with no positive prediction makes contextual and undefined DI cells
+group_cms = st.one_of(
+    st.builds(BinaryConfusion, counts, counts, counts, counts),
+    st.builds(BinaryConfusion, st.just(0), counts, st.just(0), counts),
+).filter(lambda cm: cm.n > 0)
+
+
+@st.composite
+def tables_and_orders(draw):
+    cms = draw(st.lists(group_cms, min_size=2, max_size=6))
+    names = tuple(f"g{k}" for k in range(len(cms)))
+    groups = dict(zip(names, cms))
+    total = BinaryConfusion(*(sum(column) for column in zip(*(cm.as_tuple() for cm in cms))))
+    order = tuple(draw(st.permutations(names)))
+    order = order[: draw(st.integers(min_value=2, max_value=len(order)))]
+    return GroupTable(groups=groups, total=total), order
+
+
+class TestGridMatchesTwoGroupMetrics:
+    """The per-group derivation agrees with ofi and disparate_impact."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables_and_orders())
+    # a vs b is undefined, b vs c contextual and b vs a finite
+    @example(
+        (
+            GroupTable(
+                groups={
+                    "a": BinaryConfusion(1, 2, 1, 1),
+                    "b": BinaryConfusion(0, 1, 0, 3),
+                    "c": BinaryConfusion(0, 2, 0, 2),
+                },
+                total=BinaryConfusion(1, 5, 1, 6),
+            ),
+            ("c", "a", "b"),
+        )
+    )
+    def test_every_cell_equals_the_two_group_function(self, case):
+        table, caller_order = case
+        for order in (None, caller_order):
+            ofi_grid = pairwise(table, "ofi", order)
+            di_grid = pairwise(table, "di", order)
+            names = ofi_grid.group_order
+            assert names == (order or tuple(sorted(table.groups)))
+            for gi, gj in itertools.product(names, repeat=2):
+                cm_i, cm_j = table.groups[gi], table.groups[gj]
+                assert ofi_grid.value_at(gi, gj) == ofi(cm_i, cm_j)
+                assert di_grid.value_at(gi, gj) == disparate_impact(cm_i, cm_j)
+
 class TestDiagnose:
     def test_truth_table(self):
         threshold = Fraction(3, 10)
@@ -130,8 +185,8 @@ class TestDiagnose:
         )
         report = build_report(table)
         finding = next(p for p in report.pairs if p.first == "a")
-        assert finding.ofi_value == 0
-        assert finding.di == DiScore.finite(Fraction(3))
+        assert report.ofi_grid.value_at("a", "b") == 0
+        assert report.di_grid.value_at("a", "b") == DiScore.finite(Fraction(3))
         assert finding.diagnosis is Diagnosis.SYSTEMIC_DISPARITY
 
     def test_threshold_validation(self):
@@ -144,8 +199,8 @@ class TestBuildReport:
         table = table_from(SCENARIO_B)
         default = build_report(table)
         finding = next(p for p in default.pairs if p.first == "i")
-        assert finding.ofi_value == Fraction(4, 18)
-        assert finding.di.kind is DiKind.CONTEXTUAL_ONE
+        assert default.ofi_grid.value_at("i", "j") == Fraction(4, 18)
+        assert default.di_grid.value_at("i", "j").kind is DiKind.CONTEXTUAL_ONE
         assert finding.diagnosis is Diagnosis.NO_FINDING
 
         lowered = build_report(table, AuditConfig(ofi_threshold=Fraction(1, 5)))
@@ -203,7 +258,11 @@ class TestSerialization:
 
     def test_round_trip(self):
         report = build_report(table_from(SCENARIO_B))
-        assert parse_report(serialize_report(report)) == report
+        text = serialize_report(report)
+        assert parse_report(text) == report
+        # a pair carries verdicts only; its values live in the grids
+        for pair in json.loads(text)["pairs"]:
+            assert set(pair) == {"first", "second", "ofi_verdict", "di_verdict", "diagnosis"}
 
     def test_round_trip_zero_denominator(self):
         table = table_from(
@@ -211,7 +270,9 @@ class TestSerialization:
         )
         report = build_report(table)
         assert any(
-            p.di.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR for p in report.pairs
+            report.di_grid.value_at(p.first, p.second).kind
+            is DiKind.UNDEFINED_ZERO_DENOMINATOR
+            for p in report.pairs
         )
         assert parse_report(serialize_report(report)) == report
 

@@ -289,6 +289,49 @@ class TestAuditInput:
         assert out == ""
         assert err.startswith("error [parse]: ") and "can't decode byte 0xe9" in err
 
+    def test_invalid_utf8_names_its_offset_in_the_file(self, capsys, tmp_path):
+        # past the first 8192-byte read, so the offset is not the codec's
+        data = bytearray(b"group,label,prediction\n" + b"a,1,1\n" * 3600)
+        data[21017] = 0xE9  # the first cell of a row
+        path = tmp_path / "late.csv"
+        path.write_bytes(bytes(data))
+        code, out, err = run(capsys, "audit", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error [parse]: input is not UTF-8: can't decode byte 0xe9"
+            " at offset 21017: invalid continuation byte\n"
+        )
+
+    @pytest.mark.parametrize("seekable", [True, False])
+    def test_invalid_utf8_on_stdin(self, capsys, monkeypatch, seekable):
+        class Pipe(io.BytesIO):
+            def seekable(self):
+                return False
+
+        data = b"group,label,prediction\na,1,1\nb\xe9,0,0\n"
+        buffer = io.BytesIO(data) if seekable else Pipe(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(buffer))
+        code, out, err = run(capsys, "audit", "--input", "-")
+        assert (code, out) == (1, "")
+        where = " at offset 30" if seekable else ""
+        assert err == (
+            "error [parse]: input is not UTF-8: can't decode byte 0xe9"
+            f"{where}: invalid continuation byte\n"
+        )
+
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n"])
+    def test_bad_delimiter_fails_at_config_stage(self, capsys, tmp_path, delimiter):
+        # the input does not exist: the check runs before it is opened
+        code, out, err = run(
+            capsys, "audit", "--input", str(tmp_path / "absent.csv"),
+            "--delimiter", delimiter,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error [config]: --delimiter must be one character other than a"
+            f" quote, CR or LF, got {delimiter!r}\n"
+        )
+
     def test_oversized_field_fails_at_parse_stage(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         field = "a" * (csv.field_size_limit() + 1)

@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 import pytest
 
 from ofi_audit.audit import PairwiseMatrix, build_report
-from ofi_audit.heatmap import HeatmapStyle, render_heatmap
+from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, render_heatmap
 from ofi_audit.ingestion import PredictionRecord, aggregate
 from ofi_audit.metrics import BinaryConfusion, DiScore
 
@@ -47,21 +47,19 @@ def test_values_rendered_at_two_places():
 
 
 def test_zero_ofi_cell_uses_center_color():
-    style = HeatmapStyle()
-    svg = render_heatmap(REPORT.ofi_grid, style)
+    svg = render_heatmap(REPORT.ofi_grid)
     diagonal_fills = [
         el.get("fill")
         for el in svg_elements(svg, "cell")
         if el.get("x") == el.get("y")  # diagonal cells sit at equal offsets
     ]
-    assert style.mid_color in diagonal_fills
+    assert MID_COLOR in diagonal_fills
 
 
 def test_di_centers_at_one():
-    style = HeatmapStyle()
-    svg = render_heatmap(REPORT.di_grid, style)
+    svg = render_heatmap(REPORT.di_grid)
     fills = [el.get("fill") for el in svg_elements(svg, "cell")]
-    assert fills.count(style.mid_color) == 2  # the two diagonal DI = 1 cells
+    assert fills.count(MID_COLOR) == 2  # the two diagonal DI = 1 cells
 
 
 def test_undefined_di_is_hatched():
@@ -73,7 +71,6 @@ def test_undefined_di_is_hatched():
 
 
 def test_extreme_values_clamp_to_palette_edges():
-    style = HeatmapStyle()
     grid = PairwiseMatrix(
         metric="ofi",
         group_order=("a", "b"),
@@ -82,9 +79,9 @@ def test_extreme_values_clamp_to_palette_edges():
             (Fraction(-2), Fraction(0)),
         ),
     )
-    svg = render_heatmap(grid, style)
+    svg = render_heatmap(grid)
     fills = {el.get("fill") for el in svg_elements(svg, "cell")}
-    assert style.high_color in fills and style.low_color in fills
+    assert HIGH_COLOR in fills and LOW_COLOR in fills
 
 
 def test_empty_matrix_rejected():

@@ -1,0 +1,39 @@
+"""The README's Library example runs, and the package root exports its names."""
+
+import ast
+import re
+import shutil
+from pathlib import Path
+
+import ofi_audit
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def library_block() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match is not None, "README Library section has no python block"
+    return match.group(1)
+
+
+def imported_names(code: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "ofi_audit"
+        for alias in node.names
+    }
+
+
+def test_library_example_runs(tmp_path, fixtures_dir, monkeypatch, capsys):
+    shutil.copy(fixtures_dir / "scenario_a.csv", tmp_path / "data.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_block(), "README.md", "exec"), {})
+    # two reports: the table as read and flipped
+    assert capsys.readouterr().out.count('"pairs"') == 2
+
+
+def test_root_exports_are_the_documented_names():
+    assert set(ofi_audit.__all__) == imported_names(library_block()) | {"parse_report"}
+    assert all(hasattr(ofi_audit, name) for name in ofi_audit.__all__)
