@@ -21,9 +21,10 @@ from .metrics import (
     ThresholdError,
     benefit,
     di_from_rates,
+    di_rule,
     expected_benefit,
-    four_fifths_verdict,
     marginal_benefit,
+    ofi_rule,
     ofi_verdict,
 )
 
@@ -42,6 +43,14 @@ class Diagnosis(Enum):
     NO_FINDING = "no_finding"
 
 
+def _diagnosis(ofi_v: BiasVerdict, di_v: BiasVerdict) -> Diagnosis:
+    if ofi_v is not BiasVerdict.NO_BIAS_INDICATED:
+        return Diagnosis.ALGORITHMIC_BIAS
+    if di_v in (BiasVerdict.BIAS_TOWARD_FIRST, BiasVerdict.BIAS_TOWARD_SECOND):
+        return Diagnosis.SYSTEMIC_DISPARITY
+    return Diagnosis.NO_FINDING
+
+
 def diagnose(
     ofi_value: Fraction,
     di_verdict: BiasVerdict,
@@ -52,16 +61,9 @@ def diagnose(
     |OFI| above the threshold means the decision procedure itself is
     biased. Otherwise a DI flag points at a disparity that originates
     outside the procedure (e.g. in the underlying rates). No flag from
-    either rule is no finding.
+    either rule is no finding. The OFI half is :func:`ofi_verdict`.
     """
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        raise ThresholdError(f"OFI threshold must be > 0, got {threshold}")
-    if abs(Fraction(ofi_value)) > threshold:
-        return Diagnosis.ALGORITHMIC_BIAS
-    if di_verdict in (BiasVerdict.BIAS_TOWARD_FIRST, BiasVerdict.BIAS_TOWARD_SECOND):
-        return Diagnosis.SYSTEMIC_DISPARITY
-    return Diagnosis.NO_FINDING
+    return _diagnosis(ofi_verdict(ofi_value, threshold), di_verdict)
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,31 @@ class AuditReport:
     config: AuditConfig
 
 
+def _group_order(
+    table: GroupTable, metric: str, group_order: tuple[str, ...] | None
+) -> tuple[str, ...]:
+    names = tuple(group_order) if group_order else tuple(sorted(table.groups))
+    if len(names) < 2:
+        raise InsufficientGroupsError(
+            f"pairwise {metric} needs at least 2 groups, have {len(names)}"
+        )
+    for index, name in enumerate(names):
+        if name not in table.groups:
+            raise ValueError(f"unknown group {name!r}")
+        if name in names[:index]:
+            raise ValueError(f"duplicate group {name!r} in group order")
+    return names
+
+
+def _grid(metric: str, names: tuple[str, ...], scores: list[Fraction]) -> PairwiseMatrix:
+    # scores are the groups' marginal benefits (OFI) or benefits (DI)
+    if metric == "ofi":
+        cells = tuple(tuple(bi - bj for bj in scores) for bi in scores)
+    else:
+        cells = tuple(tuple(di_from_rates(ri, rj) for rj in scores) for ri in scores)
+    return PairwiseMatrix(metric=metric, group_order=names, cells=cells)
+
+
 def pairwise(
     table: GroupTable,
     metric: str,
@@ -154,32 +181,23 @@ def pairwise(
     """
     if metric not in GRID_METRICS:
         raise ValueError(f"metric must be one of {GRID_METRICS}, got {metric!r}")
-    names = tuple(group_order) if group_order else tuple(sorted(table.groups))
-    if len(names) < 2:
-        raise InsufficientGroupsError(
-            f"pairwise {metric} needs at least 2 groups, have {len(names)}"
-        )
-    for index, name in enumerate(names):
-        if name not in table.groups:
-            raise ValueError(f"unknown group {name!r}")
-        if name in names[:index]:
-            raise ValueError(f"duplicate group {name!r} in group order")
-    if metric == "ofi":
-        scores = [marginal_benefit(table.groups[name]) for name in names]
-        cells = tuple(tuple(bi - bj for bj in scores) for bi in scores)
-    else:
-        rates = [benefit(table.groups[name]) for name in names]
-        cells = tuple(tuple(di_from_rates(ri, rj) for rj in rates) for ri in rates)
-    return PairwiseMatrix(metric=metric, group_order=names, cells=cells)
+    names = _group_order(table, metric, group_order)
+    score = marginal_benefit if metric == "ofi" else benefit
+    return _grid(metric, names, [score(table.groups[name]) for name in names])
 
 
 def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditReport:
-    """Compute both grids, all per-group metrics, and per-pair findings."""
-    config = config or AuditConfig()
-    ofi_grid = pairwise(table, "ofi", config.group_order)
-    di_grid = pairwise(table, "di", config.group_order)
-    names = ofi_grid.group_order
+    """Compute both grids, all per-group metrics, and per-pair findings.
 
+    Each group's benefit b = (tp + fp)/n and marginal benefit
+    B = (fp - fn)/n are computed once; both grids come from them. A
+    pair's verdicts are exact integer comparisons over their numerators
+    and denominators: OFI is (a_i·m_j - a_j·m_i)/(m_i·m_j) for B = a/m,
+    DI is (c_i·n_j)/(c_j·n_i) for b = c/n. The config's thresholds were
+    validated when it was built, so no pair checks them again.
+    """
+    config = config or AuditConfig()
+    names = _group_order(table, "ofi", config.group_order)
     group_metrics = {}
     for name in names:
         cm = table.groups[name]
@@ -188,23 +206,23 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
             expected_benefit=expected_benefit(cm),
             marginal_benefit=marginal_benefit(cm),
         )
+    ofi_grid = _grid("ofi", names, [gm.marginal_benefit for gm in group_metrics.values()])
+    di_grid = _grid("di", names, [gm.benefit for gm in group_metrics.values()])
 
+    parts = [
+        (name, gm.marginal_benefit.numerator, gm.marginal_benefit.denominator,
+         gm.benefit.numerator, gm.benefit.denominator)
+        for name, gm in group_metrics.items()
+    ]
+    threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
     pairs = []
-    for i, gi in enumerate(names):
-        for j, gj in enumerate(names):
-            if i == j:
+    for gi, a_i, m_i, c_i, n_i in parts:
+        for gj, a_j, m_j, c_j, n_j in parts:
+            if gi == gj:
                 continue
-            ofi_value = ofi_grid.cells[i][j]
-            di_v = four_fifths_verdict(di_grid.cells[i][j], config.di_low, config.di_high)
-            pairs.append(
-                PairFinding(
-                    first=gi,
-                    second=gj,
-                    ofi_verdict=ofi_verdict(ofi_value, config.ofi_threshold),
-                    di_verdict=di_v,
-                    diagnosis=diagnose(ofi_value, di_v, config.ofi_threshold),
-                )
-            )
+            ofi_v = ofi_rule(a_i * m_j - a_j * m_i, m_i * m_j, threshold)
+            di_v = di_rule(c_i * n_j, c_j * n_i, low, high)
+            pairs.append(PairFinding(gi, gj, ofi_v, di_v, _diagnosis(ofi_v, di_v)))
 
     return AuditReport(
         record_count=table.total.n,

@@ -38,6 +38,7 @@ from .ingestion import (
 from .metrics import (
     BinaryConfusion,
     DiKind,
+    ThresholdError,
     benefit,
     disparate_impact,
     expected_benefit,
@@ -186,6 +187,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
             f"got {args.delimiter!r}",
         )
 
+    group_order = None
+    if args.group_order:
+        group_order = tuple(name.strip() for name in args.group_order.split(","))
+    try:
+        config = AuditConfig(
+            ofi_threshold=args.ofi_threshold,
+            di_low=args.di_low,
+            di_high=args.di_high,
+            group_order=group_order,
+        )
+    except ThresholdError as exc:
+        return _fail("config", str(exc))
+
     schema = ColumnSchema(
         group=args.group_col, label=args.label_col, prediction=args.pred_col
     )
@@ -215,17 +229,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.flip:
         table = flip_polarity(table)
 
-    group_order = None
-    if args.group_order:
-        group_order = tuple(name.strip() for name in args.group_order.split(","))
-
     try:
-        config = AuditConfig(
-            ofi_threshold=args.ofi_threshold,
-            di_low=args.di_low,
-            di_high=args.di_high,
-            group_order=group_order,
-        )
         report = build_report(table, config)
     except (InsufficientGroupsError, ValueError) as exc:
         return _fail("report", str(exc))

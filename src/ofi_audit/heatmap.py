@@ -9,12 +9,11 @@ DI cells are hatched and labeled "undef".
 
 from __future__ import annotations
 
-from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from .audit import PairwiseMatrix
 from .formatting import format_fixed
-from .metrics import DiKind, DiScore
+from .metrics import DiScore
 
 
 CELL_SIZE = 64
@@ -27,33 +26,26 @@ MID_COLOR = "#f7f7f7"
 HIGH_COLOR = "#b2182b"
 
 
-def _hex_to_rgb(color: str) -> tuple[int, int, int]:
+Rgb = tuple[int, int, int]
+
+
+def _hex_to_rgb(color: str) -> Rgb:
     color = color.lstrip("#")
     return int(color[0:2], 16), int(color[2:4], 16), int(color[4:6], 16)
 
 
-def _mix(c1: str, c2: str, t: float) -> str:
-    r1, g1, b1 = _hex_to_rgb(c1)
-    r2, g2, b2 = _hex_to_rgb(c2)
-    return "#{:02x}{:02x}{:02x}".format(
+def _mix(c1: Rgb, c2: Rgb, t: float) -> Rgb:
+    r1, g1, b1 = c1
+    r2, g2, b2 = c2
+    return (
         round(r1 + (r2 - r1) * t),
         round(g1 + (g2 - g1) * t),
         round(b1 + (b2 - b1) * t),
     )
 
 
-def _diverging_color(value: float, center: float, span: float) -> str:
-    # linear interpolation from the center color outward, clamped at the
-    # palette edges
-    t = (value - center) / span
-    t = max(-1.0, min(1.0, t))
-    if t < 0:
-        return _mix(MID_COLOR, LOW_COLOR, -t)
-    return _mix(MID_COLOR, HIGH_COLOR, t)
-
-
-def _is_dark(color: str) -> bool:
-    r, g, b = _hex_to_rgb(color)
+def _is_dark(rgb: Rgb) -> bool:
+    r, g, b = rgb
     return 0.299 * r + 0.587 * g + 0.114 * b < 140
 
 
@@ -103,34 +95,32 @@ def render_heatmap(matrix: PairwiseMatrix) -> str:
             f'text-anchor="end">{escape(name)}</text>\n'
         )
 
-    for i in range(size):
-        for j in range(size):
-            value = matrix.cells[i][j]
-            x = left + j * cell
-            y = top + i * cell
-            undefined = (
-                isinstance(value, DiScore)
-                and value.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR
-            )
-            if undefined:
+    # the diverging palette runs from the center color outward, linear in
+    # the value and clamped at the palette edges
+    low, mid, high = (_hex_to_rgb(c) for c in (LOW_COLOR, MID_COLOR, HIGH_COLOR))
+    text_xs = [f"{left + j * cell + cell / 2:.1f}" for j in range(size)]
+    for i, row in enumerate(matrix.cells):
+        y = top + i * cell
+        text_y = f"{y + cell / 2 + FONT_SIZE / 3:.1f}"
+        for j, value in enumerate(row):
+            if isinstance(value, DiScore):
+                value = value.value
+            if value is None:  # a zero-denominator DI
                 fill = "url(#undef-hatch)"
                 text = "undef"
                 text_color = "#333333"
             else:
-                exact = value.value if isinstance(value, DiScore) else value
-                assert isinstance(exact, Fraction)
-                fill = _diverging_color(float(exact), center, span)
-                text = format_fixed(exact, VALUE_PLACES)
-                text_color = "#ffffff" if _is_dark(fill) else "#1a1a1a"
+                t = max(-1.0, min(1.0, (value.numerator / value.denominator - center) / span))
+                rgb = _mix(mid, low, -t) if t < 0 else _mix(mid, high, t)
+                fill = "#{:02x}{:02x}{:02x}".format(*rgb)
+                text = format_fixed(value, VALUE_PLACES)
+                text_color = "#ffffff" if _is_dark(rgb) else "#1a1a1a"
             parts.append(
-                f'  <rect class="cell" x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                f'fill="{fill}" stroke="#ffffff" stroke-width="1"/>\n'
-            )
-            parts.append(
-                f'  <text class="cell-value" x="{x + cell / 2:.1f}" '
-                f'y="{y + cell / 2 + FONT_SIZE / 3:.1f}" '
+                f'  <rect class="cell" x="{left + j * cell}" y="{y}" width="{cell}" '
+                f'height="{cell}" fill="{fill}" stroke="#ffffff" stroke-width="1"/>\n'
+                f'  <text class="cell-value" x="{text_xs[j]}" y="{text_y}" '
                 f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
-                f'text-anchor="middle" fill="{text_color}">{escape(text)}</text>\n'
+                f'text-anchor="middle" fill="{text_color}">{text}</text>\n'
             )
 
     parts.append("</svg>\n")

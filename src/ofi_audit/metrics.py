@@ -2,7 +2,11 @@
 
 Every metric here is computed with exact rational arithmetic
 (:class:`fractions.Fraction`). Floating point never enters a metric value;
-decimals appear only when results are formatted for display.
+decimals appear only when results are formatted for display. Verdicts
+are exact integer comparisons: :func:`ofi_rule` and :func:`di_rule`
+cross-multiply a value's numerator and denominator with the threshold's,
+and the validating wrappers :func:`ofi_verdict` and
+:func:`four_fifths_verdict` pass them a value's integer parts.
 
 Conventions:
 
@@ -206,6 +210,24 @@ def disparate_impact(cm_i: BinaryConfusion, cm_j: BinaryConfusion) -> DiScore:
     return di_from_rates(benefit(cm_i), benefit(cm_j))
 
 
+def di_rule(x: int, y: int, low: Fraction, high: Fraction) -> BiasVerdict:
+    """The four-fifths band rule for the DI value x/y, with x, y >= 0.
+
+    Above ``high`` (``x·h_q > h_p·y`` for ``high = h_p/h_q``) flags bias
+    toward the first group, below ``low`` (``x·l_q < l_p·y``) toward the
+    second; the closed band is no indication. A ``y`` of 0 is the
+    contextual 1 when ``x`` is also 0 and ``UNDEFINED`` otherwise. The
+    band is taken as already validated.
+    """
+    if y == 0:
+        return BiasVerdict.NO_BIAS_INDICATED if x == 0 else BiasVerdict.UNDEFINED
+    if x * high.denominator > high.numerator * y:
+        return BiasVerdict.BIAS_TOWARD_FIRST
+    if x * low.denominator < low.numerator * y:
+        return BiasVerdict.BIAS_TOWARD_SECOND
+    return BiasVerdict.NO_BIAS_INDICATED
+
+
 def four_fifths_verdict(
     di: DiScore,
     low: Fraction = FOUR_FIFTHS_LOW,
@@ -216,7 +238,8 @@ def four_fifths_verdict(
     Values above ``high`` flag bias toward the first group, values below
     ``low`` bias toward the second; the closed band [low, high] is read as
     no indication. A contextual 1 is inside the band by construction; a
-    zero-denominator DI yields ``UNDEFINED``.
+    zero-denominator DI yields ``UNDEFINED``. The band is validated, then
+    :func:`di_rule` decides.
     """
     low = Fraction(low)
     high = Fraction(high)
@@ -224,14 +247,25 @@ def four_fifths_verdict(
         raise ThresholdError(f"DI band must be positive, got [{low}, {high}]")
     if low > high:
         raise ThresholdError(f"DI band is inverted: [{low}, {high}]")
-    if di.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
-        return BiasVerdict.UNDEFINED
-    if di.kind is DiKind.CONTEXTUAL_ONE:
-        return BiasVerdict.NO_BIAS_INDICATED
-    assert di.value is not None
-    if di.value > high:
+    if di.kind is DiKind.FINITE:
+        assert di.value is not None
+        return di_rule(di.value.numerator, di.value.denominator, low, high)
+    # the rates' ratio had a zero denominator: 0/0 is the contextual 1
+    return di_rule(0 if di.kind is DiKind.CONTEXTUAL_ONE else 1, 0, low, high)
+
+
+def ofi_rule(num: int, den: int, threshold: Fraction) -> BiasVerdict:
+    """The symmetric threshold rule for the OFI value num/den, den > 0.
+
+    With ``threshold = p/q``, ``num·q > p·den`` flags bias toward the
+    first group and ``num·q < −p·den`` toward the second; the closed band
+    between is no indication. The threshold is taken as already
+    validated.
+    """
+    p, q = threshold.numerator, threshold.denominator
+    if num * q > p * den:
         return BiasVerdict.BIAS_TOWARD_FIRST
-    if di.value < low:
+    if num * q < -p * den:
         return BiasVerdict.BIAS_TOWARD_SECOND
     return BiasVerdict.NO_BIAS_INDICATED
 
@@ -245,14 +279,11 @@ def ofi_verdict(
     The closed band [-threshold, threshold] is the no-bias region, so
     boundary values do not flag bias. The default threshold of 3/10 suits
     uniformly distributed confusion matrices; domains with concentrated
-    outcomes should lower it.
+    outcomes should lower it. The threshold is validated, then
+    :func:`ofi_rule` decides.
     """
     threshold = Fraction(threshold)
     if threshold <= 0:
         raise ThresholdError(f"OFI threshold must be > 0, got {threshold}")
     value = Fraction(value)
-    if value > threshold:
-        return BiasVerdict.BIAS_TOWARD_FIRST
-    if value < -threshold:
-        return BiasVerdict.BIAS_TOWARD_SECOND
-    return BiasVerdict.NO_BIAS_INDICATED
+    return ofi_rule(value.numerator, value.denominator, threshold)

@@ -163,6 +163,72 @@ class TestGridMatchesTwoGroupMetrics:
                 assert ofi_grid.value_at(gi, gj) == ofi(cm_i, cm_j)
                 assert di_grid.value_at(gi, gj) == disparate_impact(cm_i, cm_j)
 
+
+# thresholds and band edges that the small tables above hit exactly, and
+# arbitrary positive rationals
+edges = st.one_of(
+    st.sampled_from([Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(4, 5),
+                     Fraction(1), Fraction(5, 4), Fraction(2)]),
+    st.fractions(min_value=Fraction(1, 50), max_value=3, max_denominator=60)
+    .filter(lambda f: f > 0),
+)
+
+
+@st.composite
+def audits(draw):
+    table, order = draw(tables_and_orders())
+    low, high = sorted(draw(st.lists(edges, min_size=2, max_size=2)))
+    return table, AuditConfig(draw(edges), low, high, draw(st.sampled_from([None, order])))
+
+
+def fraction_verdict(value, low, high):
+    # the band rules read straight off the paper, over Fractions
+    if value is None:
+        return BiasVerdict.UNDEFINED
+    if value > high:
+        return BiasVerdict.BIAS_TOWARD_FIRST
+    if value < low:
+        return BiasVerdict.BIAS_TOWARD_SECOND
+    return BiasVerdict.NO_BIAS_INDICATED
+
+
+# on the exact edge: OFI 3/10 and -3/10 against 3/10, DI 4/5 and 5/4
+ON_EDGE = {"a": BinaryConfusion(1, 0, 3, 6), "b": BinaryConfusion(5, 0, 0, 5)}
+# OFI ±1/4, DI 1/2 and 2
+ON_WIDE_EDGE = {"a": BinaryConfusion(1, 0, 0, 3), "b": BinaryConfusion(1, 0, 1, 2)}
+# zero rates: contextual, zero and undefined DI cells
+ZERO_RATES = {"a": BinaryConfusion(0, 2, 0, 3), "b": BinaryConfusion(0, 1, 0, 7),
+              "c": BinaryConfusion(1, 0, 3, 6)}
+
+
+class TestVerdictsMatchFractionVerdicts:
+    """build_report's integer verdicts agree with the Fraction functions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(audits())
+    @example((table_from(ON_EDGE), AuditConfig()))
+    @example((table_from(ON_WIDE_EDGE), AuditConfig(Fraction(1, 4), Fraction(1, 2), 2)))
+    @example((table_from(ZERO_RATES), AuditConfig()))
+    def test_every_pair_equals_the_fraction_verdicts(self, case):
+        table, config = case
+        threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
+        report = build_report(table, config)
+        assert len(report.pairs) == len(report.ofi_grid.group_order) ** 2 - len(
+            report.ofi_grid.group_order
+        )
+        for p in report.pairs:
+            cm_i, cm_j = table.groups[p.first], table.groups[p.second]
+            ofi_value, di = ofi(cm_i, cm_j), disparate_impact(cm_i, cm_j)
+            assert p.ofi_verdict == ofi_verdict(ofi_value, threshold)
+            assert p.di_verdict == four_fifths_verdict(di, low, high)
+            assert p.diagnosis == diagnose(ofi_value, p.di_verdict, threshold)
+            assert p.ofi_verdict == fraction_verdict(ofi_value, -threshold, threshold)
+            if di.kind is DiKind.CONTEXTUAL_ONE:  # equal rates, whatever the band
+                assert p.di_verdict is BiasVerdict.NO_BIAS_INDICATED
+            else:
+                assert p.di_verdict == fraction_verdict(di.value, low, high)
+
+
 class TestDiagnose:
     def test_truth_table(self):
         threshold = Fraction(3, 10)

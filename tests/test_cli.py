@@ -213,6 +213,25 @@ class TestAudit:
         finding = next(p for p in report.pairs if p.first == "i")
         assert finding.diagnosis.value == "algorithmic_bias"
 
+    @pytest.mark.parametrize("input_exists", [True, False])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ofi-threshold", "0"], "OFI threshold must be > 0, got 0"),
+            (["--ofi-threshold=-1/10"], "OFI threshold must be > 0, got -1/10"),
+            (["--di-low", "0"], "bad DI band [0, 5/4]"),
+            (["--di-high", "1/2"], "bad DI band [4/5, 1/2]"),
+            (["--di-low", "2", "--di-high", "1"], "bad DI band [2, 1]"),
+        ],
+    )
+    def test_bad_threshold_fails_at_config_stage(
+        self, capsys, fixtures_dir, tmp_path, flags, message, input_exists
+    ):
+        # checked before the input is opened, so a missing file is not named
+        path = fixtures_dir / "scenario_a.csv" if input_exists else tmp_path / "absent.csv"
+        code, out, err = run(capsys, "audit", "--input", str(path), *flags)
+        assert (code, out, err) == (1, "", f"error [config]: {message}\n")
+
 
 BOM = "\ufeff"
 
