@@ -1,10 +1,11 @@
 """Integer kernels behind the combinatorics and enumeration code.
 
 :func:`pair_score_counts` is the closed form for the multiplicity of every
-score difference. The ``enum_*`` kernels are brute-force numpy
-enumerations that use no closed form, so ``verify`` has an independent
-side to compare against. The plain-loop ``_*_loops`` functions are the
-test suite's reference for both; production code does not call them.
+score difference. :func:`enum_stats` is a brute-force numpy
+enumeration that uses no closed form, so ``verify`` has an independent
+side to compare against; one pass gives every enumerated fact. The
+plain-loop ``_*_loops`` functions are the test suite's reference for the
+two; production code does not call them.
 
 All kernels operate on int64. Full enumeration is capped at n=200 by the
 callers; the closed form stays exact up to
@@ -31,49 +32,25 @@ def _pair_score_counts_loops(n: int) -> np.ndarray:
     return counts
 
 
-def _enum_count_loops(n: int) -> int:
-    total = 0
-    for tp in range(n + 1):
-        for fn in range(n - tp + 1):
-            for fp in range(n - tp - fn + 1):
-                total += 1
-    return total
-
-
-def _enum_cell_counts_loops(n: int) -> np.ndarray:
-    # counts[c, x] = number of quadruples whose cell c equals x, with the
-    # cells ordered (tp, fn, fp, tn)
-    counts = np.zeros((4, n + 1), dtype=np.int64)
-    for tp in range(n + 1):
-        for fn in range(n - tp + 1):
-            for fp in range(n - tp - fn + 1):
-                tn = n - tp - fn - fp
-                counts[0, tp] += 1
-                counts[1, fn] += 1
-                counts[2, fp] += 1
-                counts[3, tn] += 1
-    return counts
-
-
-def _enum_score_counts_loops(n: int) -> np.ndarray:
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for tp in range(n + 1):
-        for fn in range(n - tp + 1):
-            for fp in range(n - tp - fn + 1):
-                counts[fp - fn + n] += 1
-    return counts
-
-
-def _enum_score_sums_loops(n: int) -> tuple[int, int]:
+def _enum_stats_loops(n: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    # the same five results as enum_stats, one quadruple at a time, with
+    # the cells ordered (tp, fn, fp, tn)
+    count = 0
+    cell_counts = np.zeros((4, n + 1), dtype=np.int64)
+    score_counts = np.zeros(2 * n + 1, dtype=np.int64)
     total = 0
     total_sq = 0
     for tp in range(n + 1):
         for fn in range(n - tp + 1):
             for fp in range(n - tp - fn + 1):
+                count += 1
+                for cell, value in enumerate((tp, fn, fp, n - tp - fn - fp)):
+                    cell_counts[cell, value] += 1
                 d = fp - fn
+                score_counts[d + n] += 1
                 total += d
                 total_sq += d * d
-    return total, total_sq
+    return count, cell_counts, score_counts, total, total_sq
 
 
 # ---------------------------------------------------------------------------
@@ -94,59 +71,39 @@ def pair_score_counts(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration. These materialize the (fn, fp) plane per tp and
-# mask it, rather than using any closed form.
+# Brute-force enumeration. This materializes the (fn, fp) plane per tp and
+# masks it, rather than using any closed form.
 # ---------------------------------------------------------------------------
 
-def _fn_fp_plane(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r = np.arange(m + 1, dtype=np.int64)
-    fn = r[:, None]
-    fp = r[None, :]
-    valid = (fn + fp) <= m
-    return fn, fp, valid
+def enum_stats(n: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    """Every enumeration fact about the quadruples with cell sum n, from
+    one pass over them.
 
-
-def enum_count(n: int) -> int:
-    """Number of quadruples with cell sum n, counted by enumeration."""
-    total = 0
-    for tp in range(n + 1):
-        _, _, valid = _fn_fp_plane(n - tp)
-        total += int(valid.sum())
-    return total
-
-
-def enum_cell_counts(n: int) -> np.ndarray:
-    """Per-cell value counts over the full enumeration, shape (4, n + 1)."""
-    counts = np.zeros((4, n + 1), dtype=np.int64)
-    for tp in range(n + 1):
-        m = n - tp
-        fn, fp, valid = _fn_fp_plane(m)
-        fn_vals = np.broadcast_to(fn, valid.shape)[valid]
-        fp_vals = np.broadcast_to(fp, valid.shape)[valid]
-        counts[0, tp] += fn_vals.size
-        counts[1] += np.bincount(fn_vals, minlength=n + 1)
-        counts[2] += np.bincount(fp_vals, minlength=n + 1)
-        counts[3] += np.bincount(m - fn_vals - fp_vals, minlength=n + 1)
-    return counts
-
-
-def enum_score_counts(n: int) -> np.ndarray:
-    """Histogram of fp - fn over the full enumeration, indexed d + n."""
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for tp in range(n + 1):
-        fn, fp, valid = _fn_fp_plane(n - tp)
-        diffs = np.broadcast_to(fp - fn, valid.shape)[valid]
-        counts += np.bincount(diffs + n, minlength=2 * n + 1)
-    return counts
-
-
-def enum_score_sums(n: int) -> tuple[int, int]:
-    """Sum and sum of squares of fp - fn over the full enumeration."""
+    Returns ``(count, cell_counts, score_counts, total, total_sq)``:
+    the number of quadruples; ``cell_counts[c, x]``, how many have cell c
+    equal to x, shape (4, n + 1) with cells ordered (tp, fn, fp, tn);
+    ``score_counts[d + n]``, how many have fp - fn = d; and the sum and
+    sum of squares of fp - fn as Python ints.
+    """
+    count = 0
+    cell_counts = np.zeros((4, n + 1), dtype=np.int64)
+    score_counts = np.zeros(2 * n + 1, dtype=np.int64)
     total = 0
     total_sq = 0
+    r = np.arange(n + 1, dtype=np.int64)
     for tp in range(n + 1):
-        fn, fp, valid = _fn_fp_plane(n - tp)
-        diffs = np.broadcast_to(fp - fn, valid.shape)[valid]
-        total += int(diffs.sum())
-        total_sq += int((diffs * diffs).sum())
-    return total, total_sq
+        m = n - tp
+        fn_axis, fp_axis = r[: m + 1, None], r[None, : m + 1]
+        valid = fn_axis + fp_axis <= m
+        fn = np.broadcast_to(fn_axis, valid.shape)[valid]
+        fp = np.broadcast_to(fp_axis, valid.shape)[valid]
+        d = fp - fn
+        count += d.size
+        cell_counts[0, tp] += d.size
+        cell_counts[1] += np.bincount(fn, minlength=n + 1)
+        cell_counts[2] += np.bincount(fp, minlength=n + 1)
+        cell_counts[3] += np.bincount(m - fn - fp, minlength=n + 1)
+        score_counts += np.bincount(d + n, minlength=2 * n + 1)
+        total += int(d.sum())
+        total_sq += int((d * d).sum())
+    return count, cell_counts, score_counts, total, total_sq

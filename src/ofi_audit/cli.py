@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import random
 import sys
@@ -22,9 +21,9 @@ from .audit import (
 )
 from .combinatorics import (
     DIST_MAX,
+    TRIANGULAR_STD,
     b_stats,
     marginal_benefit_distribution,
-    non_triangular_witness,
 )
 from .formatting import format_fixed, format_fraction
 from .heatmap import render_heatmap
@@ -307,18 +306,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail("dist", str(exc))
     stats = b_stats(args.n)
-    witness = non_triangular_witness(args.n)
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["score_numerator", "score_denominator", "multiplicity"])
-    for num, den, mult in dist.csv_rows():
-        writer.writerow([num, den, mult])
+    sys.stdout.writelines(dist.csv_chunks())
 
     print(
         f"dist n={args.n}: total={dist.total()} mean={format_fraction(stats.mean)} "
         f"variance={format_fraction(stats.variance)} ({float(stats.variance):.6f}) "
         f"std={stats.std:.6f} mode={format_fraction(dist.mode())} "
-        f"triangular_std={witness.triangular_std:.6f}",
+        f"triangular_std={TRIANGULAR_STD:.6f}",
         file=sys.stderr,
     )
     return 0

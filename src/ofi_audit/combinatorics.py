@@ -10,13 +10,15 @@ set of all such quadruples this module provides
   ``(n+1)(n+2)(n+3)/6`` (:func:`total_combinations`),
 * the exact multiplicity of every marginal-benefit score ``(fp - fn)/n``,
   in closed form and O(n) without enumeration
-  (:func:`marginal_benefit_distribution`), and
+  (:func:`marginal_benefit_distribution`), written as CSV text in
+  fixed-size chunks (:meth:`ScoreDistribution.csv_chunks`), and
 * the distribution's exact moments: mean 0, variance ``(n+4)/(10n)``
   (:func:`b_stats`).
 
 Every closed form is checked against full enumeration by the test suite
 and by the ``verify`` CLI subcommand; :mod:`ofi_audit.exhaustive` holds the
-enumeration-based reference computations.
+enumeration-based reference computations, and
+:mod:`ofi_audit.verification` the count identities that only it checks.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ TRIANGULAR_STD = 1 / math.sqrt(6)
 #: Largest n for :func:`marginal_benefit_distribution`: the largest n whose
 #: total count (n+1)(n+2)(n+3)/6 still fits in the int64 multiplicities.
 DIST_MAX = 3_810_776
+
+#: Rows per piece of :meth:`ScoreDistribution.csv_chunks` text. All 2n + 1
+#: rows at once would grow the peak memory with n; a piece this size and
+#: its Python ints stay well under a megabyte.
+CSV_CHUNK_ROWS = 4096
 
 
 def _require_positive(n: int, what: str = "n") -> None:
@@ -85,26 +92,6 @@ def count_value(x: int, n: int) -> int:
     return termial(n - x + 1)
 
 
-def count_sum_identity(n: int) -> bool:
-    """Whether the per-cell counts over all values sum to the total count.
-
-    Always true; exposed as a checkable identity for the verify command.
-    """
-    _require_positive(n)
-    return sum(count_value(x, n) for x in range(n + 1)) == total_combinations(n)
-
-
-def count_increment(x: int, n: int) -> int:
-    """Growth of count_value(x, .) when n increases by one.
-
-    Computed as the difference of the two counts; it equals n - x + 2.
-    """
-    _require_positive(n)
-    if not 0 <= x <= n:
-        raise ValueError(f"x must be in [0, {n}], got {x}")
-    return count_value(x, n + 1) - count_value(x, n)
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreDistribution:
     """Exact multiplicity of every score (fp - fn)/n over all quadruples.
@@ -129,13 +116,19 @@ class ScoreDistribution:
         """Score with the highest multiplicity (smallest such score on ties)."""
         return Fraction(int(np.argmax(self.counts)) - self.n, self.n)
 
-    def csv_rows(self) -> Iterator[tuple[int, int, int]]:
-        """Rows (score_numerator, score_denominator, multiplicity) in
-        ascending score order, with scores in lowest terms."""
+    def csv_chunks(self) -> Iterator[str]:
+        """The distribution as CSV text: a header, then rows
+        (score_numerator, score_denominator, multiplicity) in ascending
+        score order with scores in lowest terms, CSV_CHUNK_ROWS rows per
+        yielded piece."""
         n = self.n
-        for d, mult in enumerate(self.counts.tolist(), start=-n):
-            g = math.gcd(d, n)
-            yield d // g, n // g, mult
+        yield "score_numerator,score_denominator,multiplicity\n"
+        for start in range(0, 2 * n + 1, CSV_CHUNK_ROWS):
+            mults = self.counts[start : start + CSV_CHUNK_ROWS]
+            d = np.arange(start - n, start - n + mults.size, dtype=np.int64)
+            g = np.gcd(d, n)
+            rows = zip((d // g).tolist(), (n // g).tolist(), mults.tolist())
+            yield "".join(f"{num},{den},{mult}\n" for num, den, mult in rows)
 
 
 def marginal_benefit_distribution(n: int) -> ScoreDistribution:
@@ -177,36 +170,3 @@ def b_stats(n: int) -> BStats:
     _require_positive(n)
     variance = Fraction(n + 4, 10 * n)
     return BStats(n=n, mean=Fraction(0), variance=variance, std=math.sqrt(variance))
-
-
-@dataclass(frozen=True)
-class TriangularComparison:
-    """Observed standard deviation next to the triangular reference.
-
-    ``triangular_std`` is what a symmetric triangular distribution on
-    [-1, 1] would have; a persistent gap shows the score distribution is
-    not triangular even though it looks like it.
-    """
-
-    n: int
-    actual_std: float
-    triangular_std: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.actual_std - self.triangular_std)
-
-
-def non_triangular_witness(n: int) -> TriangularComparison:
-    """Compare the exact std with the triangular reference 1/sqrt(6).
-
-    The actual std is sqrt((n+4)/(10n)), which tends to 1/sqrt(10) =
-    0.3162... while the triangular reference stays at 0.4082....
-    Caution: the two coincide exactly at n=6 (where (n+4)/(10n) = 1/6) and
-    stay within 0.08 of each other for all n in [3, 51], so the std gap
-    separates the distributions only away from that window.
-    """
-    stats = b_stats(n)
-    return TriangularComparison(
-        n=n, actual_std=stats.std, triangular_std=TRIANGULAR_STD
-    )

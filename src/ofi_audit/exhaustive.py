@@ -5,17 +5,18 @@ these routines exist so the closed forms can be checked against an
 independent computation (by the test suite and the ``verify`` CLI
 subcommand).
 
-Two routes are provided. The ``stream_*`` functions walk the tuple stream
-from :func:`ofi_audit.combinatorics.enumerate_cms` and apply the exact
-metric functions record by record; they are pure Python and practical up
-to n of a few dozen. The unprefixed functions run on the numpy enumeration
-kernels and handle n in the hundreds; they are themselves checked against
-the stream route.
+Two routes give the same :class:`Enumeration` record. :func:`stream`
+walks the tuple stream from :func:`ofi_audit.combinatorics.enumerate_cms`
+once and applies the exact metric to each quadruple; it is pure Python
+and practical up to n of a few dozen. :func:`enumeration` runs the numpy
+kernel :func:`ofi_audit._kernels.enum_stats` and handles n in the
+hundreds; it is itself checked against the stream route.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,62 +26,65 @@ from .combinatorics import ScoreDistribution, enumerate_cms
 from .metrics import BinaryConfusion, marginal_benefit
 
 
-def matrix_count(n: int) -> int:
-    """Number of quadruples with cell sum n, by kernel enumeration."""
-    return _kernels.enum_count(n)
+@dataclass(frozen=True, eq=False)
+class Enumeration:
+    """What full enumeration says about the quadruples with cell sum n.
 
-
-def cell_value_counts(n: int) -> np.ndarray:
-    """Counts of each value per cell position over the full enumeration.
-
-    Shape (4, n + 1) with cells ordered (tp, fn, fp, tn).
+    ``cell_counts[c, x]`` counts the quadruples whose cell c equals x,
+    shape (4, n + 1) with cells ordered (tp, fn, fp, tn). ``histogram``
+    holds the multiplicity of every score (fp - fn)/n, and ``mean`` and
+    ``variance`` are the score's exact population moments.
     """
-    return _kernels.enum_cell_counts(n)
+
+    count: int
+    cell_counts: np.ndarray
+    histogram: ScoreDistribution
+    mean: Fraction
+    variance: Fraction
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Enumeration):
+            return NotImplemented
+        return (
+            (self.count, self.histogram, self.mean, self.variance)
+            == (other.count, other.histogram, other.mean, other.variance)
+            and np.array_equal(self.cell_counts, other.cell_counts)
+        )
 
 
-def score_histogram(n: int) -> ScoreDistribution:
-    """Histogram of (fp - fn)/n over the full enumeration."""
-    return ScoreDistribution(n=n, counts=_kernels.enum_score_counts(n))
-
-
-def score_moments(n: int) -> tuple[Fraction, Fraction]:
-    """Exact population (mean, variance) of (fp - fn)/n over the
-    enumeration, from integer sums of d and d^2."""
-    total, total_sq = _kernels.enum_score_sums(n)
-    count = matrix_count(n)
+def enumeration(n: int) -> Enumeration:
+    """The record from one pass of the numpy enumeration kernel; the
+    moments come from the integer sums of d and d^2."""
+    count, cell_counts, score_counts, total, total_sq = _kernels.enum_stats(n)
     mean = Fraction(total, count * n)
-    second_moment = Fraction(total_sq, count * n * n)
-    return mean, second_moment - mean**2
+    variance = Fraction(total_sq, count * n * n) - mean**2
+    return Enumeration(
+        count, cell_counts, ScoreDistribution(n=n, counts=score_counts), mean, variance
+    )
 
 
-def stream_count(n: int) -> int:
-    """Length of the enumeration stream."""
-    return sum(1 for _ in enumerate_cms(n))
-
-
-def stream_cell_value_counts(n: int) -> list[Counter]:
-    """Per-cell value counters built by walking the stream."""
-    counters = [Counter(), Counter(), Counter(), Counter()]
+def stream(n: int) -> Enumeration:
+    """The record from one walk of the tuple stream, scoring each
+    quadruple with the exact marginal-benefit metric; the moments are
+    taken over the exact scores, without integer-sum shortcuts."""
+    cells = [[0] * (n + 1) for _ in range(4)]
+    scores: Counter[Fraction] = Counter()
     for cm in enumerate_cms(n):
-        for cell, value in enumerate(cm):
-            counters[cell][value] += 1
-    return counters
+        for counts, value in zip(cells, cm):
+            counts[value] += 1
+        scores[marginal_benefit(BinaryConfusion(*cm))] += 1
 
-
-def stream_score_histogram(n: int) -> ScoreDistribution:
-    """Histogram built by mapping the exact marginal-benefit metric over
-    the stream of quadruples; each score s lands at index s*n + n."""
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for cm in enumerate_cms(n):
-        counts[int(marginal_benefit(BinaryConfusion(*cm)) * n) + n] += 1
-    return ScoreDistribution(n=n, counts=counts)
-
-
-def stream_score_moments(n: int) -> tuple[Fraction, Fraction]:
-    """Exact population (mean, variance) via the stream and the exact
-    metric, without integer-sum shortcuts."""
-    scores = [marginal_benefit(BinaryConfusion(*cm)) for cm in enumerate_cms(n)]
-    count = len(scores)
-    mean = sum(scores, Fraction(0)) / count
-    variance = sum((s - mean) ** 2 for s in scores) / count
-    return mean, variance
+    count = sum(scores.values())
+    mean = sum((s * k for s, k in scores.items()), Fraction(0)) / count
+    variance = sum(((s - mean) ** 2 * k for s, k in scores.items()), Fraction(0)) / count
+    # each score s is d/n, so it lands at index s*n + n
+    score_counts = np.zeros(2 * n + 1, dtype=np.int64)
+    for s, k in scores.items():
+        score_counts[int(s * n) + n] = k
+    return Enumeration(
+        count,
+        np.array(cells, dtype=np.int64),
+        ScoreDistribution(n=n, counts=score_counts),
+        mean,
+        variance,
+    )

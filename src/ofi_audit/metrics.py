@@ -117,8 +117,9 @@ class DiScore:
 
     @classmethod
     def finite(cls, value: Fraction) -> "DiScore":
-        value = Fraction(value)
-        if value < 0:
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        if value.numerator < 0:
             raise ValueError(f"a finite DI value cannot be negative: {value}")
         return cls(DiKind.FINITE, value)
 
@@ -215,12 +216,15 @@ def di_rule(x: int, y: int, low: Fraction, high: Fraction) -> BiasVerdict:
 
     Above ``high`` (``x·h_q > h_p·y`` for ``high = h_p/h_q``) flags bias
     toward the first group, below ``low`` (``x·l_q < l_p·y``) toward the
-    second; the closed band is no indication. A ``y`` of 0 is the
-    contextual 1 when ``x`` is also 0 and ``UNDEFINED`` otherwise. The
-    band is taken as already validated.
+    second; the closed band is no indication. A ``y`` of 0 is
+    ``UNDEFINED`` unless ``x`` is also 0: that is the contextual 1, judged
+    against the band as the value 1/1. The band is taken as already
+    validated.
     """
     if y == 0:
-        return BiasVerdict.NO_BIAS_INDICATED if x == 0 else BiasVerdict.UNDEFINED
+        if x != 0:
+            return BiasVerdict.UNDEFINED
+        x = y = 1
     if x * high.denominator > high.numerator * y:
         return BiasVerdict.BIAS_TOWARD_FIRST
     if x * low.denominator < low.numerator * y:
@@ -237,8 +241,9 @@ def four_fifths_verdict(
 
     Values above ``high`` flag bias toward the first group, values below
     ``low`` bias toward the second; the closed band [low, high] is read as
-    no indication. A contextual 1 is inside the band by construction; a
-    zero-denominator DI yields ``UNDEFINED``. The band is validated, then
+    no indication. A contextual 1 is judged as the value 1, so a band
+    that excludes 1 flags it as it would a finite 1; a zero-denominator
+    DI yields ``UNDEFINED``. The band is validated, then
     :func:`di_rule` decides.
     """
     low = Fraction(low)

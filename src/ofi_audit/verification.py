@@ -15,8 +15,6 @@ import numpy as np
 
 from . import exhaustive
 from .combinatorics import (
-    count_increment,
-    count_sum_identity,
     count_value,
     marginal_benefit_distribution,
     total_combinations,
@@ -43,6 +41,25 @@ IDENTITIES: tuple[tuple[str, str], ...] = (
 )
 
 
+def count_sum_identity(n: int) -> bool:
+    """Whether the per-cell counts over all values sum to the total count.
+
+    Always true; checked by the ``count-sum`` identity.
+    """
+    return sum(count_value(x, n) for x in range(n + 1)) == total_combinations(n)
+
+
+def count_increment(x: int, n: int) -> int:
+    """Growth of count_value(x, .) when n increases by one.
+
+    Computed as the difference of the two counts, which reject x outside
+    [0, n]; the ``count-increment`` identity checks that it equals
+    n - x + 2.
+    """
+    before = count_value(x, n)
+    return count_value(x, n + 1) - before
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -57,21 +74,18 @@ def _check_single_n(n: int) -> dict[str, str | None]:
     failures: dict[str, str | None] = {name: None for name, _ in IDENTITIES}
 
     expected_total = total_combinations(n)
-    brute_count = exhaustive.matrix_count(n)
-    if brute_count != expected_total:
-        failures["cardinality"] = f"n={n}: enumerated {brute_count}, closed form {expected_total}"
+    record = exhaustive.enumeration(n)
+    if record.count != expected_total:
+        failures["cardinality"] = f"n={n}: enumerated {record.count}, closed form {expected_total}"
 
-    brute_cells = exhaustive.cell_value_counts(n)
-    for cell in range(4):
-        for x in range(n + 1):
-            if brute_cells[cell, x] != count_value(x, n):
-                failures["cell-counts"] = (
-                    f"n={n}: cell {cell} value {x}: enumerated "
-                    f"{brute_cells[cell, x]}, closed form {count_value(x, n)}"
-                )
-                break
-        if failures["cell-counts"]:
-            break
+    expected_cells = np.array([count_value(x, n) for x in range(n + 1)])
+    wrong = np.argwhere(record.cell_counts != expected_cells)
+    if wrong.size:
+        cell, x = (int(i) for i in wrong[0])
+        failures["cell-counts"] = (
+            f"n={n}: cell {cell} value {x}: enumerated "
+            f"{record.cell_counts[cell, x]}, closed form {count_value(x, n)}"
+        )
 
     if not count_sum_identity(n):
         failures["count-sum"] = f"n={n}: sum of counts differs from total"
@@ -84,8 +98,7 @@ def _check_single_n(n: int) -> dict[str, str | None]:
             break
 
     dist = marginal_benefit_distribution(n)
-    hist = exhaustive.score_histogram(n)
-    if dist != hist:
+    if dist != record.histogram:
         failures["distribution"] = f"n={n}: closed form and enumeration disagree"
 
     if dist.total() != expected_total:
@@ -111,27 +124,14 @@ def _check_single_n(n: int) -> dict[str, str | None]:
             f"n={n}: counts[{Fraction(i - n, n)}]={counts[i]} >= counts[0]={counts[n]}"
         )
 
-    mean, variance = exhaustive.score_moments(n)
-    if mean != 0 or variance != Fraction(n + 4, 10 * n):
+    if record.mean != 0 or record.variance != Fraction(n + 4, 10 * n):
         failures["moments"] = (
-            f"n={n}: enumerated mean {mean}, variance {variance}, "
+            f"n={n}: enumerated mean {record.mean}, variance {record.variance}, "
             f"expected 0 and {Fraction(n + 4, 10 * n)}"
         )
 
-    if n <= STREAM_CHECK_MAX:
-        stream_cells = exhaustive.stream_cell_value_counts(n)
-        stream_ok = (
-            exhaustive.stream_count(n) == brute_count
-            and exhaustive.stream_score_histogram(n) == hist
-            and all(
-                dict(stream_cells[cell])
-                == {x: int(brute_cells[cell, x]) for x in range(n + 1) if brute_cells[cell, x]}
-                for cell in range(4)
-            )
-            and exhaustive.stream_score_moments(n) == (mean, variance)
-        )
-        if not stream_ok:
-            failures["stream-equivalence"] = f"n={n}: stream route disagrees with kernels"
+    if n <= STREAM_CHECK_MAX and exhaustive.stream(n) != record:
+        failures["stream-equivalence"] = f"n={n}: stream route disagrees with kernels"
 
     return failures
 

@@ -33,7 +33,6 @@ from ofi_audit.combinatorics import (
     count_value,
     enumerate_cms,
     marginal_benefit_distribution,
-    non_triangular_witness,
     termial,
     total_combinations,
 )
@@ -100,7 +99,7 @@ def test_counting_identities():
         if sum(1 for _ in enumerate_cms(n)) != total_combinations(n):
             ok = False
             break
-        cell_counts = exhaustive.cell_value_counts(n)
+        cell_counts = exhaustive.enumeration(n).cell_counts
         for cell in range(4):
             for x in range(n + 1):
                 if cell_counts[cell, x] != count_value(x, n) or cell_counts[
@@ -115,10 +114,9 @@ def test_counting_identities():
 def test_moment_identities():
     ok = True
     for n in range(1, 41):
-        mean, variance = exhaustive.score_moments(n)
-        ok = ok and mean == 0 and variance == Fraction(n + 4, 10 * n)
-    _, var_one = exhaustive.score_moments(1)
-    ok = ok and var_one == Fraction(1, 2)
+        record = exhaustive.enumeration(n)
+        ok = ok and record.mean == 0 and record.variance == Fraction(n + 4, 10 * n)
+    ok = ok and exhaustive.enumeration(1).variance == Fraction(1, 2)
     ok = ok and math.isclose(b_stats(1).std, 0.70711, abs_tol=5e-6)
     check("enumerated moments match mean 0 and variance (n+4)/(10n) for n in 1..40", ok)
 
@@ -141,7 +139,7 @@ def test_distribution_properties():
             ok = False
         if np.delete(counts, n).max() >= counts[n]:
             ok = False
-        if n <= 40 and dist != exhaustive.stream_score_histogram(n):
+        if n <= 40 and dist != exhaustive.stream(n).histogram:
             ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60
@@ -159,7 +157,7 @@ def test_non_triangularity_margin():
     # and never reaches it, so the 0.08 margin holds at exactly n in {1, 2}
     # and n >= 52. Every size in 1..200 is checked against that set.
     sizes = range(1, 201)
-    gaps = {n: non_triangular_witness(n).gap for n in sizes}
+    gaps = {n: abs(b_stats(n).std - TRIANGULAR_STD) for n in sizes}
     expected = {1, 2, *range(52, 201)}
     above = {n for n in sizes if gaps[n] > 0.08}
     misclassified = sorted(above ^ expected)

@@ -223,10 +223,7 @@ class TestVerdictsMatchFractionVerdicts:
             assert p.di_verdict == four_fifths_verdict(di, low, high)
             assert p.diagnosis == diagnose(ofi_value, p.di_verdict, threshold)
             assert p.ofi_verdict == fraction_verdict(ofi_value, -threshold, threshold)
-            if di.kind is DiKind.CONTEXTUAL_ONE:  # equal rates, whatever the band
-                assert p.di_verdict is BiasVerdict.NO_BIAS_INDICATED
-            else:
-                assert p.di_verdict == fraction_verdict(di.value, low, high)
+            assert p.di_verdict == fraction_verdict(di.value, low, high)
 
 
 class TestDiagnose:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofi_audit import _kernels, exhaustive
 from ofi_audit.audit import build_report, parse_report, serialize_report
 from ofi_audit.cli import main
 from ofi_audit.combinatorics import DIST_MAX
@@ -40,6 +41,15 @@ class TestScenario:
         assert "OFI: 2/9 (0.22)" in out
         assert "contextual" in out
         assert "no bias indicated" in out
+
+    @pytest.mark.parametrize("cells", [
+        ("0", "1", "0", "5", "0", "7", "0", "11"),  # contextual: both rates zero
+        ("1", "0", "0", "1", "1", "0", "0", "1"),  # finite: equal rates
+    ])
+    def test_di_of_one_outside_the_band_is_flagged(self, capsys, cells):
+        code, out, _ = run(capsys, "scenario", *cells, "--di-low", "3/2", "--di-high", "2")
+        assert code == 0
+        assert out.splitlines()[-1].endswith("verdict: bias toward second (band 3/2..2)")
 
     def test_scenario_alpha(self, capsys):
         code, out, _ = run(capsys, "scenario", "1", "1", "0", "5", "1", "7", "0", "11")
@@ -442,3 +452,46 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n-min", "9", "--n-max", "3")
         assert code == 1
         assert "[verify]" in err
+
+
+# the originals, taken before any test patches them
+PAIR_SCORE_COUNTS = _kernels.pair_score_counts
+ENUM_STATS = _kernels.enum_stats
+MARGINAL_BENEFIT = exhaustive.marginal_benefit
+
+
+def _pair_counts_off_at_the_ends(n):
+    counts = PAIR_SCORE_COUNTS(n)
+    counts[[0, -1]] += 1  # |d| = n
+    return counts
+
+
+def _enum_stats_missing_one(n):
+    # drop the quadruple (0, 0, 0, n), whose score difference is 0
+    count, cells, scores, total, total_sq = ENUM_STATS(n)
+    cells[[0, 1, 2, 3], [0, 0, 0, n]] -= 1
+    scores[n] -= 1
+    return count - 1, cells, scores, total, total_sq
+
+
+def _marginal_benefit_wrong_once(cm):
+    if (cm.tp, cm.fn, cm.fp) == (0, 0, 0):
+        return Fraction(1, cm.n)
+    return MARGINAL_BENEFIT(cm)
+
+
+class TestVerifyFails:
+    """A fault on either side of an identity makes `verify` fail loudly."""
+
+    @pytest.mark.parametrize("module, name, fault, identity", [
+        (_kernels, "pair_score_counts", _pair_counts_off_at_the_ends, "distribution"),
+        (_kernels, "enum_stats", _enum_stats_missing_one, "cardinality"),
+        (exhaustive, "marginal_benefit", _marginal_benefit_wrong_once, "stream-equivalence"),
+    ], ids=["pair-counts-off-by-one", "enumeration-missing-a-quadruple", "stream-misscored"])
+    def test_fault_fails_its_identity(self, capsys, monkeypatch, module, name, fault, identity):
+        monkeypatch.setattr(module, name, fault)
+        code, out, err = run(capsys, "verify", "--n-max", "6")
+        assert code == 1
+        assert f"FAIL {identity}: " in out
+        assert "all identities hold" not in out
+        assert err == "identity check failed\n"

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,19 +10,26 @@ import pytest
 
 from ofi_audit import _kernels, exhaustive
 from ofi_audit.combinatorics import (
+    CSV_CHUNK_ROWS,
     DIST_MAX,
     TRIANGULAR_STD,
     ScoreDistribution,
     b_stats,
-    count_increment,
-    count_sum_identity,
     count_value,
     enumerate_cms,
     marginal_benefit_distribution,
-    non_triangular_witness,
     termial,
     total_combinations,
 )
+from ofi_audit.verification import count_increment, count_sum_identity
+
+
+def csv_rows(dist: ScoreDistribution) -> list[tuple[int, int, int]]:
+    """The rows of the distribution's CSV text, header checked and dropped."""
+    header, *lines = "".join(dist.csv_chunks()).splitlines()
+    assert header == "score_numerator,score_denominator,multiplicity"
+    return [tuple(int(field) for field in line.split(",")) for line in lines]
+
 
 # the ten quadruples of size 2, spelled out
 M2 = {
@@ -136,7 +144,7 @@ class TestDistribution:
 
     def test_matches_enumeration_histogram(self):
         for n in range(1, 15):
-            assert marginal_benefit_distribution(n) == exhaustive.stream_score_histogram(n)
+            assert marginal_benefit_distribution(n) == exhaustive.stream(n).histogram
 
     @pytest.mark.parametrize("n", [1, 2, 6, 17, 50])
     def test_total_symmetry_mode(self, n):
@@ -148,7 +156,7 @@ class TestDistribution:
         assert dist.mode() == 0
 
     def test_scores_are_reduced_with_denominator_dividing_n(self):
-        rows = list(marginal_benefit_distribution(12).csv_rows())
+        rows = csv_rows(marginal_benefit_distribution(12))
         assert len(rows) == 25
         for num, den, _ in rows:
             assert math.gcd(num, den) == 1
@@ -156,7 +164,7 @@ class TestDistribution:
             assert -1 <= Fraction(num, den) <= 1
 
     def test_csv_rows_ascending(self):
-        rows = list(marginal_benefit_distribution(3).csv_rows())
+        rows = csv_rows(marginal_benefit_distribution(3))
         scores = [Fraction(num, den) for num, den, _ in rows]
         assert scores == sorted(scores)
         assert sum(mult for _, _, mult in rows) == total_combinations(3)
@@ -168,7 +176,14 @@ class TestDistribution:
                 (Fraction(d, n).numerator, Fraction(d, n).denominator, oracle[d + n])
                 for d in range(-n, n + 1)
             ]
-            assert list(marginal_benefit_distribution(n).csv_rows()) == expected
+            assert csv_rows(marginal_benefit_distribution(n)) == expected
+
+    def test_csv_text_comes_in_bounded_pieces(self):
+        # 2n + 1 = CSV_CHUNK_ROWS + 1 rows: one full piece and one single row
+        n = (CSV_CHUNK_ROWS + 1) // 2
+        header, *pieces = marginal_benefit_distribution(n).csv_chunks()
+        assert header.count("\n") == 1
+        assert [piece.count("\n") for piece in pieces] == [CSV_CHUNK_ROWS, 1]
 
     def test_equality_compares_every_multiplicity(self):
         dist = marginal_benefit_distribution(7)
@@ -187,6 +202,28 @@ class TestDistribution:
             marginal_benefit_distribution(DIST_MAX + 1)
 
 
+class TestEnumerationRecord:
+    def test_stream_equals_kernel_enumeration(self):
+        for n in (1, 2, 7, 16):
+            assert exhaustive.stream(n) == exhaustive.enumeration(n)
+
+    def test_equality_compares_every_field(self):
+        record = exhaustive.enumeration(5)
+        cells = record.cell_counts.copy()
+        cells[2, 1] += 1
+        counts = record.histogram.counts.copy()
+        counts[0] += 1
+        for changed in (
+            replace(record, count=record.count + 1),
+            replace(record, cell_counts=cells),
+            replace(record, histogram=ScoreDistribution(n=5, counts=counts)),
+            replace(record, mean=Fraction(1, 5)),
+            replace(record, variance=record.variance + 1),
+        ):
+            assert changed != record
+        assert replace(record, cell_counts=record.cell_counts.copy()) == record
+
+
 class TestBStats:
     def test_size_one(self):
         stats = b_stats(1)
@@ -202,10 +239,10 @@ class TestBStats:
 
     def test_matches_enumeration_moments(self):
         for n in range(1, 15):
-            mean, variance = exhaustive.stream_score_moments(n)
+            record = exhaustive.stream(n)
             stats = b_stats(n)
-            assert mean == stats.mean == 0
-            assert variance == stats.variance == Fraction(n + 4, 10 * n)
+            assert record.mean == stats.mean == 0
+            assert record.variance == stats.variance == Fraction(n + 4, 10 * n)
 
     def test_std_squares_to_variance(self):
         for n in (1, 7, 100, 10**6):
@@ -222,27 +259,27 @@ class TestBStats:
 
 
 class TestNonTriangularWitness:
+    """The exact std against the triangular reference 1/sqrt(6)."""
+
     def test_reference_constant(self):
         assert TRIANGULAR_STD == 1 / math.sqrt(6)
-        for n in (1, 10, 100):
-            assert non_triangular_witness(n).triangular_std == TRIANGULAR_STD
+        assert math.isclose(TRIANGULAR_STD, 0.4082, abs_tol=5e-4)
 
     def test_size_100(self):
-        witness = non_triangular_witness(100)
-        assert math.isclose(witness.actual_std, 0.3225, abs_tol=5e-4)
-        assert math.isclose(witness.triangular_std, 0.4082, abs_tol=5e-4)
-        assert witness.gap > 0.08
+        std = b_stats(100).std
+        assert math.isclose(std, 0.3225, abs_tol=5e-4)
+        assert abs(std - TRIANGULAR_STD) > 0.08
 
     def test_size_one(self):
-        witness = non_triangular_witness(1)
-        assert math.isclose(witness.actual_std, 0.7071, abs_tol=5e-4)
-        assert witness.gap > 0.08
+        std = b_stats(1).std
+        assert math.isclose(std, 0.7071, abs_tol=5e-4)
+        assert abs(std - TRIANGULAR_STD) > 0.08
 
     def test_size_six_coincidence(self):
         # (n+4)/(10n) equals 1/6 exactly at n=6, so the std gap vanishes
         # there; the distribution still is not triangular at that size.
         assert b_stats(6).variance == Fraction(1, 6)
-        assert non_triangular_witness(6).gap < 1e-12
+        assert abs(b_stats(6).std - TRIANGULAR_STD) < 1e-12
         dist = marginal_benefit_distribution(6)
         brute_var = sum(
             Fraction(i - 6, 6) ** 2 * m for i, m in enumerate(dist.counts.tolist())
@@ -251,4 +288,4 @@ class TestNonTriangularWitness:
 
     def test_gap_exceeds_008_away_from_the_window(self):
         for n in (1, 2, 52, 120, 200):
-            assert non_triangular_witness(n).gap > 0.08
+            assert abs(b_stats(n).std - TRIANGULAR_STD) > 0.08

@@ -5,26 +5,35 @@ import pytest
 
 from ofi_audit import _kernels
 
-KERNEL_NAMES = (
-    "enum_cell_counts", "enum_count", "enum_score_counts", "enum_score_sums", "pair_score_counts"
-)
+# id -> (kernel, reference, part of the result it compares); the four
+# enum_* ids each compare one part of the single enumeration pass
+KERNEL_PARTS = {
+    "enum_count": ("enum_stats", slice(0, 1)),
+    "enum_cell_counts": ("enum_stats", slice(1, 2)),
+    "enum_score_counts": ("enum_stats", slice(2, 3)),
+    "enum_score_sums": ("enum_stats", slice(3, 5)),
+    "pair_score_counts": ("pair_score_counts", None),
+}
 SIZES = (1, 2, 5, 16, 31)
 
 
 def _results_equal(a, b) -> bool:
     if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
     if isinstance(a, tuple):
-        return tuple(int(x) for x in a) == tuple(int(x) for x in b)
-    return int(a) == int(b)
+        return len(a) == len(b) and all(_results_equal(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) is int and a == b
 
 
-@pytest.mark.parametrize("name", KERNEL_NAMES)
+@pytest.mark.parametrize("name", KERNEL_PARTS)
 @pytest.mark.parametrize("n", SIZES)
 def test_numpy_matches_plain_loops(name, n):
-    kernel = getattr(_kernels, name)
-    loops = getattr(_kernels, f"_{name}_loops")
-    assert _results_equal(kernel(n), loops(n))
+    kernel, part = KERNEL_PARTS[name]
+    got = getattr(_kernels, kernel)(n)
+    want = getattr(_kernels, f"_{kernel}_loops")(n)
+    if part is not None:
+        got, want = got[part], want[part]
+    assert _results_equal(got, want)
 
 
 def test_closed_form_matches_pair_counting_loops():
@@ -35,12 +44,13 @@ def test_closed_form_matches_pair_counting_loops():
 
 
 def test_counts_are_int64():
+    _, cell_counts, score_counts, _, _ = _kernels.enum_stats(9)
     assert _kernels.pair_score_counts(9).dtype == np.int64
-    assert _kernels.enum_cell_counts(9).dtype == np.int64
-    assert _kernels.enum_score_counts(9).dtype == np.int64
+    assert cell_counts.dtype == np.int64
+    assert score_counts.dtype == np.int64
 
 
 def test_sums_are_python_ints():
-    total, total_sq = _kernels.enum_score_sums(9)
-    assert type(total) is int and type(total_sq) is int
+    count, _, _, total, total_sq = _kernels.enum_stats(9)
+    assert type(count) is int and type(total) is int and type(total_sq) is int
     assert total == 0  # symmetric differences cancel

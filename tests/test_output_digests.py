@@ -1,11 +1,13 @@
-"""Pinned SHA-256 digests of every `audit` output.
+"""Pinned SHA-256 digests of every `audit` output, and of `dist` and
+`verify` output.
 
-The digests were taken before the verdict and heatmap loops moved to
-integer arithmetic; a change that is meant to leave the output alone
-must keep every one of them. A change that alters the output on purpose
-updates the table and says so.
+The `audit` digests were taken before the verdict and heatmap loops moved
+to integer arithmetic, and the `dist` and `verify` ones before the
+enumeration and row writing were rewritten; a change that is meant to
+leave the output alone must keep every one of them. A change that alters
+the output on purpose updates the table and says so.
 
-Inputs: each CSV fixture, with and without ``--flip``, and one synthetic
+`audit` inputs: each CSV fixture, with and without ``--flip``, and one synthetic
 table whose pairs sit exactly on the OFI threshold (±3/10) and on both
 DI band edges (4/5 and 5/4), whose cells round to ±0.00 or tie at the
 half, and whose groups include two with a zero positive-prediction rate
@@ -160,3 +162,41 @@ def test_audit_outputs_match_pinned_digests(capsys, tmp_path, fixtures_dir, case
     if flip:
         argv.append("--flip")
     assert audit_digests(capsys, tmp_path, argv) == DIGESTS[case]
+
+
+# n -> (stdout, stderr); 2047 and 2048 give 4095 and 4097 rows, one
+# either side of the 4096-row chunk that `dist` writes its rows in
+DIST_DIGESTS = {
+    1: ("ec854d7a0f786935c557d86008c94f9c4f3c0226a555578fbf2871e5fb2075a3",
+        "b6914a84d44a470208ed026e6924faf8ef313f75ca084f7b75ce10a17290f499"),
+    7: ("dc83c0958578f3add8d241086ddd54cbd03cbf6a13199fc47f2e58f5550f506e",
+        "8e28dba7c9b00b0479d93bb50d937ef0dd5aadb90f85cd43f439f909e26b16af"),
+    1000: ("636b106c8a3a1a690e5ba76c3337bee561543dc4b3523d031b27c6123a54b9e1",
+           "0b74bdeeaee9056b8492a0703610f863315e857d13f08e86366d0c1dc7da1014"),
+    2047: ("2f4d3a09460985c4c6402fe9527384ae414587e1b92da48c88fec139b32d534f",
+           "72194bf6bdb4a1382182ffea3c18c97503b0a463888a0b0a945fd9c20d2a42e4"),
+    2048: ("42f65d6008e8630a3b24c9e29aa3e16d180fbaa96fc309e34521f6969b464e10",
+           "8d19025abd0e401953f31b9effde451046729e3466d175a2308ea091eddea271"),
+    100000: ("5ea8d91f0e965bf2d8c785bd31e439e11edd0fdf9ef59891f40e835be20a50fd",
+             "2cabe69659a944980943e9f62f07100fab6a3ded2c1be69ab9a7a3b4a7cf2904"),
+}
+
+VERIFY_60_DIGEST = "05d82d6cd6be5960d5f934073518425ccea091a3dc38360ef6476701ced8b1b8"
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(DIST_DIGESTS))
+def test_dist_output_matches_pinned_digests(capsys, n):
+    code = main(["dist", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (sha256_text(captured.out), sha256_text(captured.err)) == DIST_DIGESTS[n]
+
+
+def test_verify_output_matches_pinned_digest(capsys):
+    code = main(["verify", "--n-max", "60"])
+    captured = capsys.readouterr()
+    assert (code, sha256_text(captured.out), captured.err) == (0, VERIFY_60_DIGEST, "")
