@@ -63,11 +63,18 @@ def pair_score_counts(n: int) -> np.ndarray:
 
     The pairs (fp, fn) with fp - fn = d have fp + fn = |d| + 2k for
     k < m = (n - |d|)//2 + 1, and each leaves n - fp - fn + 1 completions
-    for (tp, tn). Summing over k gives m(n + 1 - |d|) - m(m - 1).
+    for (tp, tn). Summing over k gives m(n + 1 - |d|) - m(m - 1), which
+    is m(n + 2 - |d| - m); it is computed in place in two arrays.
     """
-    a = np.abs(np.arange(-n, n + 1, dtype=np.int64))
-    m = (n - a) // 2 + 1
-    return m * (n + 1 - a) - m * (m - 1)
+    a = np.arange(-n, n + 1, dtype=np.int64)
+    np.abs(a, out=a)
+    m = n - a
+    m //= 2
+    m += 1
+    np.subtract(n + 2, a, out=a)
+    a -= m
+    a *= m
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .formatting import format_fraction
 from .ingestion import GroupTable
@@ -98,6 +101,18 @@ class AuditConfig:
         object.__setattr__(self, "ofi_threshold", Fraction(self.ofi_threshold))
         object.__setattr__(self, "di_low", Fraction(self.di_low))
         object.__setattr__(self, "di_high", Fraction(self.di_high))
+        for label, value in (
+            ("OFI threshold", self.ofi_threshold),
+            ("DI low edge", self.di_low),
+            ("DI high edge", self.di_high),
+        ):
+            # the report writes each value's float next to its num/den
+            try:
+                float(value)
+            except OverflowError:
+                raise ThresholdError(
+                    f"{label} does not fit in a float (magnitude above {sys.float_info.max:.3g})"
+                ) from None
         if self.ofi_threshold <= 0:
             raise ThresholdError(f"OFI threshold must be > 0, got {self.ofi_threshold}")
         if self.di_low <= 0 or self.di_high <= 0 or self.di_low > self.di_high:
@@ -237,8 +252,41 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
 
 # ---------------------------------------------------------------------------
 # Serialization. Rationals are emitted as {"num", "den", "approx"}; the
-# approx field is display-only and ignored when parsing back.
+# approx field is display-only and ignored when parsing back. The report
+# is the text of json.dumps(doc, indent=2, sort_keys=True), written out in
+# pieces: the small sections go through json.dumps, and the O(k^2) grid
+# cells and pairs are laid out by the templates below, whose keys are in
+# sorted order at the depth json.dumps would indent them to. Each approx
+# is the float's repr, as json writes it.
 # ---------------------------------------------------------------------------
+
+PAIR_BATCH = 1024
+
+_OFI_CELL = """        {
+          "approx": %r,
+          "den": %d,
+          "num": %d
+        }"""
+
+_DI_CELL = """        {
+          "approx": %r,
+          "den": %d,
+          "kind": "%s",
+          "num": %d
+        }"""
+
+_UNDEFINED_DI_CELL = """        {
+          "kind": "%s"
+        }""" % DiKind.UNDEFINED_ZERO_DENOMINATOR.value
+
+_PAIR = """    {
+      "di_verdict": "%s",
+      "diagnosis": "%s",
+      "first": %s,
+      "ofi_verdict": "%s",
+      "second": %s
+    }"""
+
 
 def _fraction_doc(value: Fraction) -> dict:
     return {
@@ -252,13 +300,6 @@ def _parse_fraction_doc(doc: dict) -> Fraction:
     return Fraction(doc["num"], doc["den"])
 
 
-def _di_doc(di: DiScore) -> dict:
-    if di.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
-        return {"kind": di.kind.value}
-    assert di.value is not None
-    return {"kind": di.kind.value, **_fraction_doc(di.value)}
-
-
 def _parse_di_doc(doc: dict) -> DiScore:
     kind = DiKind(doc["kind"])
     if kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
@@ -268,51 +309,90 @@ def _parse_di_doc(doc: dict) -> DiScore:
     return DiScore.finite(_parse_fraction_doc(doc))
 
 
+# num / den is float(Fraction(num, den)), without the Fraction method calls
+
+def _ofi_cell(value: Fraction) -> str:
+    num, den = value.numerator, value.denominator
+    return _OFI_CELL % (num / den, den, num)
+
+
+def _di_cell(di: DiScore) -> str:
+    value = di.value
+    if value is None:
+        return _UNDEFINED_DI_CELL
+    num, den = value.numerator, value.denominator
+    return _DI_CELL % (num / den, den, di.kind.value, num)
+
+
+def _section(value) -> str:
+    # a value one level below the top, so every line after the first is
+    # indented two more spaces
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _items(chunks: Iterable[str]) -> Iterator[str]:
+    # the chunks of a JSON list's items, with the separators between them
+    separator = ""
+    for chunk in chunks:
+        yield separator + chunk
+        separator = ",\n"
+
+
+def _grid_rows(grid: PairwiseMatrix, cell) -> Iterator[str]:
+    for row in grid.cells:
+        yield "      [\n" + ",\n".join(map(cell, row)) + "\n      ]"
+
+
+def report_chunks(report: AuditReport) -> Iterator[str]:
+    """Yield :func:`serialize_report`'s text in pieces: one per grid row
+    and one per :data:`PAIR_BATCH` pairs, so a caller can write a large
+    report without holding it whole.
+    """
+    config = report.config
+    yield '{\n  "config": ' + _section({
+        "ofi_threshold": _fraction_doc(config.ofi_threshold),
+        "di_low": _fraction_doc(config.di_low),
+        "di_high": _fraction_doc(config.di_high),
+        "group_order": list(config.group_order) if config.group_order is not None else None,
+    })
+    yield ',\n  "dataset": ' + _section({
+        "record_count": report.record_count,
+        "group_sizes": dict(report.group_sizes),
+    })
+    yield ',\n  "grids": {\n    "di": [\n'
+    yield from _items(_grid_rows(report.di_grid, _di_cell))
+    yield '\n    ],\n    "ofi": [\n'
+    yield from _items(_grid_rows(report.ofi_grid, _ofi_cell))
+    yield '\n    ]\n  },\n  "group_metrics": ' + _section({
+        name: {
+            "benefit": _fraction_doc(gm.benefit),
+            "expected_benefit": _fraction_doc(gm.expected_benefit),
+            "marginal_benefit": _fraction_doc(gm.marginal_benefit),
+        }
+        for name, gm in report.group_metrics.items()
+    })
+    yield ',\n  "group_order": ' + _section(list(report.ofi_grid.group_order))
+    yield ',\n  "pairs": [\n'
+    quoted = lru_cache(maxsize=None)(json.dumps)  # each name escaped once
+    pairs = report.pairs
+    yield from _items(
+        ",\n".join(
+            _PAIR % (p.di_verdict.value, p.diagnosis.value, quoted(p.first),
+                     p.ofi_verdict.value, quoted(p.second))
+            for p in pairs[start:start + PAIR_BATCH]
+        )
+        for start in range(0, len(pairs), PAIR_BATCH)
+    )
+    yield "\n  ]\n}\n"
+
+
 def serialize_report(report: AuditReport) -> str:
     """Serialize a report to deterministic, human-diffable JSON.
 
     Key order is stable and two runs over the same input are
     byte-identical. :func:`parse_report` inverts it.
     """
-    names = list(report.ofi_grid.group_order)
-    doc = {
-        "dataset": {
-            "record_count": report.record_count,
-            "group_sizes": dict(report.group_sizes),
-        },
-        "config": {
-            "ofi_threshold": _fraction_doc(report.config.ofi_threshold),
-            "di_low": _fraction_doc(report.config.di_low),
-            "di_high": _fraction_doc(report.config.di_high),
-            "group_order": list(report.config.group_order)
-            if report.config.group_order is not None
-            else None,
-        },
-        "group_order": names,
-        "group_metrics": {
-            name: {
-                "benefit": _fraction_doc(gm.benefit),
-                "expected_benefit": _fraction_doc(gm.expected_benefit),
-                "marginal_benefit": _fraction_doc(gm.marginal_benefit),
-            }
-            for name, gm in report.group_metrics.items()
-        },
-        "grids": {
-            "ofi": [[_fraction_doc(v) for v in row] for row in report.ofi_grid.cells],
-            "di": [[_di_doc(v) for v in row] for row in report.di_grid.cells],
-        },
-        "pairs": [
-            {
-                "first": p.first,
-                "second": p.second,
-                "ofi_verdict": p.ofi_verdict.value,
-                "di_verdict": p.di_verdict.value,
-                "diagnosis": p.diagnosis.value,
-            }
-            for p in report.pairs
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(report_chunks(report))
 
 
 def parse_report(text: str) -> AuditReport:
@@ -381,15 +461,27 @@ def _grid_cell_text(value: Fraction | DiScore) -> str:
     return format_fraction(value)
 
 
+def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
+    """Yield :func:`grid_to_csv`'s text one line at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def line(cells: list[str]) -> str:
+        writer.writerow(cells)
+        text = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return text
+
+    yield line(["group", *matrix.group_order])
+    for name, row in zip(matrix.group_order, matrix.cells):
+        yield line([name, *map(_grid_cell_text, row)])
+
+
 def grid_to_csv(matrix: PairwiseMatrix) -> str:
     """Render a grid as CSV with the group order as header row and column.
 
     Cells are exact: Fractions as num/den text, undefined DI as "undef"
     and contextual DI as "1 (contextual)".
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["group", *matrix.group_order])
-    for name, row in zip(matrix.group_order, matrix.cells):
-        writer.writerow([name, *(_grid_cell_text(value) for value in row)])
-    return out.getvalue()
+    return "".join(grid_csv_chunks(matrix))

@@ -8,16 +8,15 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import __version__
 from .audit import (
     AuditConfig,
     InsufficientGroupsError,
     build_report,
-    grid_to_csv,
-    serialize_report,
+    grid_csv_chunks,
+    report_chunks,
 )
 from .combinatorics import (
     DIST_MAX,
@@ -26,7 +25,7 @@ from .combinatorics import (
     marginal_benefit_distribution,
 )
 from .formatting import format_fixed, format_fraction
-from .heatmap import render_heatmap
+from .heatmap import heatmap_chunks
 from .ingestion import (
     ColumnSchema,
     aggregate,
@@ -87,11 +86,13 @@ def _decode_error_text(exc: UnicodeDecodeError, handle: TextIO) -> str:
     return f"{text}: {exc.reason}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    # written as rendered, so no whole output is held in memory
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,14 +235,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return _fail("report", str(exc))
 
     try:
-        _write_text(args.out_report, serialize_report(report))
+        _write_text(args.out_report, report_chunks(report))
         if args.out_heatmap_ofi:
-            _write_text(args.out_heatmap_ofi, render_heatmap(report.ofi_grid))
+            _write_text(args.out_heatmap_ofi, heatmap_chunks(report.ofi_grid))
         if args.out_heatmap_di:
-            _write_text(args.out_heatmap_di, render_heatmap(report.di_grid))
+            _write_text(args.out_heatmap_di, heatmap_chunks(report.di_grid))
         if args.out_grid_csv:
-            _write_text(args.out_grid_csv + ".ofi.csv", grid_to_csv(report.ofi_grid))
-            _write_text(args.out_grid_csv + ".di.csv", grid_to_csv(report.di_grid))
+            _write_text(args.out_grid_csv + ".ofi.csv", grid_csv_chunks(report.ofi_grid))
+            _write_text(args.out_grid_csv + ".di.csv", grid_csv_chunks(report.di_grid))
     except OSError as exc:
         return _fail("write", str(exc))
     return 0

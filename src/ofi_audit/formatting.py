@@ -12,7 +12,8 @@ from fractions import Fraction
 
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction as ``num/den``, or just ``num`` for integers."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

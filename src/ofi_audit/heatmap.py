@@ -9,6 +9,7 @@ DI cells are hatched and labeled "undef".
 
 from __future__ import annotations
 
+from typing import Iterator
 from xml.sax.saxutils import escape
 
 from .audit import PairwiseMatrix
@@ -49,8 +50,10 @@ def _is_dark(rgb: Rgb) -> bool:
     return 0.299 * r + 0.587 * g + 0.114 * b < 140
 
 
-def render_heatmap(matrix: PairwiseMatrix) -> str:
-    """Render a pairwise grid as an SVG document string."""
+def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
+    """Yield :func:`render_heatmap`'s text: the header and axis labels,
+    then one piece per grid row.
+    """
     names = matrix.group_order
     if not names:
         raise ValueError("cannot render an empty matrix")
@@ -94,6 +97,7 @@ def render_heatmap(matrix: PairwiseMatrix) -> str:
             f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
             f'text-anchor="end">{escape(name)}</text>\n'
         )
+    yield "".join(parts)
 
     # the diverging palette runs from the center color outward, linear in
     # the value and clamped at the palette edges
@@ -102,6 +106,7 @@ def render_heatmap(matrix: PairwiseMatrix) -> str:
     for i, row in enumerate(matrix.cells):
         y = top + i * cell
         text_y = f"{y + cell / 2 + FONT_SIZE / 3:.1f}"
+        parts = []
         for j, value in enumerate(row):
             if isinstance(value, DiScore):
                 value = value.value
@@ -122,6 +127,10 @@ def render_heatmap(matrix: PairwiseMatrix) -> str:
                 f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
                 f'text-anchor="middle" fill="{text_color}">{text}</text>\n'
             )
+        yield "".join(parts)
+    yield "</svg>\n"
 
-    parts.append("</svg>\n")
-    return "".join(parts)
+
+def render_heatmap(matrix: PairwiseMatrix) -> str:
+    """Render a pairwise grid as an SVG document string."""
+    return "".join(heatmap_chunks(matrix))

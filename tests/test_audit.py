@@ -354,6 +354,86 @@ class TestSerialization:
         )
 
 
+def fraction_doc(value: Fraction) -> dict:
+    return {"num": value.numerator, "den": value.denominator, "approx": float(value)}
+
+
+def reference_doc(report) -> dict:
+    # the report as one nested document, laid out by the json module
+    def di_doc(di: DiScore) -> dict:
+        if di.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
+            return {"kind": di.kind.value}
+        return {"kind": di.kind.value, **fraction_doc(di.value)}
+
+    config = report.config
+    return {
+        "dataset": {
+            "record_count": report.record_count,
+            "group_sizes": dict(report.group_sizes),
+        },
+        "config": {
+            "ofi_threshold": fraction_doc(config.ofi_threshold),
+            "di_low": fraction_doc(config.di_low),
+            "di_high": fraction_doc(config.di_high),
+            "group_order": None if config.group_order is None else list(config.group_order),
+        },
+        "group_order": list(report.ofi_grid.group_order),
+        "group_metrics": {
+            name: {
+                "benefit": fraction_doc(gm.benefit),
+                "expected_benefit": fraction_doc(gm.expected_benefit),
+                "marginal_benefit": fraction_doc(gm.marginal_benefit),
+            }
+            for name, gm in report.group_metrics.items()
+        },
+        "grids": {
+            "ofi": [[fraction_doc(v) for v in row] for row in report.ofi_grid.cells],
+            "di": [[di_doc(v) for v in row] for row in report.di_grid.cells],
+        },
+        "pairs": [
+            {
+                "first": p.first,
+                "second": p.second,
+                "ofi_verdict": p.ofi_verdict.value,
+                "di_verdict": p.di_verdict.value,
+                "diagnosis": p.diagnosis.value,
+            }
+            for p in report.pairs
+        ],
+    }
+
+
+big_counts = st.one_of(st.integers(0, 6), st.integers(0, 10**15))
+# no positive prediction (tp = fp = 0) makes undefined and contextual DI
+wide_cms = st.one_of(
+    st.builds(BinaryConfusion, big_counts, big_counts, big_counts, big_counts),
+    st.builds(BinaryConfusion, st.just(0), big_counts, st.just(0), big_counts),
+).filter(lambda cm: cm.n > 0)
+
+
+@st.composite
+def named_audits(draw):
+    names = draw(st.lists(st.text(), min_size=2, max_size=6, unique=True))
+    cms = draw(st.lists(wide_cms, min_size=len(names), max_size=len(names)))
+    total = BinaryConfusion(*(sum(column) for column in zip(*(cm.as_tuple() for cm in cms))))
+    table = GroupTable(groups=dict(zip(names, cms)), total=total)
+    order = tuple(draw(st.permutations(names)))
+    order = order[: draw(st.integers(min_value=2, max_value=len(order)))]
+    low, high = sorted(draw(st.lists(edges, min_size=2, max_size=2)))
+    return build_report(table, AuditConfig(draw(edges), low, high, draw(st.sampled_from([None, order]))))
+
+
+class TestReportLayout:
+    """The streamed report is the json module's indent=2, sorted-key text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(named_audits())
+    @example(build_report(table_from(ZERO_RATES)))
+    def test_matches_the_json_module(self, report):
+        expected = json.dumps(reference_doc(report), indent=2, sort_keys=True) + "\n"
+        assert serialize_report(report) == expected
+
+
 class TestGridCsv:
     def test_layout_and_exact_cells(self):
         report = build_report(table_from(SCENARIO_A))

@@ -89,6 +89,15 @@ class TestAudit:
         doc = json.loads(out)
         assert doc["group_order"] == ["i", "j"]
 
+    def test_report_on_stdout_has_the_file_bytes(self, capsys, fixtures_dir, tmp_path):
+        argv = ["audit", "--input", str(fixtures_dir / "recidivism_style.csv"),
+                "--group-col", "race", "--label-col", "two_year_recid"]
+        code, out, err = run(capsys, *argv, "--out-report", "-")
+        assert (code, err) == (0, "")
+        code, _, err = run(capsys, *argv, "--out-report", str(tmp_path / "report.json"))
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (tmp_path / "report.json").read_bytes()
+
     def test_group_order_flips_ofi_sign(self, capsys, fixtures_dir):
         argv = ["audit", "--input", str(fixtures_dir / "scenario_a.csv")]
         code, out, _ = run(capsys, *argv, "--group-order", "i,j")
@@ -232,6 +241,12 @@ class TestAudit:
             (["--di-low", "0"], "bad DI band [0, 5/4]"),
             (["--di-high", "1/2"], "bad DI band [4/5, 1/2]"),
             (["--di-low", "2", "--di-high", "1"], "bad DI band [2, 1]"),
+            (["--ofi-threshold", "1e400"],
+             "OFI threshold does not fit in a float (magnitude above 1.8e+308)"),
+            (["--di-low", "1e400"],
+             "DI low edge does not fit in a float (magnitude above 1.8e+308)"),
+            (["--di-high", "1e400"],
+             "DI high edge does not fit in a float (magnitude above 1.8e+308)"),
         ],
     )
     def test_bad_threshold_fails_at_config_stage(

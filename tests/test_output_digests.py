@@ -11,10 +11,15 @@ the output on purpose updates the table and says so.
 table whose pairs sit exactly on the OFI threshold (±3/10) and on both
 DI band edges (4/5 and 5/4), whose cells round to ±0.00 or tie at the
 half, and whose groups include two with a zero positive-prediction rate
-(undefined and contextual DI cells).
+(undefined and contextual DI cells). A wide table of 44 groups, whose
+1892 pairs span more than one of the report's pair batches, has names
+that each format must escape: JSON (quote, backslash, non-ASCII, a quoted
+U+2028), CSV (comma, quote) and XML (ampersand, angle bracket).
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
@@ -41,6 +46,20 @@ SYNTHETIC = {
     "eight_3": BinaryConfusion(0, 0, 3, 5),
     "zero_a": BinaryConfusion(0, 2, 0, 3),
     "zero_b": BinaryConfusion(0, 1, 0, 7),
+}
+
+# names that JSON, CSV or XML must escape, then plain fillers; every
+# seventh group predicts no one, so DI cells are undefined and contextual
+ESCAPED_NAMES = [
+    "Ålborg, north", 'say "hi"', "back\\slash", "A&B", "<tag>",
+    "Zürich", "line\u2028sep", "Łódź", "日本",
+]
+WIDE = {
+    name: BinaryConfusion(
+        0 if i % 7 == 3 else i % 11, (5 * i) % 7,
+        0 if i % 7 == 3 else (3 * i) % 9, 1 + (13 * i) % 17,
+    )
+    for i, name in enumerate(ESCAPED_NAMES + [f"g{i:02d}" for i in range(35)])
 }
 
 OUTPUTS = ("report.json", "ofi.svg", "di.svg", "grid.ofi.csv", "grid.di.csv")
@@ -116,16 +135,34 @@ DIGESTS = {
         "grid.ofi.csv": "63effee6e3bf294732c502fa2519ef2fd4dc4e7c4f56058dee82b134e9c25e4a",
         "grid.di.csv": "431d91802229327b6f0bc74c55c32e4d0e3d501d71d4b4418c8c187153ca0f32",
     },
+    "wide": {
+        "report.json": "fb74641848c48c7091c719ad078f44d3b3d04109fd0ef8a2769d75aff027dbb8",
+        "ofi.svg": "bf517fe58b724dfb94688e1db819c1c2e9a66f72043a47c32925f89409c3ff26",
+        "di.svg": "62a2d7bcd33f130bbd38b7e68760d973df2edea3a6c98012dfb6b82ed1889a82",
+        "grid.ofi.csv": "3beda5adaf0ea41e792e29dcb4dba8405424d7838ea69f9787e18512be36ae46",
+        "grid.di.csv": "91c9e699ad3d795a0c937eac652dfa5fca80e159b1fba6a1d1929f0fc73ddf55",
+    },
+    "wide+flip": {
+        "report.json": "bdbff1c4d48c483e93a0d4dbc38af5f7ecd12ac6602aee2e5114e7ae966b76a7",
+        "ofi.svg": "ca9a158851582e6305b04e7a159aca47ee87ad6b31cbc020fc6b3f58aed06ef2",
+        "di.svg": "023bc4229de13d30df92afa4ece6d5c48e9ce6bea7a9974f67945deda270ffac",
+        "grid.ofi.csv": "5824a5d5244b893c5f3637f4a100b15bce6e1b95631109b5ed35b9592a430547",
+        "grid.di.csv": "ad187588e1efdb805c2b740a8307a0be219f79ecd0c46aef0e24ef533a0d784c",
+    },
 }
 
 
 def synthetic_csv(groups: dict[str, BinaryConfusion]) -> str:
-    lines = ["group,label,prediction"]
+    # every text field is quoted, so names may hold a comma, a quote or a
+    # line separator
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerow(["group", "label", "prediction"])
     for name, cm in groups.items():
         for (label, pred), count in zip(((1, 1), (1, 0), (0, 1), (0, 0)),
                                         (cm.tp, cm.fn, cm.fp, cm.tn)):
-            lines += [f"{name},{label},{pred}"] * count
-    return "\n".join(lines) + "\n"
+            writer.writerows([(name, label, pred)] * count)
+    return out.getvalue()
 
 
 def audit_digests(capsys, tmp_path, argv: list[str]) -> dict[str, str]:
@@ -146,16 +183,17 @@ def audit_digests(capsys, tmp_path, argv: list[str]) -> dict[str, str]:
 
 CASES = [
     (f"{name}{'+flip' if flip else ''}", name, flip)
-    for name in (*FIXTURE_ARGS, "synthetic")
+    for name in (*FIXTURE_ARGS, "synthetic", "wide")
     for flip in (False, True)
 ]
 
 
 @pytest.mark.parametrize("case, source, flip", CASES, ids=[c[0] for c in CASES])
 def test_audit_outputs_match_pinned_digests(capsys, tmp_path, fixtures_dir, case, source, flip):
-    if source == "synthetic":
-        path = tmp_path / "synthetic.csv"
-        path.write_text(synthetic_csv(SYNTHETIC), encoding="utf-8")
+    if source in ("synthetic", "wide"):
+        path = tmp_path / f"{source}.csv"
+        path.write_text(synthetic_csv(SYNTHETIC if source == "synthetic" else WIDE),
+                        encoding="utf-8")
         argv = ["--input", str(path)]
     else:
         argv = ["--input", str(fixtures_dir / f"{source}.csv"), *FIXTURE_ARGS[source]]
