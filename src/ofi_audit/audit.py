@@ -31,8 +31,6 @@ from .metrics import (
     ofi_verdict,
 )
 
-GRID_METRICS = ("ofi", "di")
-
 
 class InsufficientGroupsError(ValueError):
     """Pairwise analysis needs at least two groups."""
@@ -106,12 +104,13 @@ class AuditConfig:
             ("DI low edge", self.di_low),
             ("DI high edge", self.di_high),
         ):
-            # the report writes each value's float next to its num/den
+            # the report writes each value as its exact text, and Python
+            # caps the digits of an int it converts to text
             try:
-                float(value)
-            except OverflowError:
+                format_fraction(value)
+            except ValueError:
                 raise ThresholdError(
-                    f"{label} does not fit in a float (magnitude above {sys.float_info.max:.3g})"
+                    f"{label} has more than {sys.get_int_max_str_digits()} digits"
                 ) from None
         if self.ofi_threshold <= 0:
             raise ThresholdError(f"OFI threshold must be > 0, got {self.ofi_threshold}")
@@ -156,13 +155,11 @@ class AuditReport:
     config: AuditConfig
 
 
-def _group_order(
-    table: GroupTable, metric: str, group_order: tuple[str, ...] | None
-) -> tuple[str, ...]:
+def _group_order(table: GroupTable, group_order: tuple[str, ...] | None) -> tuple[str, ...]:
     names = tuple(group_order) if group_order else tuple(sorted(table.groups))
     if len(names) < 2:
         raise InsufficientGroupsError(
-            f"pairwise {metric} needs at least 2 groups, have {len(names)}"
+            f"pairwise ofi needs at least 2 groups, have {len(names)}"
         )
     for index, name in enumerate(names):
         if name not in table.groups:
@@ -181,28 +178,12 @@ def _grid(metric: str, names: tuple[str, ...], scores: list[Fraction]) -> Pairwi
     return PairwiseMatrix(metric=metric, group_order=names, cells=cells)
 
 
-def pairwise(
-    table: GroupTable,
-    metric: str,
-    group_order: tuple[str, ...] | None = None,
-) -> PairwiseMatrix:
-    """Fill the full square grid of OFI or DI over the table's groups.
-
-    Order defaults to lexicographic; a caller-supplied order may also
-    select a subset (at least two distinct groups). The diagonal compares
-    each group with itself. Each group's marginal benefit (for OFI) or
-    benefit (for DI) is computed once; a cell is B_i - B_j or the DI rule
-    over the two rates.
-    """
-    if metric not in GRID_METRICS:
-        raise ValueError(f"metric must be one of {GRID_METRICS}, got {metric!r}")
-    names = _group_order(table, metric, group_order)
-    score = marginal_benefit if metric == "ofi" else benefit
-    return _grid(metric, names, [score(table.groups[name]) for name in names])
-
-
 def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditReport:
     """Compute both grids, all per-group metrics, and per-pair findings.
+
+    Groups come in lexicographic order, or in the config's group order,
+    which may also select a subset (at least two distinct groups); a
+    grid's diagonal compares each group with itself.
 
     Each group's benefit b = (tp + fp)/n and marginal benefit
     B = (fp - fn)/n are computed once; both grids come from them. A
@@ -212,7 +193,7 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
     validated when it was built, so no pair checks them again.
     """
     config = config or AuditConfig()
-    names = _group_order(table, "ofi", config.group_order)
+    names = _group_order(table, config.group_order)
     group_metrics = {}
     for name in names:
         cm = table.groups[name]
@@ -251,77 +232,53 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
 
 
 # ---------------------------------------------------------------------------
-# Serialization. Rationals are emitted as {"num", "den", "approx"}; the
-# approx field is display-only and ignored when parsing back. The report
-# is the text of json.dumps(doc, indent=2, sort_keys=True), written out in
-# pieces: the small sections go through json.dumps, and the O(k^2) grid
-# cells and pairs are laid out by the templates below, whose keys are in
-# sorted order at the depth json.dumps would indent them to. Each approx
-# is the float's repr, as json writes it.
+# Serialization, schema 2. Every rational is the exact text that
+# _grid_cell_text also writes into the grid CSVs: "num/den", an integer
+# such as "0", "undef" for an undefined DI cell or "1 (contextual)". A
+# pair is the list [first, second, ofi_verdict, di_verdict, diagnosis].
+# The report is the text of json.dumps(doc, indent=2, sort_keys=True),
+# written out in pieces: the small sections go through json.dumps, and the
+# O(k^2) grid rows and pairs are laid out below at the depth json.dumps
+# would indent them to. Cell text never needs JSON escaping; group names
+# go through json.dumps.
 # ---------------------------------------------------------------------------
 
+_SCHEMA = 2
 PAIR_BATCH = 1024
 
-_OFI_CELL = """        {
-          "approx": %r,
-          "den": %d,
-          "num": %d
-        }"""
+_UNDEFINED_TEXT = "undef"
+_CONTEXTUAL_TEXT = "1 (contextual)"
 
-_DI_CELL = """        {
-          "approx": %r,
-          "den": %d,
-          "kind": "%s",
-          "num": %d
-        }"""
-
-_UNDEFINED_DI_CELL = """        {
-          "kind": "%s"
-        }""" % DiKind.UNDEFINED_ZERO_DENOMINATOR.value
-
-_PAIR = """    {
-      "di_verdict": "%s",
-      "diagnosis": "%s",
-      "first": %s,
-      "ofi_verdict": "%s",
-      "second": %s
-    }"""
+_PAIR = """    [
+      %s,
+      %s,
+      "%s",
+      "%s",
+      "%s"
+    ]"""
 
 
-def _fraction_doc(value: Fraction) -> dict:
-    return {
-        "num": value.numerator,
-        "den": value.denominator,
-        "approx": float(value),
-    }
+def _grid_cell_text(value: Fraction | DiScore) -> str:
+    if isinstance(value, DiScore):
+        if value.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
+            return _UNDEFINED_TEXT
+        if value.kind is DiKind.CONTEXTUAL_ONE:
+            return _CONTEXTUAL_TEXT
+        assert value.value is not None
+        value = value.value
+    return format_fraction(value)
 
 
-def _parse_fraction_doc(doc: dict) -> Fraction:
-    return Fraction(doc["num"], doc["den"])
-
-
-def _parse_di_doc(doc: dict) -> DiScore:
-    kind = DiKind(doc["kind"])
-    if kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
+def _parse_cell_text(text: str, di: bool = False) -> Fraction | DiScore:
+    # the inverse of _grid_cell_text: a DI grid cell with di=True, any
+    # other rational without
+    if not di:
+        return Fraction(text)
+    if text == _UNDEFINED_TEXT:
         return DiScore.zero_denominator()
-    if kind is DiKind.CONTEXTUAL_ONE:
+    if text == _CONTEXTUAL_TEXT:
         return DiScore.contextual_one()
-    return DiScore.finite(_parse_fraction_doc(doc))
-
-
-# num / den is float(Fraction(num, den)), without the Fraction method calls
-
-def _ofi_cell(value: Fraction) -> str:
-    num, den = value.numerator, value.denominator
-    return _OFI_CELL % (num / den, den, num)
-
-
-def _di_cell(di: DiScore) -> str:
-    value = di.value
-    if value is None:
-        return _UNDEFINED_DI_CELL
-    num, den = value.numerator, value.denominator
-    return _DI_CELL % (num / den, den, di.kind.value, num)
+    return DiScore.finite(Fraction(text))
 
 
 def _section(value) -> str:
@@ -338,9 +295,9 @@ def _items(chunks: Iterable[str]) -> Iterator[str]:
         separator = ",\n"
 
 
-def _grid_rows(grid: PairwiseMatrix, cell) -> Iterator[str]:
+def _grid_rows(grid: PairwiseMatrix) -> Iterator[str]:
     for row in grid.cells:
-        yield "      [\n" + ",\n".join(map(cell, row)) + "\n      ]"
+        yield '      [\n        "' + '",\n        "'.join(map(_grid_cell_text, row)) + '"\n      ]'
 
 
 def report_chunks(report: AuditReport) -> Iterator[str]:
@@ -350,9 +307,9 @@ def report_chunks(report: AuditReport) -> Iterator[str]:
     """
     config = report.config
     yield '{\n  "config": ' + _section({
-        "ofi_threshold": _fraction_doc(config.ofi_threshold),
-        "di_low": _fraction_doc(config.di_low),
-        "di_high": _fraction_doc(config.di_high),
+        "ofi_threshold": _grid_cell_text(config.ofi_threshold),
+        "di_low": _grid_cell_text(config.di_low),
+        "di_high": _grid_cell_text(config.di_high),
         "group_order": list(config.group_order) if config.group_order is not None else None,
     })
     yield ',\n  "dataset": ' + _section({
@@ -360,14 +317,14 @@ def report_chunks(report: AuditReport) -> Iterator[str]:
         "group_sizes": dict(report.group_sizes),
     })
     yield ',\n  "grids": {\n    "di": [\n'
-    yield from _items(_grid_rows(report.di_grid, _di_cell))
+    yield from _items(_grid_rows(report.di_grid))
     yield '\n    ],\n    "ofi": [\n'
-    yield from _items(_grid_rows(report.ofi_grid, _ofi_cell))
+    yield from _items(_grid_rows(report.ofi_grid))
     yield '\n    ]\n  },\n  "group_metrics": ' + _section({
         name: {
-            "benefit": _fraction_doc(gm.benefit),
-            "expected_benefit": _fraction_doc(gm.expected_benefit),
-            "marginal_benefit": _fraction_doc(gm.marginal_benefit),
+            "benefit": _grid_cell_text(gm.benefit),
+            "expected_benefit": _grid_cell_text(gm.expected_benefit),
+            "marginal_benefit": _grid_cell_text(gm.marginal_benefit),
         }
         for name, gm in report.group_metrics.items()
     })
@@ -377,13 +334,13 @@ def report_chunks(report: AuditReport) -> Iterator[str]:
     pairs = report.pairs
     yield from _items(
         ",\n".join(
-            _PAIR % (p.di_verdict.value, p.diagnosis.value, quoted(p.first),
-                     p.ofi_verdict.value, quoted(p.second))
+            _PAIR % (quoted(p.first), quoted(p.second), p.ofi_verdict.value,
+                     p.di_verdict.value, p.diagnosis.value)
             for p in pairs[start:start + PAIR_BATCH]
         )
         for start in range(0, len(pairs), PAIR_BATCH)
     )
-    yield "\n  ]\n}\n"
+    yield f'\n  ],\n  "schema": {_SCHEMA}\n}}\n'
 
 
 def serialize_report(report: AuditReport) -> str:
@@ -396,69 +353,51 @@ def serialize_report(report: AuditReport) -> str:
 
 
 def parse_report(text: str) -> AuditReport:
-    """Rebuild an AuditReport from :func:`serialize_report` output."""
+    """Rebuild an AuditReport from :func:`serialize_report` output.
+
+    Only schema 2 is read; a report of any other schema raises ValueError.
+    """
     doc = json.loads(text)
+    if doc.get("schema") != _SCHEMA:
+        raise ValueError(f"report schema must be {_SCHEMA}, got {doc.get('schema')!r}")
     names = tuple(doc["group_order"])
     config_doc = doc["config"]
     config = AuditConfig(
-        ofi_threshold=_parse_fraction_doc(config_doc["ofi_threshold"]),
-        di_low=_parse_fraction_doc(config_doc["di_low"]),
-        di_high=_parse_fraction_doc(config_doc["di_high"]),
+        ofi_threshold=_parse_cell_text(config_doc["ofi_threshold"]),
+        di_low=_parse_cell_text(config_doc["di_low"]),
+        di_high=_parse_cell_text(config_doc["di_high"]),
         group_order=tuple(config_doc["group_order"])
         if config_doc["group_order"] is not None
         else None,
     )
-    ofi_grid = PairwiseMatrix(
-        metric="ofi",
-        group_order=names,
-        cells=tuple(
-            tuple(_parse_fraction_doc(v) for v in row) for row in doc["grids"]["ofi"]
-        ),
-    )
-    di_grid = PairwiseMatrix(
-        metric="di",
-        group_order=names,
-        cells=tuple(
-            tuple(_parse_di_doc(v) for v in row) for row in doc["grids"]["di"]
-        ),
-    )
-    pairs = tuple(
-        PairFinding(
-            first=p["first"],
-            second=p["second"],
-            ofi_verdict=BiasVerdict(p["ofi_verdict"]),
-            di_verdict=BiasVerdict(p["di_verdict"]),
-            diagnosis=Diagnosis(p["diagnosis"]),
+
+    def grid(metric: str) -> PairwiseMatrix:
+        di = metric == "di"
+        cells = tuple(
+            tuple(_parse_cell_text(text, di) for text in row) for row in doc["grids"][metric]
         )
-        for p in doc["pairs"]
+        return PairwiseMatrix(metric=metric, group_order=names, cells=cells)
+
+    pairs = tuple(
+        PairFinding(first, second, BiasVerdict(ofi_v), BiasVerdict(di_v), Diagnosis(diagnosis))
+        for first, second, ofi_v, di_v, diagnosis in doc["pairs"]
     )
     return AuditReport(
         record_count=doc["dataset"]["record_count"],
         group_sizes=dict(doc["dataset"]["group_sizes"]),
         group_metrics={
             name: GroupMetrics(
-                benefit=_parse_fraction_doc(gm["benefit"]),
-                expected_benefit=_parse_fraction_doc(gm["expected_benefit"]),
-                marginal_benefit=_parse_fraction_doc(gm["marginal_benefit"]),
+                benefit=_parse_cell_text(gm["benefit"]),
+                expected_benefit=_parse_cell_text(gm["expected_benefit"]),
+                marginal_benefit=_parse_cell_text(gm["marginal_benefit"]),
             )
             for name, gm in doc["group_metrics"].items()
         },
-        ofi_grid=ofi_grid,
-        di_grid=di_grid,
+        ofi_grid=grid("ofi"),
+        di_grid=grid("di"),
         pairs=pairs,
         config=config,
     )
-
-
-def _grid_cell_text(value: Fraction | DiScore) -> str:
-    if isinstance(value, DiScore):
-        if value.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
-            return "undef"
-        if value.kind is DiKind.CONTEXTUAL_ONE:
-            return "1 (contextual)"
-        assert value.value is not None
-        return format_fraction(value.value)
-    return format_fraction(value)
 
 
 def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:

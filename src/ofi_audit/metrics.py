@@ -71,25 +71,8 @@ class BinaryConfusion:
         return self.tp + self.fn
 
     @property
-    def negative_labels(self) -> int:
-        return self.fp + self.tn
-
-    @property
     def positive_predictions(self) -> int:
         return self.tp + self.fp
-
-    @property
-    def negative_predictions(self) -> int:
-        return self.fn + self.tn
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.tp, self.fn, self.fp, self.tn)
-
-    def scaled(self, k: int) -> "BinaryConfusion":
-        """Return a copy with every cell multiplied by ``k`` (k >= 1)."""
-        if index(k) < 1:
-            raise ValueError(f"scale factor must be >= 1, got {k}")
-        return BinaryConfusion(self.tp * k, self.fn * k, self.fp * k, self.tn * k)
 
 
 class DiKind(Enum):
@@ -130,10 +113,6 @@ class DiScore:
     @classmethod
     def zero_denominator(cls) -> "DiScore":
         return cls(DiKind.UNDEFINED_ZERO_DENOMINATOR, None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind is DiKind.FINITE
 
 
 class BiasVerdict(Enum):

@@ -200,9 +200,11 @@ def test_metric_property_suite():
         value = ofi(a, b)
         ok = ok and -2 <= value <= 2
         ok = ok and value == -ofi(b, a)
-        ok = ok and ofi(a.scaled(k), b.scaled(k)) == value
+        scaled_a = BinaryConfusion(*(k * c for c in (a.tp, a.fn, a.fp, a.tn)))
+        scaled_b = BinaryConfusion(*(k * c for c in (b.tp, b.fn, b.fp, b.tn)))
+        ok = ok and ofi(scaled_a, scaled_b) == value
         forward, backward = disparate_impact(a, b), disparate_impact(b, a)
-        if forward.is_finite and backward.is_finite:
+        if forward.kind is DiKind.FINITE and backward.kind is DiKind.FINITE:
             ok = ok and forward.value * backward.value == 1
         ok = ok and (marginal_benefit(a) == 0) == (a.fp == a.fn)
         if not ok:

@@ -15,7 +15,6 @@ from ofi_audit.audit import (
     build_report,
     diagnose,
     grid_to_csv,
-    pairwise,
     parse_report,
     serialize_report,
 )
@@ -43,13 +42,23 @@ def table_from(groups: dict[str, BinaryConfusion]):
     return aggregate(records)
 
 
+def total_of(cms) -> BinaryConfusion:
+    return BinaryConfusion(sum(cm.tp for cm in cms), sum(cm.fn for cm in cms),
+                           sum(cm.fp for cm in cms), sum(cm.tn for cm in cms))
+
+
+def grids(table, order=None):
+    report = build_report(table, AuditConfig(group_order=order))
+    return report.ofi_grid, report.di_grid
+
+
 SCENARIO_A = {"i": BinaryConfusion(1, 0, 0, 5), "j": BinaryConfusion(7, 0, 1, 10)}
 SCENARIO_B = {"i": BinaryConfusion(0, 1, 0, 5), "j": BinaryConfusion(0, 7, 0, 11)}
 
 
 class TestPairwise:
     def test_ofi_grid_scenario_a(self):
-        grid = pairwise(table_from(SCENARIO_A), "ofi")
+        grid, _ = grids(table_from(SCENARIO_A))
         assert grid.group_order == ("i", "j")
         assert grid.cells == (
             (Fraction(0), Fraction(-1, 18)),
@@ -57,7 +66,7 @@ class TestPairwise:
         )
 
     def test_di_grid_scenario_a(self):
-        grid = pairwise(table_from(SCENARIO_A), "di")
+        _, grid = grids(table_from(SCENARIO_A))
         assert grid.cells == (
             (DiScore.finite(Fraction(1)), DiScore.finite(Fraction(3, 8))),
             (DiScore.finite(Fraction(8, 3)), DiScore.finite(Fraction(1))),
@@ -65,11 +74,11 @@ class TestPairwise:
 
     def test_identical_groups_give_zero_ofi_grid(self):
         cm = BinaryConfusion(2, 1, 1, 4)
-        grid = pairwise(table_from({"a": cm, "b": cm, "c": cm}), "ofi")
+        grid, _ = grids(table_from({"a": cm, "b": cm, "c": cm}))
         assert all(v == 0 for row in grid.cells for v in row)
 
     def test_caller_order(self):
-        grid = pairwise(table_from(SCENARIO_A), "ofi", group_order=("j", "i"))
+        grid, _ = grids(table_from(SCENARIO_A), ("j", "i"))
         assert grid.cells[0][1] == Fraction(1, 18)
 
     def test_antisymmetry_and_reciprocity(self):
@@ -80,37 +89,33 @@ class TestPairwise:
                 "c": BinaryConfusion(1, 1, 1, 1),
             }
         )
-        ofi_grid = pairwise(table, "ofi")
-        di_grid = pairwise(table, "di")
+        ofi_grid, di_grid = grids(table)
         size = len(ofi_grid.group_order)
         for i in range(size):
             assert ofi_grid.cells[i][i] == 0
             for j in range(size):
                 assert ofi_grid.cells[i][j] == -ofi_grid.cells[j][i]
                 forward, backward = di_grid.cells[i][j], di_grid.cells[j][i]
-                if forward.is_finite and backward.is_finite:
+                if forward.kind is DiKind.FINITE and backward.kind is DiKind.FINITE:
                     assert forward.value * backward.value == 1
 
     def test_needs_two_groups(self):
         with pytest.raises(InsufficientGroupsError):
-            pairwise(table_from({"solo": BinaryConfusion(1, 0, 0, 1)}), "ofi")
+            grids(table_from({"solo": BinaryConfusion(1, 0, 0, 1)}))
 
     def test_unknown_metric_and_group(self):
-        table = table_from(SCENARIO_A)
-        with pytest.raises(ValueError, match="metric"):
-            pairwise(table, "tpr")
         with pytest.raises(ValueError, match="unknown group"):
-            pairwise(table, "ofi", group_order=("i", "k"))
+            grids(table_from(SCENARIO_A), ("i", "k"))
 
     def test_duplicate_group_in_order(self):
         table = table_from(SCENARIO_A)
         with pytest.raises(ValueError, match="duplicate group 'i'"):
-            pairwise(table, "ofi", group_order=("i", "i"))
+            grids(table, ("i", "i"))
         with pytest.raises(ValueError, match="duplicate group 'j'"):
-            pairwise(table, "di", group_order=("j", "i", "j"))
+            grids(table, ("j", "i", "j"))
         # a subset of distinct groups stays valid
         three = table_from({**SCENARIO_A, "k": BinaryConfusion(2, 1, 1, 2)})
-        assert pairwise(three, "ofi", group_order=("i", "j")).group_order == ("i", "j")
+        assert grids(three, ("i", "j"))[0].group_order == ("i", "j")
 
 
 counts = st.integers(min_value=0, max_value=6)
@@ -126,10 +131,9 @@ def tables_and_orders(draw):
     cms = draw(st.lists(group_cms, min_size=2, max_size=6))
     names = tuple(f"g{k}" for k in range(len(cms)))
     groups = dict(zip(names, cms))
-    total = BinaryConfusion(*(sum(column) for column in zip(*(cm.as_tuple() for cm in cms))))
     order = tuple(draw(st.permutations(names)))
     order = order[: draw(st.integers(min_value=2, max_value=len(order)))]
-    return GroupTable(groups=groups, total=total), order
+    return GroupTable(groups=groups, total=total_of(cms)), order
 
 
 class TestGridMatchesTwoGroupMetrics:
@@ -154,8 +158,7 @@ class TestGridMatchesTwoGroupMetrics:
     def test_every_cell_equals_the_two_group_function(self, case):
         table, caller_order = case
         for order in (None, caller_order):
-            ofi_grid = pairwise(table, "ofi", order)
-            di_grid = pairwise(table, "di", order)
+            ofi_grid, di_grid = grids(table, order)
             names = ofi_grid.group_order
             assert names == (order or tuple(sorted(table.groups)))
             for gi, gj in itertools.product(names, repeat=2):
@@ -316,16 +319,29 @@ class TestSerialization:
             )
         )
         text = serialize_report(report)
-        assert '"num": 30' in text and '"den": 133' in text
-        assert f'"approx": {30 / 133!r}' in text
+        # every rational is its exact text, with no float beside it
+        assert json.loads(text)["grids"]["ofi"][0][1] == "30/133"
+        assert "approx" not in text and "." not in text
 
     def test_round_trip(self):
         report = build_report(table_from(SCENARIO_B))
         text = serialize_report(report)
         assert parse_report(text) == report
         # a pair carries verdicts only; its values live in the grids
-        for pair in json.loads(text)["pairs"]:
-            assert set(pair) == {"first", "second", "ofi_verdict", "di_verdict", "diagnosis"}
+        doc = json.loads(text)
+        assert doc["schema"] == 2
+        for pair, finding in zip(doc["pairs"], report.pairs, strict=True):
+            assert pair == [finding.first, finding.second, finding.ofi_verdict.value,
+                            finding.di_verdict.value, finding.diagnosis.value]
+
+    def test_rejects_other_schemas(self):
+        doc = json.loads(serialize_report(build_report(table_from(SCENARIO_A))))
+        del doc["schema"]
+        with pytest.raises(ValueError, match="schema must be 2, got None"):
+            parse_report(json.dumps(doc))
+        doc["schema"] = 1
+        with pytest.raises(ValueError, match="schema must be 2, got 1"):
+            parse_report(json.dumps(doc))
 
     def test_round_trip_zero_denominator(self):
         table = table_from(
@@ -354,50 +370,44 @@ class TestSerialization:
         )
 
 
-def fraction_doc(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator, "approx": float(value)}
+def di_text(di: DiScore) -> str:
+    if di.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
+        return "undef"
+    if di.kind is DiKind.CONTEXTUAL_ONE:
+        return "1 (contextual)"
+    return str(di.value)
 
 
 def reference_doc(report) -> dict:
     # the report as one nested document, laid out by the json module
-    def di_doc(di: DiScore) -> dict:
-        if di.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
-            return {"kind": di.kind.value}
-        return {"kind": di.kind.value, **fraction_doc(di.value)}
-
     config = report.config
     return {
+        "schema": 2,
         "dataset": {
             "record_count": report.record_count,
             "group_sizes": dict(report.group_sizes),
         },
         "config": {
-            "ofi_threshold": fraction_doc(config.ofi_threshold),
-            "di_low": fraction_doc(config.di_low),
-            "di_high": fraction_doc(config.di_high),
+            "ofi_threshold": str(config.ofi_threshold),
+            "di_low": str(config.di_low),
+            "di_high": str(config.di_high),
             "group_order": None if config.group_order is None else list(config.group_order),
         },
         "group_order": list(report.ofi_grid.group_order),
         "group_metrics": {
             name: {
-                "benefit": fraction_doc(gm.benefit),
-                "expected_benefit": fraction_doc(gm.expected_benefit),
-                "marginal_benefit": fraction_doc(gm.marginal_benefit),
+                "benefit": str(gm.benefit),
+                "expected_benefit": str(gm.expected_benefit),
+                "marginal_benefit": str(gm.marginal_benefit),
             }
             for name, gm in report.group_metrics.items()
         },
         "grids": {
-            "ofi": [[fraction_doc(v) for v in row] for row in report.ofi_grid.cells],
-            "di": [[di_doc(v) for v in row] for row in report.di_grid.cells],
+            "ofi": [[str(v) for v in row] for row in report.ofi_grid.cells],
+            "di": [[di_text(v) for v in row] for row in report.di_grid.cells],
         },
         "pairs": [
-            {
-                "first": p.first,
-                "second": p.second,
-                "ofi_verdict": p.ofi_verdict.value,
-                "di_verdict": p.di_verdict.value,
-                "diagnosis": p.diagnosis.value,
-            }
+            [p.first, p.second, p.ofi_verdict.value, p.di_verdict.value, p.diagnosis.value]
             for p in report.pairs
         ],
     }
@@ -415,8 +425,7 @@ wide_cms = st.one_of(
 def named_audits(draw):
     names = draw(st.lists(st.text(), min_size=2, max_size=6, unique=True))
     cms = draw(st.lists(wide_cms, min_size=len(names), max_size=len(names)))
-    total = BinaryConfusion(*(sum(column) for column in zip(*(cm.as_tuple() for cm in cms))))
-    table = GroupTable(groups=dict(zip(names, cms)), total=total)
+    table = GroupTable(groups=dict(zip(names, cms)), total=total_of(cms))
     order = tuple(draw(st.permutations(names)))
     order = order[: draw(st.integers(min_value=2, max_value=len(order)))]
     low, high = sorted(draw(st.lists(edges, min_size=2, max_size=2)))
@@ -424,14 +433,17 @@ def named_audits(draw):
 
 
 class TestReportLayout:
-    """The streamed report is the json module's indent=2, sorted-key text."""
+    """The streamed report is the json module's indent=2, sorted-key text,
+    and parse_report reads it back to the same report."""
 
     @settings(max_examples=150, deadline=None)
     @given(named_audits())
     @example(build_report(table_from(ZERO_RATES)))
     def test_matches_the_json_module(self, report):
         expected = json.dumps(reference_doc(report), indent=2, sort_keys=True) + "\n"
-        assert serialize_report(report) == expected
+        text = serialize_report(report)
+        assert text == expected
+        assert parse_report(text) == report
 
 
 class TestGridCsv:

@@ -196,8 +196,9 @@ class TestAudit:
         path = tmp_path / "solo.csv"
         path.write_text("group,label,prediction\nonly,1,1\nonly,0,0\n")
         code, _, err = run(capsys, "audit", "--input", str(path))
-        assert code == 1
-        assert "[report]" in err and "2 groups" in err
+        assert (code, err) == (
+            1, "error [report]: pairwise ofi needs at least 2 groups, have 1\n"
+        )
 
     def test_sample_without_seed(self, capsys, fixtures_dir):
         code, _, err = run(
@@ -241,12 +242,13 @@ class TestAudit:
             (["--di-low", "0"], "bad DI band [0, 5/4]"),
             (["--di-high", "1/2"], "bad DI band [4/5, 1/2]"),
             (["--di-low", "2", "--di-high", "1"], "bad DI band [2, 1]"),
-            (["--ofi-threshold", "1e400"],
-             "OFI threshold does not fit in a float (magnitude above 1.8e+308)"),
-            (["--di-low", "1e400"],
-             "DI low edge does not fit in a float (magnitude above 1.8e+308)"),
-            (["--di-high", "1e400"],
-             "DI high edge does not fit in a float (magnitude above 1.8e+308)"),
+            # past the digits Python writes an int in, default 4300
+            (["--ofi-threshold", "1e5000"],
+             f"OFI threshold has more than {sys.get_int_max_str_digits()} digits"),
+            (["--di-low", "1e-5000"],
+             f"DI low edge has more than {sys.get_int_max_str_digits()} digits"),
+            (["--di-high", "1e5000"],
+             f"DI high edge has more than {sys.get_int_max_str_digits()} digits"),
         ],
     )
     def test_bad_threshold_fails_at_config_stage(
@@ -256,6 +258,16 @@ class TestAudit:
         path = fixtures_dir / "scenario_a.csv" if input_exists else tmp_path / "absent.csv"
         code, out, err = run(capsys, "audit", "--input", str(path), *flags)
         assert (code, out, err) == (1, "", f"error [config]: {message}\n")
+
+    def test_threshold_past_float_range_is_written_exactly(self, capsys, fixtures_dir):
+        code, out, err = run(
+            capsys,
+            "audit",
+            "--input", str(fixtures_dir / "scenario_a.csv"),
+            "--ofi-threshold", "1e400",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["ofi_threshold"] == "1" + "0" * 400
 
 
 BOM = "\ufeff"
