@@ -6,20 +6,18 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .formatting import format_fraction
+from .formatting import format_fraction, ratio_text
 from .ingestion import GroupTable
 from .metrics import (
     DEFAULT_OFI_THRESHOLD,
     FOUR_FIFTHS_HIGH,
     FOUR_FIFTHS_LOW,
     BiasVerdict,
-    DiKind,
     DiScore,
     ThresholdError,
     benefit,
@@ -67,23 +65,95 @@ def diagnose(
     return _diagnosis(ofi_verdict(ofi_value, threshold), di_verdict)
 
 
+def _cell_row(
+    metric: str, own: tuple[int, int], others: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    # the one home of a grid cell: the integer pair (x, y) whose ratio is
+    # the cell, for a group's reduced score own = p/q against each of
+    # others. OFI: (a_i·m_j - a_j·m_i, m_i·m_j) for B = a/m. DI:
+    # (c_i·n_j, c_j·n_i) for b = c/n, where y = 0 is undefined, or the
+    # contextual 1 when x = 0 too.
+    p_i, q_i = own
+    if metric == "ofi":
+        return [(p_i * q_j - p_j * q_i, q_i * q_j) for p_j, q_j in others]
+    return [(p_i * q_j, p_j * q_i) for p_j, q_j in others]
+
+
+_UNDEFINED_TEXT = "undef"
+_CONTEXTUAL_TEXT = "1 (contextual)"
+
+
 @dataclass(frozen=True)
 class PairwiseMatrix:
     """Square grid of a two-group metric over every ordered group pair.
 
-    ``cells[i][j]`` compares group_order[i] against group_order[j]. OFI
-    grids hold Fractions and are antisymmetric with a zero diagonal; DI
-    grids hold DiScores with reciprocal finite off-diagonal cells.
+    The grid is held as one score per group of ``group_order``: the
+    marginal benefit B (OFI) or the benefit b (DI). Cell (i, j) compares
+    group_order[i] against group_order[j]: an OFI cell is B_i - B_j,
+    antisymmetric with a zero diagonal, and a DI cell is the three-state
+    DI rule over b_i and b_j, with reciprocal finite off-diagonal cells.
+    Cells are computed from the scores' integer parts when they are read.
     """
 
     metric: str
     group_order: tuple[str, ...]
-    cells: tuple[tuple[Fraction | DiScore, ...], ...]
+    scores: tuple[Fraction, ...]
+    _parts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scores = tuple(map(Fraction, self.scores))
+        if len(scores) != len(self.group_order):
+            raise ValueError(
+                f"{len(self.group_order)} groups need as many scores, got {len(scores)}"
+            )
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "_parts", tuple((s.numerator, s.denominator) for s in scores))
+
+    def integer_rows(self) -> Iterator[list[tuple[int, int]]]:
+        """Yield each grid row as its cells' integer pairs (x, y), each
+        cell being x/y; a DI cell with y = 0 is undefined, or the
+        contextual 1 when x = 0 too. The pairs need not be in lowest
+        terms."""
+        for own in self._parts:
+            yield _cell_row(self.metric, own, self._parts)
+
+    def _text_rows(self) -> Iterator[list[str]]:
+        # each row's cells as the exact text of the report and the grid CSV
+        # (only a DI cell has y = 0)
+        for row in self.integer_rows():
+            yield [
+                ratio_text(x, y) if y else _UNDEFINED_TEXT if x else _CONTEXTUAL_TEXT
+                for x, y in row
+            ]
+
+    def _value(self, x: int, y: int) -> Fraction | DiScore:
+        if self.metric == "ofi":
+            return Fraction(x, y)
+        return di_from_rates(Fraction(x), Fraction(y))
+
+    @property
+    def cells(self) -> tuple[tuple[Fraction | DiScore, ...], ...]:
+        """Every cell as a Fraction (OFI) or a DiScore (DI), row by row."""
+        return tuple(tuple(self._value(x, y) for x, y in row) for row in self.integer_rows())
 
     def value_at(self, first: str, second: str) -> Fraction | DiScore:
         i = self.group_order.index(first)
         j = self.group_order.index(second)
-        return self.cells[i][j]
+        [(x, y)] = _cell_row(self.metric, self._parts[i], (self._parts[j],))
+        return self._value(x, y)
+
+
+def check_digits(label: str, value: Fraction) -> None:
+    """Raise ThresholdError if ``value`` has more digits than Python
+    writes an int in: reports and the CLI write every threshold as its
+    exact text, and Python caps the digits of an int it converts to text.
+    """
+    try:
+        format_fraction(value)
+    except ValueError:
+        raise ThresholdError(
+            f"{label} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -99,19 +169,9 @@ class AuditConfig:
         object.__setattr__(self, "ofi_threshold", Fraction(self.ofi_threshold))
         object.__setattr__(self, "di_low", Fraction(self.di_low))
         object.__setattr__(self, "di_high", Fraction(self.di_high))
-        for label, value in (
-            ("OFI threshold", self.ofi_threshold),
-            ("DI low edge", self.di_low),
-            ("DI high edge", self.di_high),
-        ):
-            # the report writes each value as its exact text, and Python
-            # caps the digits of an int it converts to text
-            try:
-                format_fraction(value)
-            except ValueError:
-                raise ThresholdError(
-                    f"{label} has more than {sys.get_int_max_str_digits()} digits"
-                ) from None
+        check_digits("OFI threshold", self.ofi_threshold)
+        check_digits("DI low edge", self.di_low)
+        check_digits("DI high edge", self.di_high)
         if self.ofi_threshold <= 0:
             raise ThresholdError(f"OFI threshold must be > 0, got {self.ofi_threshold}")
         if self.di_low <= 0 or self.di_high <= 0 or self.di_low > self.di_high:
@@ -144,15 +204,45 @@ class PairFinding:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Everything an audit computes, ready for serialization."""
+    """Everything an audit computes, ready for serialization.
+
+    The grids hold one score per group, and the pair findings are decided
+    from them and the config when they are read.
+    """
 
     record_count: int
     group_sizes: dict[str, int]
     group_metrics: dict[str, GroupMetrics]
     ofi_grid: PairwiseMatrix
     di_grid: PairwiseMatrix
-    pairs: tuple[PairFinding, ...]
     config: AuditConfig
+
+    @property
+    def pairs(self) -> tuple[PairFinding, ...]:
+        """Every ordered pair of distinct groups, row by row of the grids."""
+        return tuple(
+            PairFinding(first, second, ofi_v, di_v, _diagnosis(ofi_v, di_v))
+            for first, row in _verdict_rows(self)
+            for second, ofi_v, di_v in row
+        )
+
+
+def _verdict_rows(
+    report: AuditReport,
+) -> Iterator[tuple[str, list[tuple[str, BiasVerdict, BiasVerdict]]]]:
+    # per grid row, its group and the (second group, OFI verdict, DI
+    # verdict) of each pair it starts, decided on the grids' integer
+    # pairs; the config's thresholds were validated when it was built
+    config = report.config
+    threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
+    names = report.ofi_grid.group_order
+    rows = zip(names, report.ofi_grid.integer_rows(), report.di_grid.integer_rows())
+    for i, (first, ofi_row, di_row) in enumerate(rows):
+        yield first, [
+            (second, ofi_rule(ofi_x, ofi_y, threshold), di_rule(di_x, di_y, low, high))
+            for j, (second, (ofi_x, ofi_y), (di_x, di_y)) in enumerate(zip(names, ofi_row, di_row))
+            if j != i
+        ]
 
 
 def _group_order(table: GroupTable, group_order: tuple[str, ...] | None) -> tuple[str, ...]:
@@ -169,28 +259,20 @@ def _group_order(table: GroupTable, group_order: tuple[str, ...] | None) -> tupl
     return names
 
 
-def _grid(metric: str, names: tuple[str, ...], scores: list[Fraction]) -> PairwiseMatrix:
-    # scores are the groups' marginal benefits (OFI) or benefits (DI)
-    if metric == "ofi":
-        cells = tuple(tuple(bi - bj for bj in scores) for bi in scores)
-    else:
-        cells = tuple(tuple(di_from_rates(ri, rj) for rj in scores) for ri in scores)
-    return PairwiseMatrix(metric=metric, group_order=names, cells=cells)
-
-
 def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditReport:
-    """Compute both grids, all per-group metrics, and per-pair findings.
+    """Compute all per-group metrics, from which both grids and all pair
+    findings follow.
 
     Groups come in lexicographic order, or in the config's group order,
     which may also select a subset (at least two distinct groups); a
     grid's diagonal compares each group with itself.
 
     Each group's benefit b = (tp + fp)/n and marginal benefit
-    B = (fp - fn)/n are computed once; both grids come from them. A
-    pair's verdicts are exact integer comparisons over their numerators
-    and denominators: OFI is (a_i·m_j - a_j·m_i)/(m_i·m_j) for B = a/m,
-    DI is (c_i·n_j)/(c_j·n_i) for b = c/n. The config's thresholds were
-    validated when it was built, so no pair checks them again.
+    B = (fp - fn)/n are computed once, and the report keeps only these
+    per group: every grid cell and pair verdict is computed from their
+    numerators and denominators when it is read or written. A verdict is
+    an exact integer comparison: OFI is (a_i·m_j - a_j·m_i)/(m_i·m_j)
+    for B = a/m, DI is (c_i·n_j)/(c_j·n_i) for b = c/n.
     """
     config = config or AuditConfig()
     names = _group_order(table, config.group_order)
@@ -202,83 +284,48 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
             expected_benefit=expected_benefit(cm),
             marginal_benefit=marginal_benefit(cm),
         )
-    ofi_grid = _grid("ofi", names, [gm.marginal_benefit for gm in group_metrics.values()])
-    di_grid = _grid("di", names, [gm.benefit for gm in group_metrics.values()])
-
-    parts = [
-        (name, gm.marginal_benefit.numerator, gm.marginal_benefit.denominator,
-         gm.benefit.numerator, gm.benefit.denominator)
-        for name, gm in group_metrics.items()
-    ]
-    threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
-    pairs = []
-    for gi, a_i, m_i, c_i, n_i in parts:
-        for gj, a_j, m_j, c_j, n_j in parts:
-            if gi == gj:
-                continue
-            ofi_v = ofi_rule(a_i * m_j - a_j * m_i, m_i * m_j, threshold)
-            di_v = di_rule(c_i * n_j, c_j * n_i, low, high)
-            pairs.append(PairFinding(gi, gj, ofi_v, di_v, _diagnosis(ofi_v, di_v)))
-
+    ofi_grid, di_grid = _grids(names, group_metrics)
     return AuditReport(
         record_count=table.total.n,
         group_sizes={name: table.groups[name].n for name in names},
         group_metrics=group_metrics,
         ofi_grid=ofi_grid,
         di_grid=di_grid,
-        pairs=tuple(pairs),
         config=config,
     )
 
 
+def _grids(
+    names: tuple[str, ...], group_metrics: dict[str, GroupMetrics]
+) -> tuple[PairwiseMatrix, PairwiseMatrix]:
+    # OFI compares the groups' marginal benefits, DI their benefits
+    chosen = [group_metrics[name] for name in names]
+    return (
+        PairwiseMatrix("ofi", names, tuple(gm.marginal_benefit for gm in chosen)),
+        PairwiseMatrix("di", names, tuple(gm.benefit for gm in chosen)),
+    )
+
+
 # ---------------------------------------------------------------------------
-# Serialization, schema 2. Every rational is the exact text that
-# _grid_cell_text also writes into the grid CSVs: "num/den", an integer
-# such as "0", "undef" for an undefined DI cell or "1 (contextual)". A
-# pair is the list [first, second, ofi_verdict, di_verdict, diagnosis].
-# The report is the text of json.dumps(doc, indent=2, sort_keys=True),
-# written out in pieces: the small sections go through json.dumps, and the
-# O(k^2) grid rows and pairs are laid out below at the depth json.dumps
-# would indent them to. Cell text never needs JSON escaping; group names
-# go through json.dumps.
+# Serialization, schema 2. Every rational is the exact text that the grid
+# CSVs also write: "num/den", an integer such as "0", "undef" for an
+# undefined DI cell or "1 (contextual)". A pair is the list
+# [first, second, ofi_verdict, di_verdict, diagnosis]. The report is the
+# text of json.dumps(doc, indent=2, sort_keys=True), written out in
+# pieces: the small sections go through json.dumps, and the O(k^2) grid
+# rows and pairs are laid out below, one grid row at a time, at the depth
+# json.dumps would indent them to. Cell text never needs JSON escaping;
+# group names go through json.dumps.
 # ---------------------------------------------------------------------------
 
 _SCHEMA = 2
-PAIR_BATCH = 1024
 
-_UNDEFINED_TEXT = "undef"
-_CONTEXTUAL_TEXT = "1 (contextual)"
-
-_PAIR = """    [
-      %s,
-      %s,
+# a pair's verdicts and diagnosis, after its two group names
+_PAIR_TAIL = """,
       "%s",
       "%s",
       "%s"
     ]"""
-
-
-def _grid_cell_text(value: Fraction | DiScore) -> str:
-    if isinstance(value, DiScore):
-        if value.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
-            return _UNDEFINED_TEXT
-        if value.kind is DiKind.CONTEXTUAL_ONE:
-            return _CONTEXTUAL_TEXT
-        assert value.value is not None
-        value = value.value
-    return format_fraction(value)
-
-
-def _parse_cell_text(text: str, di: bool = False) -> Fraction | DiScore:
-    # the inverse of _grid_cell_text: a DI grid cell with di=True, any
-    # other rational without
-    if not di:
-        return Fraction(text)
-    if text == _UNDEFINED_TEXT:
-        return DiScore.zero_denominator()
-    if text == _CONTEXTUAL_TEXT:
-        return DiScore.contextual_one()
-    return DiScore.finite(Fraction(text))
 
 
 def _section(value) -> str:
@@ -296,20 +343,35 @@ def _items(chunks: Iterable[str]) -> Iterator[str]:
 
 
 def _grid_rows(grid: PairwiseMatrix) -> Iterator[str]:
-    for row in grid.cells:
-        yield '      [\n        "' + '",\n        "'.join(map(_grid_cell_text, row)) + '"\n      ]'
+    for row in grid._text_rows():
+        yield '      [\n        "' + '",\n        "'.join(row) + '"\n      ]'
+
+
+def _pair_rows(report: AuditReport) -> Iterator[str]:
+    # one chunk per grid row: the pairs that its group starts
+    quoted = {name: json.dumps(name) for name in report.ofi_grid.group_order}
+    tails = {
+        (ofi_v, di_v): _PAIR_TAIL % (ofi_v.value, di_v.value, _diagnosis(ofi_v, di_v).value)
+        for ofi_v in BiasVerdict
+        for di_v in BiasVerdict
+    }
+    for first, row in _verdict_rows(report):
+        head = "    [\n      " + quoted[first] + ",\n      "
+        yield ",\n".join(
+            head + quoted[second] + tails[ofi_v, di_v] for second, ofi_v, di_v in row
+        )
 
 
 def report_chunks(report: AuditReport) -> Iterator[str]:
     """Yield :func:`serialize_report`'s text in pieces: one per grid row
-    and one per :data:`PAIR_BATCH` pairs, so a caller can write a large
-    report without holding it whole.
+    and one per group's pairs, so a caller can write a large report
+    without holding it whole.
     """
     config = report.config
     yield '{\n  "config": ' + _section({
-        "ofi_threshold": _grid_cell_text(config.ofi_threshold),
-        "di_low": _grid_cell_text(config.di_low),
-        "di_high": _grid_cell_text(config.di_high),
+        "ofi_threshold": format_fraction(config.ofi_threshold),
+        "di_low": format_fraction(config.di_low),
+        "di_high": format_fraction(config.di_high),
         "group_order": list(config.group_order) if config.group_order is not None else None,
     })
     yield ',\n  "dataset": ' + _section({
@@ -322,24 +384,15 @@ def report_chunks(report: AuditReport) -> Iterator[str]:
     yield from _items(_grid_rows(report.ofi_grid))
     yield '\n    ]\n  },\n  "group_metrics": ' + _section({
         name: {
-            "benefit": _grid_cell_text(gm.benefit),
-            "expected_benefit": _grid_cell_text(gm.expected_benefit),
-            "marginal_benefit": _grid_cell_text(gm.marginal_benefit),
+            "benefit": format_fraction(gm.benefit),
+            "expected_benefit": format_fraction(gm.expected_benefit),
+            "marginal_benefit": format_fraction(gm.marginal_benefit),
         }
         for name, gm in report.group_metrics.items()
     })
     yield ',\n  "group_order": ' + _section(list(report.ofi_grid.group_order))
     yield ',\n  "pairs": [\n'
-    quoted = lru_cache(maxsize=None)(json.dumps)  # each name escaped once
-    pairs = report.pairs
-    yield from _items(
-        ",\n".join(
-            _PAIR % (quoted(p.first), quoted(p.second), p.ofi_verdict.value,
-                     p.di_verdict.value, p.diagnosis.value)
-            for p in pairs[start:start + PAIR_BATCH]
-        )
-        for start in range(0, len(pairs), PAIR_BATCH)
-    )
+    yield from _items(_pair_rows(report))
     yield f'\n  ],\n  "schema": {_SCHEMA}\n}}\n'
 
 
@@ -352,10 +405,39 @@ def serialize_report(report: AuditReport) -> str:
     return "".join(report_chunks(report))
 
 
+def _check_derived(doc: dict, report: AuditReport) -> None:
+    # the grids and pairs follow from the group metrics and the config, so
+    # a report that writes others has been edited and is not read
+    names = report.ofi_grid.group_order
+    for grid in (report.di_grid, report.ofi_grid):
+        written = doc["grids"][grid.metric]
+        if len(written) != len(names) or any(len(row) != len(names) for row in written):
+            raise ValueError(f"report {grid.metric} grid is not {len(names)}x{len(names)}")
+        for first, written_row, row in zip(names, written, grid._text_rows()):
+            for second, got, want in zip(names, written_row, row):
+                if got != want:
+                    raise ValueError(
+                        f"report {grid.metric} grid cell ({first!r}, {second!r}) is {got!r}, "
+                        f"but the group metrics give {want!r}"
+                    )
+    written = doc["pairs"]
+    derived = [
+        [p.first, p.second, p.ofi_verdict.value, p.di_verdict.value, p.diagnosis.value]
+        for p in report.pairs
+    ]
+    if len(written) != len(derived):
+        raise ValueError(f"report has {len(written)} pairs, the group metrics give {len(derived)}")
+    for index, (got, want) in enumerate(zip(written, derived)):
+        if got != want:
+            raise ValueError(f"report pair {index} is {got!r}, but the group metrics give {want!r}")
+
+
 def parse_report(text: str) -> AuditReport:
     """Rebuild an AuditReport from :func:`serialize_report` output.
 
     Only schema 2 is read; a report of any other schema raises ValueError.
+    The report is rebuilt from its group metrics and config, and a grid
+    cell or pair that differs from what they give raises ValueError.
     """
     doc = json.loads(text)
     if doc.get("schema") != _SCHEMA:
@@ -363,41 +445,32 @@ def parse_report(text: str) -> AuditReport:
     names = tuple(doc["group_order"])
     config_doc = doc["config"]
     config = AuditConfig(
-        ofi_threshold=_parse_cell_text(config_doc["ofi_threshold"]),
-        di_low=_parse_cell_text(config_doc["di_low"]),
-        di_high=_parse_cell_text(config_doc["di_high"]),
+        ofi_threshold=Fraction(config_doc["ofi_threshold"]),
+        di_low=Fraction(config_doc["di_low"]),
+        di_high=Fraction(config_doc["di_high"]),
         group_order=tuple(config_doc["group_order"])
         if config_doc["group_order"] is not None
         else None,
     )
-
-    def grid(metric: str) -> PairwiseMatrix:
-        di = metric == "di"
-        cells = tuple(
-            tuple(_parse_cell_text(text, di) for text in row) for row in doc["grids"][metric]
+    group_metrics = {
+        name: GroupMetrics(
+            benefit=Fraction(gm["benefit"]),
+            expected_benefit=Fraction(gm["expected_benefit"]),
+            marginal_benefit=Fraction(gm["marginal_benefit"]),
         )
-        return PairwiseMatrix(metric=metric, group_order=names, cells=cells)
-
-    pairs = tuple(
-        PairFinding(first, second, BiasVerdict(ofi_v), BiasVerdict(di_v), Diagnosis(diagnosis))
-        for first, second, ofi_v, di_v, diagnosis in doc["pairs"]
-    )
-    return AuditReport(
+        for name, gm in doc["group_metrics"].items()
+    }
+    ofi_grid, di_grid = _grids(names, group_metrics)
+    report = AuditReport(
         record_count=doc["dataset"]["record_count"],
         group_sizes=dict(doc["dataset"]["group_sizes"]),
-        group_metrics={
-            name: GroupMetrics(
-                benefit=_parse_cell_text(gm["benefit"]),
-                expected_benefit=_parse_cell_text(gm["expected_benefit"]),
-                marginal_benefit=_parse_cell_text(gm["marginal_benefit"]),
-            )
-            for name, gm in doc["group_metrics"].items()
-        },
-        ofi_grid=grid("ofi"),
-        di_grid=grid("di"),
-        pairs=pairs,
+        group_metrics=group_metrics,
+        ofi_grid=ofi_grid,
+        di_grid=di_grid,
         config=config,
     )
+    _check_derived(doc, report)
+    return report
 
 
 def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
@@ -413,8 +486,8 @@ def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
         return text
 
     yield line(["group", *matrix.group_order])
-    for name, row in zip(matrix.group_order, matrix.cells):
-        yield line([name, *map(_grid_cell_text, row)])
+    for name, row in zip(matrix.group_order, matrix._text_rows()):
+        yield line([name, *row])
 
 
 def grid_to_csv(matrix: PairwiseMatrix) -> str:

@@ -15,6 +15,7 @@ from .audit import (
     AuditConfig,
     InsufficientGroupsError,
     build_report,
+    check_digits,
     grid_csv_chunks,
     report_chunks,
 )
@@ -277,6 +278,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
         ofi_value = ofi(cm_i, cm_j)
         di = disparate_impact(cm_i, cm_j)
+        # the verdict lines write each threshold as its exact text
+        check_digits("OFI threshold", args.ofi_threshold)
+        check_digits("DI low edge", args.di_low)
+        check_digits("DI high edge", args.di_high)
         ofi_v = ofi_verdict(ofi_value, args.ofi_threshold)
         di_v = four_fifths_verdict(di, args.di_low, args.di_high)
     except ValueError as exc:

@@ -2,36 +2,39 @@
 
 These are the only places where metric values become decimal text; the
 rounding is done on the exact rational (half to even), never through an
-intermediate float.
+intermediate float. Each helper has an integer core over a value's
+numerator and denominator, which need not be in lowest terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+
+def ratio_text(num: int, den: int) -> str:
+    """Render num/den, den > 0, as ``num/den`` in lowest terms, or just
+    ``num`` for an integer."""
+    common = gcd(num, den)
+    if common == den:
+        return str(num // common)
+    return f"{num // common}/{den // common}"
 
 
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction as ``num/den``, or just ``num`` for integers."""
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return ratio_text(value.numerator, value.denominator)
 
 
-def format_fixed(value: Fraction, places: int = 2) -> str:
-    """Render a Fraction with a fixed number of decimal places.
+def fixed_text(num: int, den: int, places: int = 2) -> str:
+    """Render num/den, den > 0, with ``places`` decimal places.
 
-    Rounding is exact half-to-even on the rational value, so e.g. 3/8
-    formats to ``0.38`` at two places. It works on the magnitude in
-    integers, ``divmod(|num|·10^places, den)``, which rounds the same way
-    on both sides of zero; a value that rounds to zero has no sign.
+    The integer core of :func:`format_fixed`: it rounds the magnitude,
+    ``divmod(|num|·10^places, den)``, half to even, which rounds the same
+    way on both sides of zero; a value that rounds to zero has no sign.
     """
-    if places < 0:
-        raise ValueError(f"places must be >= 0, got {places}")
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    num, den = value.numerator, value.denominator
     units, rest = divmod(abs(num) * 10**places, den)
     if 2 * rest > den or (2 * rest == den and units % 2):
         units += 1
@@ -39,4 +42,18 @@ def format_fixed(value: Fraction, places: int = 2) -> str:
     if places == 0:
         return f"{sign}{units}"
     whole, frac = divmod(units, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return "%s%d.%0*d" % (sign, whole, places, frac)
+
+
+def format_fixed(value: Fraction, places: int = 2) -> str:
+    """Render a Fraction with a fixed number of decimal places.
+
+    Rounding is exact half-to-even on the rational value, so e.g. 3/8
+    formats to ``0.38`` at two places; :func:`fixed_text` does it on the
+    value's numerator and denominator.
+    """
+    if places < 0:
+        raise ValueError(f"places must be >= 0, got {places}")
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return fixed_text(value.numerator, value.denominator, places)

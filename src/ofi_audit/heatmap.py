@@ -13,8 +13,7 @@ from typing import Iterator
 from xml.sax.saxutils import escape
 
 from .audit import PairwiseMatrix
-from .formatting import format_fixed
-from .metrics import DiScore
+from .formatting import fixed_text
 
 
 CELL_SIZE = 64
@@ -102,31 +101,39 @@ def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
     # the diverging palette runs from the center color outward, linear in
     # the value and clamped at the palette edges
     low, mid, high = (_hex_to_rgb(c) for c in (LOW_COLOR, MID_COLOR, HIGH_COLOR))
-    text_xs = [f"{left + j * cell + cell / 2:.1f}" for j in range(size)]
-    for i, row in enumerate(matrix.cells):
+    palette: dict[Rgb, tuple[str, str]] = {}  # fill and text color of each mix
+    # the x attributes are the same down a column, the y attributes along a
+    # row; a cell fills in its two x, its fill, its text color and its text
+    columns = [(left + j * cell, f"{left + j * cell + cell / 2:.1f}") for j in range(size)]
+    for i, row in enumerate(matrix.integer_rows()):
         y = top + i * cell
-        text_y = f"{y + cell / 2 + FONT_SIZE / 3:.1f}"
+        template = (
+            f'  <rect class="cell" x="%d" y="{y}" width="{cell}" '
+            f'height="{cell}" fill="%s" stroke="#ffffff" stroke-width="1"/>\n'
+            f'  <text class="cell-value" x="%s" y="{y + cell / 2 + FONT_SIZE / 3:.1f}" '
+            f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
+            f'text-anchor="middle" fill="%s">%s</text>\n'
+        )
         parts = []
-        for j, value in enumerate(row):
-            if isinstance(value, DiScore):
-                value = value.value
-            if value is None:  # a zero-denominator DI
-                fill = "url(#undef-hatch)"
-                text = "undef"
-                text_color = "#333333"
+        for (rect_x, text_x), (num, den) in zip(columns, row):
+            if den == 0:  # a DI cell: contextual when both rates are zero
+                if num:
+                    parts.append(template % (rect_x, "url(#undef-hatch)", text_x, "#333333", "undef"))
+                    continue
+                num = den = 1
+            t = (num / den - center) / span
+            if t < 0:
+                rgb = _mix(mid, low, 1.0 if t < -1.0 else -t)
             else:
-                t = max(-1.0, min(1.0, (value.numerator / value.denominator - center) / span))
-                rgb = _mix(mid, low, -t) if t < 0 else _mix(mid, high, t)
-                fill = "#{:02x}{:02x}{:02x}".format(*rgb)
-                text = format_fixed(value, VALUE_PLACES)
-                text_color = "#ffffff" if _is_dark(rgb) else "#1a1a1a"
-            parts.append(
-                f'  <rect class="cell" x="{left + j * cell}" y="{y}" width="{cell}" '
-                f'height="{cell}" fill="{fill}" stroke="#ffffff" stroke-width="1"/>\n'
-                f'  <text class="cell-value" x="{text_xs[j]}" y="{text_y}" '
-                f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
-                f'text-anchor="middle" fill="{text_color}">{text}</text>\n'
-            )
+                rgb = _mix(mid, high, 1.0 if t > 1.0 else t)
+            colors = palette.get(rgb)
+            if colors is None:
+                colors = palette[rgb] = (
+                    "#%02x%02x%02x" % rgb, "#ffffff" if _is_dark(rgb) else "#1a1a1a"
+                )
+            parts.append(template % (
+                rect_x, colors[0], text_x, colors[1], fixed_text(num, den, VALUE_PLACES)
+            ))
         yield "".join(parts)
     yield "</svg>\n"
 

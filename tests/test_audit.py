@@ -1,8 +1,11 @@
 """Pairwise grids, diagnosis logic and report serialization."""
 
+import csv
+import io
 import itertools
 import json
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,8 @@ from ofi_audit.audit import (
     parse_report,
     serialize_report,
 )
+from ofi_audit.formatting import format_fixed
+from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, render_heatmap
 from ofi_audit.ingestion import GroupTable, PredictionRecord, aggregate
 from ofi_audit.metrics import (
     BiasVerdict,
@@ -54,6 +59,16 @@ def grids(table, order=None):
 
 SCENARIO_A = {"i": BinaryConfusion(1, 0, 0, 5), "j": BinaryConfusion(7, 0, 1, 10)}
 SCENARIO_B = {"i": BinaryConfusion(0, 1, 0, 5), "j": BinaryConfusion(0, 7, 0, 11)}
+# sizes near 10^12 and 10^13: "base" against "edge" has OFI exactly -3/10
+# and against "four_fifths" DI exactly 5/4; "none" predicts no one
+ON_EDGE_HUGE = {
+    "base": BinaryConfusion(234_566_791_225, 98_765_432_101, 222_222_221_118, 444_445_555_595),
+    "edge": BinaryConfusion(2_098_754_343_137, 1_234_567_890_123, 5_469_135_780_410,
+                            1_197_541_986_720),
+    "four_fifths": BinaryConfusion(333_328_893_307, 876_543_210_987, 1_493_827_156_065,
+                                   2_296_300_739_836),
+    "none": BinaryConfusion(0, 333_333_333_331, 0, 666_666_666_697),
+}
 
 
 class TestPairwise:
@@ -118,7 +133,9 @@ class TestPairwise:
         assert grids(three, ("i", "j"))[0].group_order == ("i", "j")
 
 
-counts = st.integers(min_value=0, max_value=6)
+# small counts meet thresholds and rounding ties exactly; counts up to
+# 10^15 take a cell's integer parts past 2^63
+counts = st.one_of(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=10**15))
 # a group with no positive prediction makes contextual and undefined DI cells
 group_cms = st.one_of(
     st.builds(BinaryConfusion, counts, counts, counts, counts),
@@ -155,16 +172,59 @@ class TestGridMatchesTwoGroupMetrics:
             ("c", "a", "b"),
         )
     )
+    @example((GroupTable(ON_EDGE_HUGE, total_of(ON_EDGE_HUGE.values())),
+              ("none", "four_fifths", "base", "edge")))
+    # OFI 1/8 and 3/8 round half to even at two places: 0.12 and 0.38
+    @example((table_from({"a": BinaryConfusion(0, 0, 1, 7), "b": BinaryConfusion(0, 0, 3, 5),
+                          "c": BinaryConfusion(5, 0, 0, 5)}), ("c", "b", "a")))
     def test_every_cell_equals_the_two_group_function(self, case):
         table, caller_order = case
         for order in (None, caller_order):
             ofi_grid, di_grid = grids(table, order)
             names = ofi_grid.group_order
             assert names == (order or tuple(sorted(table.groups)))
-            for gi, gj in itertools.product(names, repeat=2):
-                cm_i, cm_j = table.groups[gi], table.groups[gj]
-                assert ofi_grid.value_at(gi, gj) == ofi(cm_i, cm_j)
-                assert di_grid.value_at(gi, gj) == disparate_impact(cm_i, cm_j)
+            doc = json.loads(serialize_report(build_report(table, AuditConfig(group_order=order))))
+            for grid, two_group, text in ((ofi_grid, ofi, str), (di_grid, disparate_impact, di_text)):
+                expected = [[two_group(table.groups[gi], table.groups[gj]) for gj in names]
+                            for gi in names]
+                assert grid.cells == tuple(map(tuple, expected))
+                for (i, gi), (j, gj) in itertools.product(enumerate(names), repeat=2):
+                    assert grid.value_at(gi, gj) == expected[i][j]
+                texts = [[text(value) for value in row] for row in expected]
+                assert doc["grids"][grid.metric] == texts
+                header, *rows = csv.reader(io.StringIO(grid_to_csv(grid)))
+                assert header == ["group", *names]
+                assert rows == [[gi, *row] for gi, row in zip(names, texts)]
+                assert heatmap_cells(grid) == [
+                    reference_heatmap_cell(grid.metric, value) for row in expected for value in row
+                ]
+
+
+def heatmap_cells(grid) -> list[tuple[str, str]]:
+    # each SVG cell's text and fill, row by row
+    root = ElementTree.fromstring(render_heatmap(grid))
+    fills = [el.get("fill") for el in root.iter() if el.get("class") == "cell"]
+    texts = [el.text for el in root.iter() if el.get("class") == "cell-value"]
+    return list(zip(texts, fills, strict=True))
+
+
+def reference_heatmap_cell(metric: str, value) -> tuple[str, str]:
+    # the heatmap's rule as it was written per Fraction: a float position
+    # on the diverging palette, clamped at its edges, and the text rounded
+    # from the exact value
+    if metric == "di":
+        value = value.value
+    if value is None:
+        return "undef", "url(#undef-hatch)"
+    center, span = (1.0, 1.0) if metric == "di" else (0.0, 2.0)
+    t = max(-1.0, min(1.0, (value.numerator / value.denominator - center) / span))
+    edge, t = (LOW_COLOR, -t) if t < 0 else (HIGH_COLOR, t)
+    rgb = [round(m + (e - m) * t) for m, e in zip(rgb_of(MID_COLOR), rgb_of(edge))]
+    return format_fixed(value, 2), "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def rgb_of(color: str) -> list[int]:
+    return [int(color[k:k + 2], 16) for k in (1, 3, 5)]
 
 
 # thresholds and band edges that the small tables above hit exactly, and
@@ -212,6 +272,7 @@ class TestVerdictsMatchFractionVerdicts:
     @example((table_from(ON_EDGE), AuditConfig()))
     @example((table_from(ON_WIDE_EDGE), AuditConfig(Fraction(1, 4), Fraction(1, 2), 2)))
     @example((table_from(ZERO_RATES), AuditConfig()))
+    @example((GroupTable(ON_EDGE_HUGE, total_of(ON_EDGE_HUGE.values())), AuditConfig()))
     def test_every_pair_equals_the_fraction_verdicts(self, case):
         table, config = case
         threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
@@ -343,6 +404,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="schema must be 2, got 1"):
             parse_report(json.dumps(doc))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["grids"]["ofi"][0].__setitem__(1, "1/19"),
+         "report ofi grid cell ('i', 'j') is '1/19', but the group metrics give '-1/18'"),
+        (lambda doc: doc["grids"]["di"][1].__setitem__(0, "3/8"),
+         "report di grid cell ('j', 'i') is '3/8', but the group metrics give '8/3'"),
+        (lambda doc: doc["pairs"][1].__setitem__(3, "no_bias_indicated"),
+         "report pair 1 is ['j', 'i', 'no_bias_indicated', 'no_bias_indicated', "
+         "'systemic_disparity'], but the group metrics give ['j', 'i', 'no_bias_indicated', "
+         "'bias_toward_first', 'systemic_disparity']"),
+    ], ids=["ofi-cell", "di-cell", "pair-verdict"])
+    def test_rejects_grids_and_pairs_the_group_metrics_do_not_give(self, edit, message):
+        # both are derived from the group metrics and the config on read,
+        # so an edited cell or verdict would otherwise be silently rewritten
+        doc = json.loads(serialize_report(build_report(table_from(SCENARIO_A))))
+        edit(doc)
+        with pytest.raises(ValueError) as raised:
+            parse_report(json.dumps(doc))
+        assert str(raised.value) == message
+
     def test_round_trip_zero_denominator(self):
         table = table_from(
             {"i": BinaryConfusion(1, 0, 0, 5), "j": BinaryConfusion(0, 7, 0, 11)}
@@ -413,18 +493,10 @@ def reference_doc(report) -> dict:
     }
 
 
-big_counts = st.one_of(st.integers(0, 6), st.integers(0, 10**15))
-# no positive prediction (tp = fp = 0) makes undefined and contextual DI
-wide_cms = st.one_of(
-    st.builds(BinaryConfusion, big_counts, big_counts, big_counts, big_counts),
-    st.builds(BinaryConfusion, st.just(0), big_counts, st.just(0), big_counts),
-).filter(lambda cm: cm.n > 0)
-
-
 @st.composite
 def named_audits(draw):
     names = draw(st.lists(st.text(), min_size=2, max_size=6, unique=True))
-    cms = draw(st.lists(wide_cms, min_size=len(names), max_size=len(names)))
+    cms = draw(st.lists(group_cms, min_size=len(names), max_size=len(names)))
     table = GroupTable(groups=dict(zip(names, cms)), total=total_of(cms))
     order = tuple(draw(st.permutations(names)))
     order = order[: draw(st.integers(min_value=2, max_value=len(order)))]

@@ -68,6 +68,22 @@ class TestScenario:
         assert code == 1
         assert "[scenario]" in err
 
+    @pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
+    @pytest.mark.parametrize("flag, label", [
+        ("--ofi-threshold", "OFI threshold"),
+        ("--di-low", "DI low edge"),
+        ("--di-high", "DI high edge"),
+    ])
+    def test_threshold_past_the_digit_limit_fails(self, capsys, flag, label, value):
+        # the verdict lines write each threshold as its exact text, which
+        # Python caps at 4300 digits by default
+        code, out, err = run(capsys, "scenario", "1", "0", "0", "5", "7", "0", "1", "10",
+                             flag, value)
+        assert (code, err) == (
+            1, f"error [scenario]: {label} has more than {sys.get_int_max_str_digits()} digits\n"
+        )
+        assert "verdict" not in out
+
 
 class TestAudit:
     def test_scenario_a_fixture(self, capsys, fixtures_dir, tmp_path):

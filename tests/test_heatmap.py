@@ -71,21 +71,16 @@ def test_undefined_di_is_hatched():
 
 
 def test_extreme_values_clamp_to_palette_edges():
-    grid = PairwiseMatrix(
-        metric="ofi",
-        group_order=("a", "b"),
-        cells=(
-            (Fraction(0), Fraction(2)),
-            (Fraction(-2), Fraction(0)),
-        ),
-    )
+    # marginal benefits 1 and -1 give the OFI cells 2 and -2
+    grid = PairwiseMatrix(metric="ofi", group_order=("a", "b"), scores=(Fraction(1), Fraction(-1)))
+    assert grid.cells == ((0, 2), (-2, 0))
     svg = render_heatmap(grid)
     fills = {el.get("fill") for el in svg_elements(svg, "cell")}
     assert HIGH_COLOR in fills and LOW_COLOR in fills
 
 
 def test_empty_matrix_rejected():
-    empty = PairwiseMatrix(metric="ofi", group_order=(), cells=())
+    empty = PairwiseMatrix(metric="ofi", group_order=(), scores=())
     with pytest.raises(ValueError):
         render_heatmap(empty)
 

@@ -20,7 +20,10 @@ half, and whose groups include two with a zero positive-prediction rate
 (undefined and contextual DI cells). A wide table of 44 groups, whose
 1892 pairs span more than one of the report's pair batches, has names
 that each format must escape: JSON (quote, backslash, non-ASCII, a quoted
-U+2028), CSV (comma, quote) and XML (ampersand, angle bracket).
+U+2028), CSV (comma, quote) and XML (ampersand, angle bracket). A huge
+table, too large for a CSV, is rendered through the library: its group
+sizes near 10^12 take a cell's denominator past 2^53 and 2^63, which pins
+the float palette position and the rounding where no other case reaches.
 """
 
 import csv
@@ -30,7 +33,10 @@ import json
 
 import pytest
 
+from ofi_audit.audit import build_report, grid_to_csv, serialize_report
 from ofi_audit.cli import main
+from ofi_audit.heatmap import render_heatmap
+from ofi_audit.ingestion import GroupTable
 from ofi_audit.metrics import BinaryConfusion
 
 FIXTURE_ARGS = {
@@ -67,6 +73,25 @@ WIDE = {
         0 if i % 7 == 3 else (3 * i) % 9, 1 + (13 * i) % 17,
     )
     for i, name in enumerate(ESCAPED_NAMES + [f"g{i:02d}" for i in range(35)])
+}
+
+# sizes near 10^12 (8·10^12 and 10^13 for "eighth" and "edge"); against
+# "base": "eighth" has OFI 1/8 (0.12, a tie), "edge" OFI 3/10, "four_fifths"
+# DI 4/5, "near_zero" an OFI that rounds to 0.00; "none_a" and "none_b"
+# predict no one
+HUGE = {
+    "base": BinaryConfusion(234_566_791_225, 98_765_432_101, 222_222_221_118, 444_445_555_595),
+    "eighth": BinaryConfusion(1_901_225_676_737, 765_432_109_871, 2_753_086_422_046,
+                              2_580_255_791_658),
+    "edge": BinaryConfusion(2_098_754_343_137, 1_234_567_890_123, 5_469_135_780_410,
+                            1_197_541_986_720),
+    "four_fifths": BinaryConfusion(333_328_893_307, 876_543_210_987, 1_493_827_156_065,
+                                   2_296_300_739_836),
+    "near_zero": BinaryConfusion(234_566_791_220, 98_765_432_111, 222_222_221_128,
+                                 444_445_555_582),
+    "none_a": BinaryConfusion(0, 333_333_333_331, 0, 666_666_666_697),
+    "none_b": BinaryConfusion(0, 499_999_999_989, 0, 500_000_000_017),
+    "odd": BinaryConfusion(99_090_273_723, 314_159_265_359, 42_331_082_514, 544_419_378_393),
 }
 
 OUTPUTS = ("report.json", "ofi.svg", "di.svg", "grid.ofi.csv", "grid.di.csv")
@@ -156,6 +181,13 @@ DIGESTS = {
         "grid.ofi.csv": "5824a5d5244b893c5f3637f4a100b15bce6e1b95631109b5ed35b9592a430547",
         "grid.di.csv": "ad187588e1efdb805c2b740a8307a0be219f79ecd0c46aef0e24ef533a0d784c",
     },
+    "huge": {
+        "report.json": "620c24782292736d4f12eb3442dac79456563981f35cd15b331bc003de9dbba1",
+        "ofi.svg": "f3e46280904a25de0409a86489fa8eec327a2c685bb84789740e594cf78251d3",
+        "di.svg": "156e8d63b55e89e7137175ff03dec21471c11ff7a47d6936a9b254886a8ea1f6",
+        "grid.ofi.csv": "ab8469361250d059c11cd2bcb29853ca43f4176652d4b53c5a0035c206477b36",
+        "grid.di.csv": "5d1c8f623e8bf3de25c9ad3f7aae5a0c679ba5f0356fe9ba7dcaf952b562625c",
+    },
 }
 
 
@@ -223,6 +255,20 @@ def test_report_cells_are_the_grid_csv_cells(capsys, tmp_path, fixtures_dir, cas
         assert [row[0] for row in rows] == doc["group_order"]
         # grids.<metric>[i][j] is cell (i + 1, j + 1) of the CSV
         assert [row[1:] for row in rows] == doc["grids"][metric]
+
+
+def test_huge_counts_match_pinned_digests():
+    total = BinaryConfusion(*(sum(getattr(cm, cell) for cm in HUGE.values())
+                              for cell in ("tp", "fn", "fp", "tn")))
+    report = build_report(GroupTable(groups=HUGE, total=total))
+    outputs = {
+        "report.json": serialize_report(report),
+        "ofi.svg": render_heatmap(report.ofi_grid),
+        "di.svg": render_heatmap(report.di_grid),
+        "grid.ofi.csv": grid_to_csv(report.ofi_grid),
+        "grid.di.csv": grid_to_csv(report.di_grid),
+    }
+    assert {name: sha256_text(text) for name, text in outputs.items()} == DIGESTS["huge"]
 
 
 # n -> (stdout, stderr); 2047 and 2048 give 4095 and 4097 rows, one
