@@ -9,7 +9,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .formatting import format_fraction, ratio_text
 from .ingestion import GroupTable
@@ -26,7 +26,6 @@ from .metrics import (
     expected_benefit,
     marginal_benefit,
     ofi_rule,
-    ofi_verdict,
 )
 
 
@@ -43,26 +42,14 @@ class Diagnosis(Enum):
 
 
 def _diagnosis(ofi_v: BiasVerdict, di_v: BiasVerdict) -> Diagnosis:
+    # an OFI flag means the decision procedure itself is biased; otherwise
+    # a DI flag points at a disparity from outside the procedure (e.g. in
+    # the underlying rates); no flag from either rule is no finding
     if ofi_v is not BiasVerdict.NO_BIAS_INDICATED:
         return Diagnosis.ALGORITHMIC_BIAS
     if di_v in (BiasVerdict.BIAS_TOWARD_FIRST, BiasVerdict.BIAS_TOWARD_SECOND):
         return Diagnosis.SYSTEMIC_DISPARITY
     return Diagnosis.NO_FINDING
-
-
-def diagnose(
-    ofi_value: Fraction,
-    di_verdict: BiasVerdict,
-    threshold: Fraction = DEFAULT_OFI_THRESHOLD,
-) -> Diagnosis:
-    """Three-way diagnosis for a pair.
-
-    |OFI| above the threshold means the decision procedure itself is
-    biased. Otherwise a DI flag points at a disparity that originates
-    outside the procedure (e.g. in the underlying rates). No flag from
-    either rule is no finding. The OFI half is :func:`ofi_verdict`.
-    """
-    return _diagnosis(ofi_verdict(ofi_value, threshold), di_verdict)
 
 
 def _cell_row(
@@ -245,14 +232,16 @@ def _verdict_rows(
         ]
 
 
-def _group_order(table: GroupTable, group_order: tuple[str, ...] | None) -> tuple[str, ...]:
-    names = tuple(group_order) if group_order else tuple(sorted(table.groups))
+def _group_order(available: Collection[str], group_order: Iterable[str]) -> tuple[str, ...]:
+    # the groups of a report, checked against the names that have counts
+    # or metrics
+    names = tuple(group_order)
     if len(names) < 2:
         raise InsufficientGroupsError(
             f"pairwise ofi needs at least 2 groups, have {len(names)}"
         )
     for index, name in enumerate(names):
-        if name not in table.groups:
+        if name not in available:
             raise ValueError(f"unknown group {name!r}")
         if name in names[:index]:
             raise ValueError(f"duplicate group {name!r} in group order")
@@ -275,7 +264,7 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
     for B = a/m, DI is (c_i·n_j)/(c_j·n_i) for b = c/n.
     """
     config = config or AuditConfig()
-    names = _group_order(table, config.group_order)
+    names = _group_order(table.groups, config.group_order or sorted(table.groups))
     group_metrics = {}
     for name in names:
         cm = table.groups[name]
@@ -435,14 +424,16 @@ def _check_derived(doc: dict, report: AuditReport) -> None:
 def parse_report(text: str) -> AuditReport:
     """Rebuild an AuditReport from :func:`serialize_report` output.
 
-    Only schema 2 is read; a report of any other schema raises ValueError.
-    The report is rebuilt from its group metrics and config, and a grid
-    cell or pair that differs from what they give raises ValueError.
+    Only schema 2 is read. The report is rebuilt from its group metrics
+    and config. ValueError is raised for any other schema, for a group
+    order that :func:`build_report` would refuse, for the metrics of a
+    group outside that order or with expected_benefit other than
+    benefit - marginal_benefit, and for a grid cell or pair that differs
+    from what the group metrics and config give.
     """
     doc = json.loads(text)
     if doc.get("schema") != _SCHEMA:
         raise ValueError(f"report schema must be {_SCHEMA}, got {doc.get('schema')!r}")
-    names = tuple(doc["group_order"])
     config_doc = doc["config"]
     config = AuditConfig(
         ofi_threshold=Fraction(config_doc["ofi_threshold"]),
@@ -460,6 +451,17 @@ def parse_report(text: str) -> AuditReport:
         )
         for name, gm in doc["group_metrics"].items()
     }
+    names = _group_order(group_metrics, doc["group_order"])
+    extra = group_metrics.keys() - names
+    if extra:
+        raise ValueError(f"report has group metrics for groups not in its order: {sorted(extra)}")
+    for name, gm in group_metrics.items():
+        if gm.expected_benefit != gm.benefit - gm.marginal_benefit:
+            raise ValueError(
+                f"report group {name!r} has expected_benefit {format_fraction(gm.expected_benefit)}, "
+                "but benefit - marginal_benefit is "
+                f"{format_fraction(gm.benefit - gm.marginal_benefit)}"
+            )
     ofi_grid, di_grid = _grids(names, group_metrics)
     report = AuditReport(
         record_count=doc["dataset"]["record_count"],
@@ -474,7 +476,12 @@ def parse_report(text: str) -> AuditReport:
 
 
 def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
-    """Yield :func:`grid_to_csv`'s text one line at a time."""
+    """Render a grid as CSV, one line at a time, with the group order as
+    header row and column.
+
+    Cells are exact: Fractions as num/den text, undefined DI as "undef"
+    and contextual DI as "1 (contextual)".
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
 
@@ -488,12 +495,3 @@ def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
     yield line(["group", *matrix.group_order])
     for name, row in zip(matrix.group_order, matrix._text_rows()):
         yield line([name, *row])
-
-
-def grid_to_csv(matrix: PairwiseMatrix) -> str:
-    """Render a grid as CSV with the group order as header row and column.
-
-    Cells are exact: Fractions as num/den text, undefined DI as "undef"
-    and contextual DI as "1 (contextual)".
-    """
-    return "".join(grid_csv_chunks(matrix))

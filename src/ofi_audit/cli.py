@@ -32,7 +32,6 @@ from .ingestion import (
     aggregate,
     flip_polarity,
     iter_records,
-    parse_records,
 )
 from .metrics import (
     BinaryConfusion,
@@ -210,7 +209,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 if args.sample is None:
                     table = aggregate(iter_records(handle, schema, args.delimiter))
                 else:
-                    records = parse_records(handle, schema, args.delimiter)
+                    records = list(iter_records(handle, schema, args.delimiter))
             except UnicodeDecodeError as exc:
                 return _fail("parse", _decode_error_text(exc, handle))
             except ValueError as exc:

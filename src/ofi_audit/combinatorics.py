@@ -9,15 +9,16 @@ set of all such quadruples this module provides
   (:func:`count_value`) and the total number of quadruples is
   ``(n+1)(n+2)(n+3)/6`` (:func:`total_combinations`),
 * the exact multiplicity of every marginal-benefit score ``(fp - fn)/n``,
-  in closed form and O(n) without enumeration
-  (:func:`marginal_benefit_distribution`), written as CSV text in
-  fixed-size chunks (:meth:`ScoreDistribution.csv_chunks`), and
+  in closed form and O(n) without enumeration (:func:`pair_score_counts`,
+  wrapped by :func:`marginal_benefit_distribution`), written as CSV text
+  in fixed-size chunks (:meth:`ScoreDistribution.csv_chunks`), and
 * the distribution's exact moments: mean 0, variance ``(n+4)/(10n)``
   (:func:`b_stats`).
 
 Every closed form is checked against full enumeration by the test suite
 and by the ``verify`` CLI subcommand; :mod:`ofi_audit.exhaustive` holds the
-enumeration-based reference computations, and
+enumeration-based reference computations, its numpy enumeration kernel
+included, and
 :mod:`ofi_audit.verification` the count identities that only it checks.
 """
 
@@ -29,8 +30,6 @@ from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
-
-from . import _kernels
 
 #: Standard deviation of a symmetric triangular distribution on [-1, 1].
 TRIANGULAR_STD = 1 / math.sqrt(6)
@@ -131,11 +130,31 @@ class ScoreDistribution:
             yield "".join(f"{num},{den},{mult}\n" for num, den, mult in rows)
 
 
+def pair_score_counts(n: int) -> np.ndarray:
+    """Multiplicity of every score difference fp - fn over all quadruples
+    with cell sum n, indexed d + n, in closed form, as int64.
+
+    The pairs (fp, fn) with fp - fn = d have fp + fn = |d| + 2k for
+    k < m = (n - |d|)//2 + 1, and each leaves n - fp - fn + 1 completions
+    for (tp, tn). Summing over k gives m(n + 1 - |d|) - m(m - 1), which
+    is m(n + 2 - |d| - m); it is computed in place in two arrays.
+    """
+    a = np.arange(-n, n + 1, dtype=np.int64)
+    np.abs(a, out=a)
+    m = n - a
+    m //= 2
+    m += 1
+    np.subtract(n + 2, a, out=a)
+    a -= m
+    a *= m
+    return a
+
+
 def marginal_benefit_distribution(n: int) -> ScoreDistribution:
     """Distribution of the marginal-benefit score over all quadruples.
 
     Computed in closed form without enumerating quadruples (see
-    :func:`ofi_audit._kernels.pair_score_counts`), in O(n) time and memory.
+    :func:`pair_score_counts`), in O(n) time and memory.
     Raises ValueError for n outside [1, DIST_MAX].
     """
     _require_positive(n)
@@ -143,7 +162,7 @@ def marginal_benefit_distribution(n: int) -> ScoreDistribution:
         raise ValueError(
             f"n must be <= {DIST_MAX}, got {n}; the total count would overflow int64"
         )
-    return ScoreDistribution(n=n, counts=_kernels.pair_score_counts(n))
+    return ScoreDistribution(n=n, counts=pair_score_counts(n))
 
 
 @dataclass(frozen=True)

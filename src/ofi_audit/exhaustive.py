@@ -8,9 +8,10 @@ subcommand).
 Two routes give the same :class:`Enumeration` record. :func:`stream`
 walks the tuple stream from :func:`ofi_audit.combinatorics.enumerate_cms`
 once and applies the exact metric to each quadruple; it is pure Python
-and practical up to n of a few dozen. :func:`enumeration` runs the numpy
-kernel :func:`ofi_audit._kernels.enum_stats` and handles n in the
-hundreds; it is itself checked against the stream route.
+and practical up to n of a few dozen. :func:`enumeration` runs the int64
+numpy kernel :func:`enum_stats`, which masks the (fn, fp) plane per tp
+and handles n in the hundreds; it is itself checked against the stream
+route.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .combinatorics import ScoreDistribution, enumerate_cms
 from .metrics import BinaryConfusion, marginal_benefit
 
@@ -52,10 +52,44 @@ class Enumeration:
         )
 
 
+def enum_stats(n: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    """Every enumeration fact about the quadruples with cell sum n, from
+    one pass over them.
+
+    Returns ``(count, cell_counts, score_counts, total, total_sq)``:
+    the number of quadruples; ``cell_counts[c, x]``, how many have cell c
+    equal to x, shape (4, n + 1) with cells ordered (tp, fn, fp, tn);
+    ``score_counts[d + n]``, how many have fp - fn = d; and the sum and
+    sum of squares of fp - fn as Python ints.
+    """
+    count = 0
+    cell_counts = np.zeros((4, n + 1), dtype=np.int64)
+    score_counts = np.zeros(2 * n + 1, dtype=np.int64)
+    total = 0
+    total_sq = 0
+    r = np.arange(n + 1, dtype=np.int64)
+    for tp in range(n + 1):
+        m = n - tp
+        fn_axis, fp_axis = r[: m + 1, None], r[None, : m + 1]
+        valid = fn_axis + fp_axis <= m
+        fn = np.broadcast_to(fn_axis, valid.shape)[valid]
+        fp = np.broadcast_to(fp_axis, valid.shape)[valid]
+        d = fp - fn
+        count += d.size
+        cell_counts[0, tp] += d.size
+        cell_counts[1] += np.bincount(fn, minlength=n + 1)
+        cell_counts[2] += np.bincount(fp, minlength=n + 1)
+        cell_counts[3] += np.bincount(m - fn - fp, minlength=n + 1)
+        score_counts += np.bincount(d + n, minlength=2 * n + 1)
+        total += int(d.sum())
+        total_sq += int((d * d).sum())
+    return count, cell_counts, score_counts, total, total_sq
+
+
 def enumeration(n: int) -> Enumeration:
     """The record from one pass of the numpy enumeration kernel; the
     moments come from the integer sums of d and d^2."""
-    count, cell_counts, score_counts, total, total_sq = _kernels.enum_stats(n)
+    count, cell_counts, score_counts, total, total_sq = enum_stats(n)
     mean = Fraction(total, count * n)
     variance = Fraction(total_sq, count * n * n) - mean**2
     return Enumeration(

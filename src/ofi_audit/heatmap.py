@@ -50,8 +50,8 @@ def _is_dark(rgb: Rgb) -> bool:
 
 
 def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
-    """Yield :func:`render_heatmap`'s text: the header and axis labels,
-    then one piece per grid row.
+    """Render a pairwise grid as an SVG document, yielded in pieces: the
+    header and axis labels, then one piece per grid row.
     """
     names = matrix.group_order
     if not names:
@@ -136,8 +136,3 @@ def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
             ))
         yield "".join(parts)
     yield "</svg>\n"
-
-
-def render_heatmap(matrix: PairwiseMatrix) -> str:
-    """Render a pairwise grid as an SVG document string."""
-    return "".join(heatmap_chunks(matrix))

@@ -129,15 +129,6 @@ def iter_records(
         raise EmptyDatasetError("no data rows after the header")
 
 
-def parse_records(
-    source: Iterable[str],
-    schema: ColumnSchema | None = None,
-    delimiter: str = ",",
-) -> list[PredictionRecord]:
-    """All records of ``source`` as a list, in row order (see iter_records)."""
-    return list(iter_records(source, schema, delimiter))
-
-
 def _csv_error(reader, exc: csv.Error) -> ValueError:
     return ValueError(f"CSV line {reader.line_num}: {exc}")
 

@@ -37,7 +37,7 @@ from ofi_audit.combinatorics import (
     total_combinations,
 )
 from ofi_audit.formatting import format_fixed
-from ofi_audit.ingestion import PredictionRecord, aggregate, flip_polarity, parse_records
+from ofi_audit.ingestion import PredictionRecord, aggregate, flip_polarity, iter_records
 from ofi_audit.metrics import (
     BinaryConfusion,
     DiKind,
@@ -219,7 +219,7 @@ def test_pipeline_round_trip(fixtures_dir, tmp_path):
     ok = code == 0
 
     lines = fixture.read_text().splitlines()
-    records = parse_records(lines)
+    records = list(iter_records(lines))
     ok = ok and len(records) == 24
     direct = build_report(aggregate(records))
     from_cli = parse_report(report_path.read_text())

@@ -15,21 +15,20 @@ from ofi_audit.audit import (
     AuditConfig,
     Diagnosis,
     InsufficientGroupsError,
+    _diagnosis,
     build_report,
-    diagnose,
-    grid_to_csv,
+    grid_csv_chunks,
     parse_report,
     serialize_report,
 )
 from ofi_audit.formatting import format_fixed
-from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, render_heatmap
+from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, heatmap_chunks
 from ofi_audit.ingestion import GroupTable, PredictionRecord, aggregate
 from ofi_audit.metrics import (
     BiasVerdict,
     BinaryConfusion,
     DiKind,
     DiScore,
-    ThresholdError,
     disparate_impact,
     four_fifths_verdict,
     ofi,
@@ -192,7 +191,7 @@ class TestGridMatchesTwoGroupMetrics:
                     assert grid.value_at(gi, gj) == expected[i][j]
                 texts = [[text(value) for value in row] for row in expected]
                 assert doc["grids"][grid.metric] == texts
-                header, *rows = csv.reader(io.StringIO(grid_to_csv(grid)))
+                header, *rows = csv.reader(io.StringIO("".join(grid_csv_chunks(grid))))
                 assert header == ["group", *names]
                 assert rows == [[gi, *row] for gi, row in zip(names, texts)]
                 assert heatmap_cells(grid) == [
@@ -202,7 +201,7 @@ class TestGridMatchesTwoGroupMetrics:
 
 def heatmap_cells(grid) -> list[tuple[str, str]]:
     # each SVG cell's text and fill, row by row
-    root = ElementTree.fromstring(render_heatmap(grid))
+    root = ElementTree.fromstring("".join(heatmap_chunks(grid)))
     fills = [el.get("fill") for el in root.iter() if el.get("class") == "cell"]
     texts = [el.text for el in root.iter() if el.get("class") == "cell-value"]
     return list(zip(texts, fills, strict=True))
@@ -255,6 +254,16 @@ def fraction_verdict(value, low, high):
     return BiasVerdict.NO_BIAS_INDICATED
 
 
+def fraction_diagnosis(ofi_value, di_verdict, threshold):
+    # the paper's three-way reading of a pair: |OFI| past the threshold is
+    # algorithmic bias, else a DI flag is systemic disparity
+    if abs(ofi_value) > threshold:
+        return Diagnosis.ALGORITHMIC_BIAS
+    if di_verdict in (BiasVerdict.BIAS_TOWARD_FIRST, BiasVerdict.BIAS_TOWARD_SECOND):
+        return Diagnosis.SYSTEMIC_DISPARITY
+    return Diagnosis.NO_FINDING
+
+
 # on the exact edge: OFI 3/10 and -3/10 against 3/10, DI 4/5 and 5/4
 ON_EDGE = {"a": BinaryConfusion(1, 0, 3, 6), "b": BinaryConfusion(5, 0, 0, 5)}
 # OFI ±1/4, DI 1/2 and 2
@@ -285,7 +294,7 @@ class TestVerdictsMatchFractionVerdicts:
             ofi_value, di = ofi(cm_i, cm_j), disparate_impact(cm_i, cm_j)
             assert p.ofi_verdict == ofi_verdict(ofi_value, threshold)
             assert p.di_verdict == four_fifths_verdict(di, low, high)
-            assert p.diagnosis == diagnose(ofi_value, p.di_verdict, threshold)
+            assert p.diagnosis == fraction_diagnosis(ofi_value, p.di_verdict, threshold)
             assert p.ofi_verdict == fraction_verdict(ofi_value, -threshold, threshold)
             assert p.di_verdict == fraction_verdict(di.value, low, high)
 
@@ -293,17 +302,11 @@ class TestVerdictsMatchFractionVerdicts:
 class TestDiagnose:
     def test_truth_table(self):
         threshold = Fraction(3, 10)
-        flagged = {BiasVerdict.BIAS_TOWARD_FIRST, BiasVerdict.BIAS_TOWARD_SECOND}
         ofi_values = [Fraction(0), Fraction(3, 10), Fraction(-3, 10),
                       Fraction(2, 5), Fraction(-2, 5), Fraction(2), Fraction(-2)]
         for ofi_value, di_verdict in itertools.product(ofi_values, BiasVerdict):
-            got = diagnose(ofi_value, di_verdict, threshold)
-            if abs(ofi_value) > threshold:
-                assert got is Diagnosis.ALGORITHMIC_BIAS
-            elif di_verdict in flagged:
-                assert got is Diagnosis.SYSTEMIC_DISPARITY
-            else:
-                assert got is Diagnosis.NO_FINDING
+            got = _diagnosis(ofi_verdict(ofi_value, threshold), di_verdict)
+            assert got is fraction_diagnosis(ofi_value, di_verdict, threshold)
 
     def test_zero_ofi_with_strong_di_is_systemic(self):
         # equal marginal benefits, triple the positive-prediction rate
@@ -315,10 +318,6 @@ class TestDiagnose:
         assert report.ofi_grid.value_at("a", "b") == 0
         assert report.di_grid.value_at("a", "b") == DiScore.finite(Fraction(3))
         assert finding.diagnosis is Diagnosis.SYSTEMIC_DISPARITY
-
-    def test_threshold_validation(self):
-        with pytest.raises(ThresholdError):
-            diagnose(Fraction(0), BiasVerdict.NO_BIAS_INDICATED, Fraction(0))
 
 
 class TestBuildReport:
@@ -423,6 +422,28 @@ class TestSerialization:
             parse_report(json.dumps(doc))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(
+            group_order=["a"], grids={"di": [["1"]], "ofi": [["0"]]}, pairs=[],
+            group_metrics={"a": doc["group_metrics"]["a"]},
+        ), "pairwise ofi needs at least 2 groups, have 1"),
+        (lambda doc: doc["group_order"].__setitem__(1, "c"), "unknown group 'c'"),
+        (lambda doc: doc["group_order"].__setitem__(1, "a"), "duplicate group 'a' in group order"),
+        (lambda doc: doc["group_metrics"].__setitem__("k", doc["group_metrics"]["a"]),
+         "report has group metrics for groups not in its order: ['k']"),
+        (lambda doc: doc["group_metrics"]["a"].__setitem__("expected_benefit", "1/3"),
+         "report group 'a' has expected_benefit 1/3, but benefit - marginal_benefit is 1"),
+    ], ids=["one-group", "unknown-group", "duplicate-group", "extra-group-metrics",
+            "expected-benefit"])
+    def test_rejects_group_orders_and_metrics_build_report_would_not_give(self, edit, message):
+        # group a has benefit 1 and marginal benefit 0, so expected benefit 1
+        table = table_from({"a": BinaryConfusion(1, 0, 0, 0), "b": BinaryConfusion(1, 0, 0, 1)})
+        doc = json.loads(serialize_report(build_report(table)))
+        edit(doc)
+        with pytest.raises(ValueError) as raised:
+            parse_report(json.dumps(doc))
+        assert str(raised.value) == message
+
     def test_round_trip_zero_denominator(self):
         table = table_from(
             {"i": BinaryConfusion(1, 0, 0, 5), "j": BinaryConfusion(0, 7, 0, 11)}
@@ -521,16 +542,16 @@ class TestReportLayout:
 class TestGridCsv:
     def test_layout_and_exact_cells(self):
         report = build_report(table_from(SCENARIO_A))
-        ofi_csv = grid_to_csv(report.ofi_grid)
+        ofi_csv = "".join(grid_csv_chunks(report.ofi_grid))
         assert ofi_csv.splitlines()[0] == "group,i,j"
         assert ofi_csv.splitlines()[1] == "i,0,-1/18"
-        di_csv = grid_to_csv(report.di_grid)
+        di_csv = "".join(grid_csv_chunks(report.di_grid))
         assert di_csv.splitlines()[1] == "i,1,3/8"
 
     def test_undefined_and_contextual_cells(self):
         table = table_from(
             {"i": BinaryConfusion(1, 0, 0, 5), "j": BinaryConfusion(0, 7, 0, 11)}
         )
-        di_csv = grid_to_csv(build_report(table).di_grid)
+        di_csv = "".join(grid_csv_chunks(build_report(table).di_grid))
         assert "undef" in di_csv
         assert "1 (contextual)" in di_csv

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofi_audit import _kernels, exhaustive
+from ofi_audit import combinatorics, exhaustive
 from ofi_audit.audit import build_report, parse_report, serialize_report
 from ofi_audit.cli import main
 from ofi_audit.combinatorics import DIST_MAX
-from ofi_audit.ingestion import RowValueError, aggregate, flip_polarity, parse_records
+from ofi_audit.ingestion import RowValueError, aggregate, flip_polarity, iter_records
 
 
 def run(capsys, *argv):
@@ -416,6 +416,20 @@ class TestAuditInput:
             f"({csv.field_size_limit()})\n"
         )
 
+    @pytest.mark.parametrize("sample", [(), ("--sample", "1", "--seed", "1")],
+                             ids=["all-rows", "sample"])
+    @pytest.mark.parametrize("row, message", [
+        (" ,yes,1", "row 1, column 'group': group identifier is empty"),
+        (" ,1", "row 1, column 'group': group identifier is empty"),
+        ("a,2", "row 1, column 'label': expected 0 or 1, got '2'"),
+    ])
+    def test_row_with_two_bad_cells_reports_the_first(self, capsys, tmp_path, row, message,
+                                                      sample):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"group,label,prediction\n{row}\n", encoding="utf-8")
+        code, out, err = run(capsys, "audit", "--input", str(path), *sample)
+        assert (code, out, err) == (1, "", f"error [parse]: {message}\n")
+
     @settings(max_examples=60, deadline=None)
     @given(csv_inputs)
     def test_cli_and_library_agree(self, case):
@@ -431,7 +445,7 @@ class TestAuditInput:
                 code = main(argv + (["--flip"] if case["flip"] else []))
             try:
                 with open(path, newline="", encoding="utf-8-sig") as fh:
-                    table = aggregate(parse_records(fh))
+                    table = aggregate(iter_records(fh))
             except RowValueError as exc:
                 assert (code, err.getvalue()) == (1, f"error [parse]: {exc}\n")
                 return
@@ -498,8 +512,8 @@ class TestVerify:
 
 
 # the originals, taken before any test patches them
-PAIR_SCORE_COUNTS = _kernels.pair_score_counts
-ENUM_STATS = _kernels.enum_stats
+PAIR_SCORE_COUNTS = combinatorics.pair_score_counts
+ENUM_STATS = exhaustive.enum_stats
 MARGINAL_BENEFIT = exhaustive.marginal_benefit
 
 
@@ -527,8 +541,8 @@ class TestVerifyFails:
     """A fault on either side of an identity makes `verify` fail loudly."""
 
     @pytest.mark.parametrize("module, name, fault, identity", [
-        (_kernels, "pair_score_counts", _pair_counts_off_at_the_ends, "distribution"),
-        (_kernels, "enum_stats", _enum_stats_missing_one, "cardinality"),
+        (combinatorics, "pair_score_counts", _pair_counts_off_at_the_ends, "distribution"),
+        (exhaustive, "enum_stats", _enum_stats_missing_one, "cardinality"),
         (exhaustive, "marginal_benefit", _marginal_benefit_wrong_once, "stream-equivalence"),
     ], ids=["pair-counts-off-by-one", "enumeration-missing-a-quadruple", "stream-misscored"])
     def test_fault_fails_its_identity(self, capsys, monkeypatch, module, name, fault, identity):

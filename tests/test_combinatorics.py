@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ofi_audit import _kernels, exhaustive
+from ofi_audit import exhaustive
 from ofi_audit.combinatorics import (
     CSV_CHUNK_ROWS,
     DIST_MAX,
@@ -22,6 +22,7 @@ from ofi_audit.combinatorics import (
     total_combinations,
 )
 from ofi_audit.verification import count_increment, count_sum_identity
+from reference import pair_score_counts_loops
 
 
 def csv_rows(dist: ScoreDistribution) -> list[tuple[int, int, int]]:
@@ -171,7 +172,7 @@ class TestDistribution:
 
     def test_csv_rows_match_reduced_fractions(self):
         for n in range(1, 61):
-            oracle = _kernels._pair_score_counts_loops(n)
+            oracle = pair_score_counts_loops(n)
             expected = [
                 (Fraction(d, n).numerator, Fraction(d, n).denominator, oracle[d + n])
                 for d in range(-n, n + 1)

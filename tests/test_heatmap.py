@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 import pytest
 
 from ofi_audit.audit import PairwiseMatrix, build_report
-from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, render_heatmap
+from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, heatmap_chunks
 from ofi_audit.ingestion import PredictionRecord, aggregate
 from ofi_audit.metrics import BinaryConfusion, DiScore
 
@@ -26,13 +26,17 @@ REPORT = build_report(
 )
 
 
+def render(grid: PairwiseMatrix) -> str:
+    return "".join(heatmap_chunks(grid))
+
+
 def svg_elements(svg: str, cls: str) -> list:
     root = ElementTree.fromstring(svg)
     return [el for el in root.iter() if el.get("class") == cls]
 
 
 def test_two_by_two_structure():
-    svg = render_heatmap(REPORT.ofi_grid)
+    svg = render(REPORT.ofi_grid)
     assert len(svg_elements(svg, "cell")) == 4
     assert len(svg_elements(svg, "axis-label")) == 4
     assert len(svg_elements(svg, "cell-value")) == 4
@@ -41,13 +45,13 @@ def test_two_by_two_structure():
 
 
 def test_values_rendered_at_two_places():
-    svg = render_heatmap(REPORT.ofi_grid)
+    svg = render(REPORT.ofi_grid)
     values = {el.text for el in svg_elements(svg, "cell-value")}
     assert values == {"0.00", "-0.06", "0.06"}
 
 
 def test_zero_ofi_cell_uses_center_color():
-    svg = render_heatmap(REPORT.ofi_grid)
+    svg = render(REPORT.ofi_grid)
     diagonal_fills = [
         el.get("fill")
         for el in svg_elements(svg, "cell")
@@ -57,7 +61,7 @@ def test_zero_ofi_cell_uses_center_color():
 
 
 def test_di_centers_at_one():
-    svg = render_heatmap(REPORT.di_grid)
+    svg = render(REPORT.di_grid)
     fills = [el.get("fill") for el in svg_elements(svg, "cell")]
     assert fills.count(MID_COLOR) == 2  # the two diagonal DI = 1 cells
 
@@ -65,7 +69,7 @@ def test_di_centers_at_one():
 def test_undefined_di_is_hatched():
     table = two_group_table(BinaryConfusion(1, 0, 0, 5), BinaryConfusion(0, 7, 0, 11))
     report = build_report(table)
-    svg = render_heatmap(report.di_grid)
+    svg = render(report.di_grid)
     assert 'url(#undef-hatch)' in svg
     assert "undef" in {el.text for el in svg_elements(svg, "cell-value")}
 
@@ -74,7 +78,7 @@ def test_extreme_values_clamp_to_palette_edges():
     # marginal benefits 1 and -1 give the OFI cells 2 and -2
     grid = PairwiseMatrix(metric="ofi", group_order=("a", "b"), scores=(Fraction(1), Fraction(-1)))
     assert grid.cells == ((0, 2), (-2, 0))
-    svg = render_heatmap(grid)
+    svg = render(grid)
     fills = {el.get("fill") for el in svg_elements(svg, "cell")}
     assert HIGH_COLOR in fills and LOW_COLOR in fills
 
@@ -82,16 +86,16 @@ def test_extreme_values_clamp_to_palette_edges():
 def test_empty_matrix_rejected():
     empty = PairwiseMatrix(metric="ofi", group_order=(), scores=())
     with pytest.raises(ValueError):
-        render_heatmap(empty)
+        render(empty)
 
 
 def test_deterministic_output():
-    assert render_heatmap(REPORT.di_grid) == render_heatmap(REPORT.di_grid)
+    assert render(REPORT.di_grid) == render(REPORT.di_grid)
 
 
 def test_contextual_di_renders_as_one():
     table = two_group_table(BinaryConfusion(0, 1, 0, 5), BinaryConfusion(0, 7, 0, 11))
-    svg = render_heatmap(build_report(table).di_grid)
+    svg = render(build_report(table).di_grid)
     values = [el.text for el in svg_elements(svg, "cell-value")]
     assert values.count("1.00") == 4  # diagonal plus both contextual cells
 
@@ -103,6 +107,6 @@ def test_group_names_are_escaped():
             PredictionRecord("c&d", 1, 1), PredictionRecord("c&d", 0, 1),
         ]
     )
-    svg = render_heatmap(build_report(table).ofi_grid)
+    svg = render(build_report(table).ofi_grid)
     ElementTree.fromstring(svg)  # parses only if escaping is correct
     assert "a&lt;b" in svg and "c&amp;d" in svg

@@ -16,7 +16,6 @@ from ofi_audit.ingestion import (
     aggregate,
     flip_polarity,
     iter_records,
-    parse_records,
 )
 from ofi_audit.metrics import BinaryConfusion, benefit, expected_benefit, marginal_benefit
 
@@ -50,67 +49,77 @@ class TestPredictionRecord:
 class TestParseRecords:
     def test_custom_column_names(self):
         lines = ["race,two_year_recid,prediction", "African-American,0,1"]
-        records = parse_records(lines, RECID_SCHEMA)
+        records = list(iter_records(lines, RECID_SCHEMA))
         assert records == [PredictionRecord("African-American", 0, 1)]
 
     def test_order_preserved(self):
         lines = ["group,label,prediction", "a,1,1", "b,0,1", "a,0,0", "b,1,0"]
-        records = parse_records(lines)
+        records = list(iter_records(lines))
         assert [r.group for r in records] == ["a", "b", "a", "b"]
         assert [(r.label, r.prediction) for r in records] == [(1, 1), (0, 1), (0, 0), (1, 0)]
 
     def test_extra_columns_ignored_and_values_trimmed(self):
         lines = ["id,group,label,prediction", "17, i , 1 , 0 "]
-        assert parse_records(lines) == [PredictionRecord("i", 1, 0)]
+        assert list(iter_records(lines)) == [PredictionRecord("i", 1, 0)]
 
     def test_custom_delimiter(self):
         lines = ["group;label;prediction", "i;1;1"]
-        assert parse_records(lines, delimiter=";") == [PredictionRecord("i", 1, 1)]
+        assert list(iter_records(lines, delimiter=";")) == [PredictionRecord("i", 1, 1)]
 
     def test_missing_column_names_it(self):
         with pytest.raises(SchemaError, match="'prediction'"):
-            parse_records(["group,label", "a,1"])
+            list(iter_records(["group,label", "a,1"]))
 
     def test_non_binary_value_reports_row(self):
         lines = ["group,label,prediction", "a,1,1", "a,1,yes"]
         with pytest.raises(RowValueError, match="row 2") as err:
-            parse_records(lines)
+            list(iter_records(lines))
         assert err.value.row == 2
         assert err.value.column == "prediction"
 
     def test_blank_group_rejected(self):
         lines = ["group,label,prediction", " ,1,1"]
         with pytest.raises(RowValueError, match="group"):
-            parse_records(lines)
+            list(iter_records(lines))
 
     def test_short_row(self):
         lines = ["group,label,prediction", "a,1"]
         with pytest.raises(RowValueError, match="missing value"):
-            parse_records(lines)
+            list(iter_records(lines))
 
     def test_empty_after_header(self):
         with pytest.raises(EmptyDatasetError):
-            parse_records(["group,label,prediction"])
+            list(iter_records(["group,label,prediction"]))
 
     def test_no_header(self):
         with pytest.raises(SchemaError):
-            parse_records([])
+            list(iter_records([]))
 
     def test_same_cells_share_one_record(self):
         lines = ["group,label,prediction", "a,1,0", "b,1,0", "a,1,0", "a ,1,0"]
-        records = parse_records(lines)
+        records = list(iter_records(lines))
         assert records[0] is records[2]
         assert records[3] == records[0] and records[3] is not records[0]
 
     def test_bad_row_after_valid_rows_of_its_group_reports_its_row(self):
         lines = ["group,label,prediction", "a,1,1", "a,0,1", "b,0,0", "a,2,1", "a,2,1"]
         stream = iter_records(lines)
-        assert [next(stream) for _ in range(3)] == parse_records(lines[:4])
+        assert [next(stream) for _ in range(3)] == list(iter_records(lines[:4]))
         with pytest.raises(RowValueError, match="row 4") as err:
             next(stream)
         assert (err.value.row, err.value.column) == (4, "label")
         with pytest.raises(RowValueError, match="row 4"):
-            parse_records(lines)
+            list(iter_records(lines))
+
+    @pytest.mark.parametrize("row, column, problem", [
+        (" ,yes,1", "group", "group identifier is empty"),
+        (" ,1", "group", "group identifier is empty"),
+        ("a,2", "label", "expected 0 or 1, got '2'"),
+    ])
+    def test_first_bad_cell_of_a_row_in_column_order_is_reported(self, row, column, problem):
+        with pytest.raises(RowValueError) as err:
+            list(iter_records(["group,label,prediction", row]))
+        assert str(err.value) == f"row 1, column {column!r}: {problem}"
 
 
 def complemented(records):
@@ -172,7 +181,7 @@ class TestAggregate:
 
     def test_consumes_a_record_stream(self):
         lines = ["group,label,prediction", "a,1,1", "b,0,1", "a,0,0", "b,1,0"]
-        assert aggregate(iter_records(lines)) == aggregate(parse_records(lines))
+        assert aggregate(iter_records(lines)) == aggregate(list(iter_records(lines)))
 
     @given(records_strategy)
     def test_sizes_sum_to_record_count(self, records):

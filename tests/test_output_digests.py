@@ -33,9 +33,9 @@ import json
 
 import pytest
 
-from ofi_audit.audit import build_report, grid_to_csv, serialize_report
+from ofi_audit.audit import build_report, grid_csv_chunks, serialize_report
 from ofi_audit.cli import main
-from ofi_audit.heatmap import render_heatmap
+from ofi_audit.heatmap import heatmap_chunks
 from ofi_audit.ingestion import GroupTable
 from ofi_audit.metrics import BinaryConfusion
 
@@ -263,10 +263,10 @@ def test_huge_counts_match_pinned_digests():
     report = build_report(GroupTable(groups=HUGE, total=total))
     outputs = {
         "report.json": serialize_report(report),
-        "ofi.svg": render_heatmap(report.ofi_grid),
-        "di.svg": render_heatmap(report.di_grid),
-        "grid.ofi.csv": grid_to_csv(report.ofi_grid),
-        "grid.di.csv": grid_to_csv(report.di_grid),
+        "ofi.svg": "".join(heatmap_chunks(report.ofi_grid)),
+        "di.svg": "".join(heatmap_chunks(report.di_grid)),
+        "grid.ofi.csv": "".join(grid_csv_chunks(report.ofi_grid)),
+        "grid.di.csv": "".join(grid_csv_chunks(report.di_grid)),
     }
     assert {name: sha256_text(text) for name, text in outputs.items()} == DIGESTS["huge"]
 
