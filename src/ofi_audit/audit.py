@@ -9,6 +9,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Collection, Iterable, Iterator
 
 from .formatting import format_fraction, ratio_text
@@ -18,6 +19,7 @@ from .metrics import (
     FOUR_FIFTHS_HIGH,
     FOUR_FIFTHS_LOW,
     BiasVerdict,
+    BinaryConfusion,
     DiScore,
     ThresholdError,
     benefit,
@@ -193,16 +195,26 @@ class PairFinding:
 class AuditReport:
     """Everything an audit computes, ready for serialization.
 
-    The grids hold one score per group, and the pair findings are decided
-    from them and the config when they are read.
+    The report keeps the table it was built from, every group of it. The
+    grids hold one score per group of the group order, and the pair
+    findings are decided from them and the config when they are read.
     """
 
-    record_count: int
-    group_sizes: dict[str, int]
+    table: GroupTable
     group_metrics: dict[str, GroupMetrics]
     ofi_grid: PairwiseMatrix
     di_grid: PairwiseMatrix
     config: AuditConfig
+
+    @property
+    def record_count(self) -> int:
+        """The number of records over every group of the table."""
+        return self.table.total.n
+
+    @property
+    def group_sizes(self) -> dict[str, int]:
+        """Each group of the group order and its number of records."""
+        return {name: self.table.groups[name].n for name in self.ofi_grid.group_order}
 
     @property
     def pairs(self) -> tuple[PairFinding, ...]:
@@ -234,7 +246,6 @@ def _verdict_rows(
 
 def _group_order(available: Collection[str], group_order: Iterable[str]) -> tuple[str, ...]:
     # the groups of a report, checked against the names that have counts
-    # or metrics
     names = tuple(group_order)
     if len(names) < 2:
         raise InsufficientGroupsError(
@@ -257,11 +268,12 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
     grid's diagonal compares each group with itself.
 
     Each group's benefit b = (tp + fp)/n and marginal benefit
-    B = (fp - fn)/n are computed once, and the report keeps only these
-    per group: every grid cell and pair verdict is computed from their
-    numerators and denominators when it is read or written. A verdict is
-    an exact integer comparison: OFI is (a_i·m_j - a_j·m_i)/(m_i·m_j)
-    for B = a/m, DI is (c_i·n_j)/(c_j·n_i) for b = c/n.
+    B = (fp - fn)/n are computed once, and the report keeps these per
+    group beside the table: every grid cell and pair verdict is computed
+    from their numerators and denominators when it is read or written. A
+    verdict is an exact integer comparison: OFI is
+    (a_i·m_j - a_j·m_i)/(m_i·m_j) for B = a/m, DI is (c_i·n_j)/(c_j·n_i)
+    for b = c/n.
     """
     config = config or AuditConfig()
     names = _group_order(table.groups, config.group_order or sorted(table.groups))
@@ -273,32 +285,25 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
             expected_benefit=expected_benefit(cm),
             marginal_benefit=marginal_benefit(cm),
         )
-    ofi_grid, di_grid = _grids(names, group_metrics)
+    # OFI compares the groups' marginal benefits, DI their benefits
     return AuditReport(
-        record_count=table.total.n,
-        group_sizes={name: table.groups[name].n for name in names},
+        table=table,
         group_metrics=group_metrics,
-        ofi_grid=ofi_grid,
-        di_grid=di_grid,
+        ofi_grid=PairwiseMatrix(
+            "ofi", names, tuple(gm.marginal_benefit for gm in group_metrics.values())
+        ),
+        di_grid=PairwiseMatrix("di", names, tuple(gm.benefit for gm in group_metrics.values())),
         config=config,
     )
 
 
-def _grids(
-    names: tuple[str, ...], group_metrics: dict[str, GroupMetrics]
-) -> tuple[PairwiseMatrix, PairwiseMatrix]:
-    # OFI compares the groups' marginal benefits, DI their benefits
-    chosen = [group_metrics[name] for name in names]
-    return (
-        PairwiseMatrix("ofi", names, tuple(gm.marginal_benefit for gm in chosen)),
-        PairwiseMatrix("di", names, tuple(gm.benefit for gm in chosen)),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Serialization, schema 2. Every rational is the exact text that the grid
-# CSVs also write: "num/den", an integer such as "0", "undef" for an
-# undefined DI cell or "1 (contextual)". A pair is the list
+# Serialization, schema 3. dataset.confusion maps every group of the
+# table to its counts [tp, fn, fp, tn]; with the config they are the
+# report's one source, and every other field follows from them. Every
+# rational is the exact text that the grid CSVs also write: "num/den", an
+# integer such as "0", "undef" for an undefined DI cell or
+# "1 (contextual)". A pair is the list
 # [first, second, ofi_verdict, di_verdict, diagnosis]. The report is the
 # text of json.dumps(doc, indent=2, sort_keys=True), written out in
 # pieces: the small sections go through json.dumps, and the O(k^2) grid
@@ -307,7 +312,7 @@ def _grids(
 # group names go through json.dumps.
 # ---------------------------------------------------------------------------
 
-_SCHEMA = 2
+_SCHEMA = 3
 
 # a pair's verdicts and diagnosis, after its two group names
 _PAIR_TAIL = """,
@@ -364,8 +369,11 @@ def report_chunks(report: AuditReport) -> Iterator[str]:
         "group_order": list(config.group_order) if config.group_order is not None else None,
     })
     yield ',\n  "dataset": ' + _section({
+        "confusion": {
+            name: [cm.tp, cm.fn, cm.fp, cm.tn] for name, cm in report.table.groups.items()
+        },
         "record_count": report.record_count,
-        "group_sizes": dict(report.group_sizes),
+        "group_sizes": report.group_sizes,
     })
     yield ',\n  "grids": {\n    "di": [\n'
     yield from _items(_grid_rows(report.di_grid))
@@ -394,84 +402,45 @@ def serialize_report(report: AuditReport) -> str:
     return "".join(report_chunks(report))
 
 
-def _check_derived(doc: dict, report: AuditReport) -> None:
-    # the grids and pairs follow from the group metrics and the config, so
-    # a report that writes others has been edited and is not read
-    names = report.ofi_grid.group_order
-    for grid in (report.di_grid, report.ofi_grid):
-        written = doc["grids"][grid.metric]
-        if len(written) != len(names) or any(len(row) != len(names) for row in written):
-            raise ValueError(f"report {grid.metric} grid is not {len(names)}x{len(names)}")
-        for first, written_row, row in zip(names, written, grid._text_rows()):
-            for second, got, want in zip(names, written_row, row):
-                if got != want:
-                    raise ValueError(
-                        f"report {grid.metric} grid cell ({first!r}, {second!r}) is {got!r}, "
-                        f"but the group metrics give {want!r}"
-                    )
-    written = doc["pairs"]
-    derived = [
-        [p.first, p.second, p.ofi_verdict.value, p.di_verdict.value, p.diagnosis.value]
-        for p in report.pairs
-    ]
-    if len(written) != len(derived):
-        raise ValueError(f"report has {len(written)} pairs, the group metrics give {len(derived)}")
-    for index, (got, want) in enumerate(zip(written, derived)):
-        if got != want:
-            raise ValueError(f"report pair {index} is {got!r}, but the group metrics give {want!r}")
-
-
 def parse_report(text: str) -> AuditReport:
     """Rebuild an AuditReport from :func:`serialize_report` output.
 
-    Only schema 2 is read. The report is rebuilt from its group metrics
-    and config. ValueError is raised for any other schema, for a group
-    order that :func:`build_report` would refuse, for the metrics of a
-    group outside that order or with expected_benefit other than
-    benefit - marginal_benefit, and for a grid cell or pair that differs
-    from what the group metrics and config give.
+    Only schema 3 is read. The report is rebuilt from its config and its
+    per-group counts by :func:`build_report`, and it must then serialize
+    to ``text`` byte for byte. ValueError is raised for any other schema,
+    for a config or counts that cannot be read or that
+    :func:`build_report` refuses, and for any other difference, naming
+    the first line that differs.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"report must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != _SCHEMA:
         raise ValueError(f"report schema must be {_SCHEMA}, got {doc.get('schema')!r}")
-    config_doc = doc["config"]
-    config = AuditConfig(
-        ofi_threshold=Fraction(config_doc["ofi_threshold"]),
-        di_low=Fraction(config_doc["di_low"]),
-        di_high=Fraction(config_doc["di_high"]),
-        group_order=tuple(config_doc["group_order"])
-        if config_doc["group_order"] is not None
-        else None,
-    )
-    group_metrics = {
-        name: GroupMetrics(
-            benefit=Fraction(gm["benefit"]),
-            expected_benefit=Fraction(gm["expected_benefit"]),
-            marginal_benefit=Fraction(gm["marginal_benefit"]),
+    try:
+        config_doc = doc["config"]
+        group_order = config_doc["group_order"]
+        config = AuditConfig(
+            ofi_threshold=Fraction(config_doc["ofi_threshold"]),
+            di_low=Fraction(config_doc["di_low"]),
+            di_high=Fraction(config_doc["di_high"]),
+            group_order=None if group_order is None else tuple(group_order),
         )
-        for name, gm in doc["group_metrics"].items()
-    }
-    names = _group_order(group_metrics, doc["group_order"])
-    extra = group_metrics.keys() - names
-    if extra:
-        raise ValueError(f"report has group metrics for groups not in its order: {sorted(extra)}")
-    for name, gm in group_metrics.items():
-        if gm.expected_benefit != gm.benefit - gm.marginal_benefit:
-            raise ValueError(
-                f"report group {name!r} has expected_benefit {format_fraction(gm.expected_benefit)}, "
-                "but benefit - marginal_benefit is "
-                f"{format_fraction(gm.benefit - gm.marginal_benefit)}"
-            )
-    ofi_grid, di_grid = _grids(names, group_metrics)
-    report = AuditReport(
-        record_count=doc["dataset"]["record_count"],
-        group_sizes=dict(doc["dataset"]["group_sizes"]),
-        group_metrics=group_metrics,
-        ofi_grid=ofi_grid,
-        di_grid=di_grid,
-        config=config,
-    )
-    _check_derived(doc, report)
+        table = GroupTable({
+            name: BinaryConfusion(*counts)
+            for name, counts in doc["dataset"]["confusion"].items()
+        })
+        report = build_report(table, config)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"report config or counts cannot be read: {exc!r}") from None
+    rendered = serialize_report(report)
+    if rendered != text:
+        # a side that has ended reads as None
+        lines = enumerate(zip_longest(text.split("\n"), rendered.split("\n")), 1)
+        number, (got, want) = next((number, pair) for number, pair in lines if pair[0] != pair[1])
+        raise ValueError(
+            f"report line {number} is {got!r}, but its counts and config give {want!r}"
+        )
     return report
 
 

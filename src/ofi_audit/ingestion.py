@@ -64,10 +64,20 @@ class PredictionRecord:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Per-group confusion matrices plus their cell-wise total."""
+    """Per-group confusion matrices."""
 
     groups: dict[str, BinaryConfusion]
-    total: BinaryConfusion
+
+    @property
+    def total(self) -> BinaryConfusion:
+        """The cell-wise sum over every group; all zero for no groups."""
+        cms = self.groups.values()
+        return BinaryConfusion(
+            sum(cm.tp for cm in cms),
+            sum(cm.fn for cm in cms),
+            sum(cm.fp for cm in cms),
+            sum(cm.tn for cm in cms),
+        )
 
 
 def iter_records(
@@ -168,15 +178,12 @@ def _flipped(cm: BinaryConfusion) -> BinaryConfusion:
 def flip_polarity(table: GroupTable) -> GroupTable:
     """Complement every label and prediction (0 <-> 1) of a table.
 
-    On the counts this swaps tp with tn and fn with fp, in every group and
-    in the total. Use this when the beneficial outcome is the negative
+    On the counts this swaps tp with tn and fn with fp in every group, and
+    so in the total. Use this when the beneficial outcome is the negative
     label, e.g. to make a recidivism dataset's positive prediction mean
     "not a recidivist". Applying it twice restores the input.
     """
-    return GroupTable(
-        groups={name: _flipped(cm) for name, cm in table.groups.items()},
-        total=_flipped(table.total),
-    )
+    return GroupTable({name: _flipped(cm) for name, cm in table.groups.items()})
 
 
 def aggregate(records: Iterable[PredictionRecord]) -> GroupTable:
@@ -197,11 +204,4 @@ def aggregate(records: Iterable[PredictionRecord]) -> GroupTable:
         quad[3 - 2 * r.label - r.prediction] += 1
     if not cells:
         raise EmptyDatasetError("cannot aggregate an empty record list")
-    groups = {name: BinaryConfusion(*cells[name]) for name in sorted(cells)}
-    total = BinaryConfusion(
-        sum(q[0] for q in cells.values()),
-        sum(q[1] for q in cells.values()),
-        sum(q[2] for q in cells.values()),
-        sum(q[3] for q in cells.values()),
-    )
-    return GroupTable(groups=groups, total=total)
+    return GroupTable({name: BinaryConfusion(*cells[name]) for name in sorted(cells)})

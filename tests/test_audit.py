@@ -46,11 +46,6 @@ def table_from(groups: dict[str, BinaryConfusion]):
     return aggregate(records)
 
 
-def total_of(cms) -> BinaryConfusion:
-    return BinaryConfusion(sum(cm.tp for cm in cms), sum(cm.fn for cm in cms),
-                           sum(cm.fp for cm in cms), sum(cm.tn for cm in cms))
-
-
 def grids(table, order=None):
     report = build_report(table, AuditConfig(group_order=order))
     return report.ofi_grid, report.di_grid
@@ -149,7 +144,7 @@ def tables_and_orders(draw):
     groups = dict(zip(names, cms))
     order = tuple(draw(st.permutations(names)))
     order = order[: draw(st.integers(min_value=2, max_value=len(order)))]
-    return GroupTable(groups=groups, total=total_of(cms)), order
+    return GroupTable(groups), order
 
 
 class TestGridMatchesTwoGroupMetrics:
@@ -166,12 +161,11 @@ class TestGridMatchesTwoGroupMetrics:
                     "b": BinaryConfusion(0, 1, 0, 3),
                     "c": BinaryConfusion(0, 2, 0, 2),
                 },
-                total=BinaryConfusion(1, 5, 1, 6),
             ),
             ("c", "a", "b"),
         )
     )
-    @example((GroupTable(ON_EDGE_HUGE, total_of(ON_EDGE_HUGE.values())),
+    @example((GroupTable(ON_EDGE_HUGE),
               ("none", "four_fifths", "base", "edge")))
     # OFI 1/8 and 3/8 round half to even at two places: 0.12 and 0.38
     @example((table_from({"a": BinaryConfusion(0, 0, 1, 7), "b": BinaryConfusion(0, 0, 3, 5),
@@ -281,7 +275,7 @@ class TestVerdictsMatchFractionVerdicts:
     @example((table_from(ON_EDGE), AuditConfig()))
     @example((table_from(ON_WIDE_EDGE), AuditConfig(Fraction(1, 4), Fraction(1, 2), 2)))
     @example((table_from(ZERO_RATES), AuditConfig()))
-    @example((GroupTable(ON_EDGE_HUGE, total_of(ON_EDGE_HUGE.values())), AuditConfig()))
+    @example((GroupTable(ON_EDGE_HUGE), AuditConfig()))
     def test_every_pair_equals_the_fraction_verdicts(self, case):
         table, config = case
         threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
@@ -369,6 +363,24 @@ class TestBuildReport:
         assert report.record_count == 24
         assert report.group_sizes == {"i": 6, "j": 18}
         assert report.group_metrics["j"].benefit == Fraction(8, 18)
+        # record_count counts every group, group_sizes only those in order
+        subset = build_report(table_from({**SCENARIO_A, "k": BinaryConfusion(2, 1, 1, 2)}),
+                              AuditConfig(group_order=("j", "i")))
+        assert subset.record_count == 30
+        assert subset.group_sizes == {"j": 18, "i": 6}
+        assert parse_report(serialize_report(subset)) == subset
+
+
+def without(section: str):
+    return lambda doc: {key: value for key, value in doc.items() if key != section}
+
+
+def with_counts(counts):
+    # group i's confusion entry replaced by counts
+    def edit(doc):
+        doc["dataset"]["confusion"]["i"] = counts
+        return doc
+    return edit
 
 
 class TestSerialization:
@@ -389,7 +401,8 @@ class TestSerialization:
         assert parse_report(text) == report
         # a pair carries verdicts only; its values live in the grids
         doc = json.loads(text)
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
+        assert doc["dataset"]["confusion"] == {"i": [0, 1, 0, 5], "j": [0, 7, 0, 11]}
         for pair, finding in zip(doc["pairs"], report.pairs, strict=True):
             assert pair == [finding.first, finding.second, finding.ofi_verdict.value,
                             finding.di_verdict.value, finding.diagnosis.value]
@@ -397,52 +410,107 @@ class TestSerialization:
     def test_rejects_other_schemas(self):
         doc = json.loads(serialize_report(build_report(table_from(SCENARIO_A))))
         del doc["schema"]
-        with pytest.raises(ValueError, match="schema must be 2, got None"):
+        with pytest.raises(ValueError, match="schema must be 3, got None"):
             parse_report(json.dumps(doc))
-        doc["schema"] = 1
-        with pytest.raises(ValueError, match="schema must be 2, got 1"):
+        doc["schema"] = 2
+        with pytest.raises(ValueError, match="schema must be 3, got 2"):
             parse_report(json.dumps(doc))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["grids"]["ofi"][0].__setitem__(1, "1/19"),
-         "report ofi grid cell ('i', 'j') is '1/19', but the group metrics give '-1/18'"),
+         """report line 43 is '        "1/19"', """
+         """but its counts and config give '        "-1/18"'"""),
         (lambda doc: doc["grids"]["di"][1].__setitem__(0, "3/8"),
-         "report di grid cell ('j', 'i') is '3/8', but the group metrics give '8/3'"),
+         """report line 36 is '        "3/8",', but its counts and config give '        "8/3",'"""),
         (lambda doc: doc["pairs"][1].__setitem__(3, "no_bias_indicated"),
-         "report pair 1 is ['j', 'i', 'no_bias_indicated', 'no_bias_indicated', "
-         "'systemic_disparity'], but the group metrics give ['j', 'i', 'no_bias_indicated', "
-         "'bias_toward_first', 'systemic_disparity']"),
-    ], ids=["ofi-cell", "di-cell", "pair-verdict"])
-    def test_rejects_grids_and_pairs_the_group_metrics_do_not_give(self, edit, message):
-        # both are derived from the group metrics and the config on read,
-        # so an edited cell or verdict would otherwise be silently rewritten
+         """report line 79 is '      "no_bias_indicated",', """
+         """but its counts and config give '      "bias_toward_first",'"""),
+        (lambda doc: doc["group_metrics"].__setitem__("k", doc["group_metrics"]["i"]),
+         "report line 61 is '    },', but its counts and config give '    }'"),
+        (lambda doc: doc["group_metrics"]["i"].__setitem__("expected_benefit", "1/3"),
+         """report line 54 is '      "expected_benefit": "1/3",', """
+         """but its counts and config give '      "expected_benefit": "1/6",'"""),
+        (lambda doc: doc["dataset"].__setitem__("record_count", 25),
+         """report line 27 is '    "record_count": 25', """
+         """but its counts and config give '    "record_count": 24'"""),
+        (lambda doc: doc["dataset"]["group_sizes"].__setitem__("i", 7),
+         """report line 24 is '      "i": 7,', but its counts and config give '      "i": 6,'"""),
+    ], ids=["ofi-cell", "di-cell", "pair-verdict", "extra-group-metrics", "expected-benefit",
+            "record-count", "group-sizes"])
+    def test_rejects_lines_the_counts_and_config_do_not_give(self, edit, message):
+        # every field but the counts and the config is derived from them on
+        # read, so an edited one would otherwise be silently rewritten
         doc = json.loads(serialize_report(build_report(table_from(SCENARIO_A))))
         edit(doc)
         with pytest.raises(ValueError) as raised:
-            parse_report(json.dumps(doc))
+            parse_report(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc.update(
-            group_order=["a"], grids={"di": [["1"]], "ofi": [["0"]]}, pairs=[],
-            group_metrics={"a": doc["group_metrics"]["a"]},
-        ), "pairwise ofi needs at least 2 groups, have 1"),
-        (lambda doc: doc["group_order"].__setitem__(1, "c"), "unknown group 'c'"),
-        (lambda doc: doc["group_order"].__setitem__(1, "a"), "duplicate group 'a' in group order"),
-        (lambda doc: doc["group_metrics"].__setitem__("k", doc["group_metrics"]["a"]),
-         "report has group metrics for groups not in its order: ['k']"),
-        (lambda doc: doc["group_metrics"]["a"].__setitem__("expected_benefit", "1/3"),
-         "report group 'a' has expected_benefit 1/3, but benefit - marginal_benefit is 1"),
-    ], ids=["one-group", "unknown-group", "duplicate-group", "extra-group-metrics",
-            "expected-benefit"])
-    def test_rejects_group_orders_and_metrics_build_report_would_not_give(self, edit, message):
-        # group a has benefit 1 and marginal benefit 0, so expected benefit 1
+        (lambda doc: doc["config"].__setitem__("group_order", ["a"]),
+         "pairwise ofi needs at least 2 groups, have 1"),
+        (lambda doc: doc["dataset"]["confusion"].pop("b"),
+         "pairwise ofi needs at least 2 groups, have 1"),
+        (lambda doc: doc["config"].__setitem__("group_order", ["a", "c"]), "unknown group 'c'"),
+        (lambda doc: doc["config"].__setitem__("group_order", ["a", "a"]),
+         "duplicate group 'a' in group order"),
+        # build_report lays the groups out in the config's order, so the
+        # top-level order ["a", "b"] no longer matches
+        (lambda doc: doc["config"].__setitem__("group_order", ["b", "a"]),
+         """report line 36 is '        "2"', but its counts and config give '        "1/2"'"""),
+    ], ids=["one-group", "one-counted-group", "unknown-group", "duplicate-group",
+            "config-order-disagrees"])
+    def test_rejects_group_orders_build_report_would_not_give(self, edit, message):
         table = table_from({"a": BinaryConfusion(1, 0, 0, 0), "b": BinaryConfusion(1, 0, 0, 1)})
         doc = json.loads(serialize_report(build_report(table)))
         edit(doc)
         with pytest.raises(ValueError) as raised:
-            parse_report(json.dumps(doc))
+            parse_report(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         assert str(raised.value) == message
+
+    def test_rejects_another_layout_of_the_same_document(self):
+        text = serialize_report(build_report(table_from(SCENARIO_A)))
+        doc = json.loads(text)
+        with pytest.raises(ValueError) as raised:
+            parse_report(json.dumps(doc, indent=4, sort_keys=True) + "\n")
+        assert str(raised.value) == (
+            """report line 2 is '    "config": {', but its counts and config give '  "config": {'"""
+        )
+        with pytest.raises(ValueError) as raised:
+            parse_report(text.rstrip("\n"))
+        assert str(raised.value) == "report line 85 is None, but its counts and config give ''"
+
+    @pytest.mark.parametrize("edit", [
+        *(without(section) for section in
+          ("config", "dataset", "grids", "group_metrics", "group_order", "pairs", "schema")),
+        lambda doc: [],
+        lambda doc: None,
+        lambda doc: 3,
+        lambda doc: "report",
+        with_counts([1, 0, 0]),
+        with_counts([1, 0, 0, 5, 0]),
+        with_counts(None),
+        with_counts("1005"),
+        with_counts(["1", 0, 0, 5]),
+        with_counts([1.5, 0, 0, 5]),
+        with_counts({"tp": 1}),
+        lambda doc: doc["dataset"].__setitem__("confusion", []) or doc,
+        lambda doc: doc.__setitem__("dataset", []) or doc,
+        lambda doc: doc.__setitem__("config", []) or doc,
+        lambda doc: doc["config"].__setitem__("ofi_threshold", None) or doc,
+        lambda doc: doc["config"].__setitem__("ofi_threshold", float("inf")) or doc,
+        lambda doc: doc["config"].__setitem__("group_order", 2) or doc,
+        lambda doc: doc["config"].__setitem__("group_order", [["i"], "j"]) or doc,
+    ], ids=[*(f"no-{section}" for section in
+              ("config", "dataset", "grids", "group_metrics", "group_order", "pairs", "schema")),
+            "list", "null", "number", "string", "counts-short", "counts-long", "counts-null",
+            "counts-string", "count-string", "count-float", "counts-object",
+            "confusion-list", "dataset-list", "config-list", "threshold-null", "threshold-infinity",
+            "group-order-number", "group-order-nested"])
+    def test_malformed_report_raises_value_error(self, edit):
+        doc = edit(json.loads(serialize_report(build_report(table_from(SCENARIO_A)))))
+        with pytest.raises(ValueError):
+            parse_report(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def test_round_trip_zero_denominator(self):
         table = table_from(
@@ -480,13 +548,16 @@ def di_text(di: DiScore) -> str:
 
 
 def reference_doc(report) -> dict:
-    # the report as one nested document, laid out by the json module
+    # the report as one nested document, laid out by the json module: the
+    # counts of every group of the table, and the sizes of those in order
     config = report.config
+    groups = report.table.groups
     return {
-        "schema": 2,
+        "schema": 3,
         "dataset": {
-            "record_count": report.record_count,
-            "group_sizes": dict(report.group_sizes),
+            "confusion": {name: [cm.tp, cm.fn, cm.fp, cm.tn] for name, cm in groups.items()},
+            "record_count": sum(cm.n for cm in groups.values()),
+            "group_sizes": {name: groups[name].n for name in report.ofi_grid.group_order},
         },
         "config": {
             "ofi_threshold": str(config.ofi_threshold),
@@ -518,7 +589,7 @@ def reference_doc(report) -> dict:
 def named_audits(draw):
     names = draw(st.lists(st.text(), min_size=2, max_size=6, unique=True))
     cms = draw(st.lists(group_cms, min_size=len(names), max_size=len(names)))
-    table = GroupTable(groups=dict(zip(names, cms)), total=total_of(cms))
+    table = GroupTable(dict(zip(names, cms)))
     order = tuple(draw(st.permutations(names)))
     order = order[: draw(st.integers(min_value=2, max_value=len(order)))]
     low, high = sorted(draw(st.lists(edges, min_size=2, max_size=2)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ofi_audit.ingestion import (
     ColumnSchema,
     EmptyDatasetError,
+    GroupTable,
     PredictionRecord,
     RowValueError,
     SchemaError,
@@ -168,6 +169,9 @@ class TestAggregate:
         assert table.groups["i"] == BinaryConfusion(1, 0, 0, 5)
         assert table.groups["j"] == BinaryConfusion(7, 0, 1, 10)
         assert table.total == BinaryConfusion(8, 0, 1, 15)
+
+    def test_empty_table_total_is_all_zero(self):
+        assert GroupTable({}).total == BinaryConfusion(0, 0, 0, 0)
 
     def test_single_record(self):
         table = aggregate([PredictionRecord("g", 1, 0)])

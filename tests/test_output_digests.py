@@ -6,12 +6,14 @@ to integer arithmetic, and the `dist` and `verify` ones before the
 enumeration and row writing were rewritten; a change that is meant to
 leave the output alone must keep every one of them. A change that alters
 the output on purpose updates the table and says so. Only the
-`report.json` digests have been re-pinned since: report schema 2 writes
-each rational as the exact text of its grid CSV cell, drops the float
-`approx` copy, writes each pair as a list and adds a `schema` field. The
-values it carries are the same, and every SVG and grid CSV digest stayed
-as it was. A second test checks, case by case, that each report grid cell
-is the text of the matching grid CSV cell.
+`report.json` digests have been re-pinned since, twice. Report schema 2
+writes each rational as the exact text of its grid CSV cell, drops the
+float `approx` copy, writes each pair as a list and adds a `schema` field.
+Schema 3 adds `dataset.confusion`, every group's counts, and changes
+nothing else but the schema number. The values each carries are the same,
+and every SVG and grid CSV digest stayed as it was. A second test checks,
+case by case, that each report grid cell is the text of the matching grid
+CSV cell.
 
 `audit` inputs: each CSV fixture, with and without ``--flip``, and one synthetic
 table whose pairs sit exactly on the OFI threshold (±3/10) and on both
@@ -98,91 +100,91 @@ OUTPUTS = ("report.json", "ofi.svg", "di.svg", "grid.ofi.csv", "grid.di.csv")
 
 DIGESTS = {
     "recidivism_style": {
-        "report.json": "aaaa0410004905b34997a131fa0214b115462a7627c524236c68e6b7fb91a35a",
+        "report.json": "959245e1e2ca01daba4558f38a13ae4fed4082ce013cecda59e3fcbe76ea7b5f",
         "ofi.svg": "4517196af75cc30db9f8dd643534297b956500697153c5cea806c4e5ee0546f6",
         "di.svg": "3a726842dddcedf9cea1cf46426d179d18c18c7f477533efcf949cb90f254a3b",
         "grid.ofi.csv": "21931e87694d11afbf1098c0d70889a12ea9013c76e4ddc8f57383ac1ec6a07f",
         "grid.di.csv": "7d5876a300216e366f9c6882de7f2ce4ce1d97dc730a4c79efe5c9bbd553e085",
     },
     "recidivism_style+flip": {
-        "report.json": "f292c67c247eb57b8b661c88d6a224033695c679359100f4ac7c2998957d4a0a",
+        "report.json": "5e366abfdca56faa61d75c1f421f015bd59971a91eff4721a90fd0752d545f5b",
         "ofi.svg": "6e20c1d52e431dc4d6e560de09a88bd4764468e939581bb5f2b9fe32cb8ed36d",
         "di.svg": "7e8cc602fd0a76fbc00604ac0eab01dcb6d72e635ca925654892394c7833d139",
         "grid.ofi.csv": "4ee94cd251b54c452606dc0c670832a8751b621a32cab5e0ad87c64cb82e11f8",
         "grid.di.csv": "3764a0813a904598a96cf9b7e21a32ed191ea7943e58311a939a416f129369b9",
     },
     "scenario_a": {
-        "report.json": "bdbc74dfe47b4d265acc72d03a2244dade99b2bb62aafba8d32a054c4510c921",
+        "report.json": "42b425f08377448ee40d3408996e8ea2f3b60ce864c02aed88a6cdaa01110788",
         "ofi.svg": "223d8b4dcfb4b8a0174f0ac7bb4ed8637b13d95209c17735fbbcf3be4b8b94da",
         "di.svg": "e3498f4d544da553399f0d68f627fbc19f5f64fb049eb4aaf425c2e1c759de6f",
         "grid.ofi.csv": "ab4588afb32f08aafe0cc5d8293086087b8038f7402775958eb00db8c414dd09",
         "grid.di.csv": "a388507538788ae223052e2486488f0c16042e32488a9e8efd516803e85958b3",
     },
     "scenario_a+flip": {
-        "report.json": "1cac9e0c2e49c7e0fe7a44f1d21bde9f6b5717dad230c2523b3a18a1ecb71789",
+        "report.json": "b940697440e35f1d353f208d4c139341714880997a917394dc5f72926009f2b9",
         "ofi.svg": "8bac86ed8951ef08fc496a90d97bcdb71b83b9b3d8168ed13acf20bd338878c5",
         "di.svg": "b9dea58172891c02b6d62a38d07589007e4d38189845863496c98454252f9fc1",
         "grid.ofi.csv": "88c30b18530eba02ef58a90073890143c6ab7de259a579e25db7894a2bf69b39",
         "grid.di.csv": "760a1b8c542e0cbee0cec15806daf6ba17f56314a6e1d2cff2d243eefa1c1a80",
     },
     "scenario_alpha": {
-        "report.json": "df8087e37528edec0d2f4ab275e548582cf5a75071acf80ca9e7b932b731d3db",
+        "report.json": "2536bc0de9d8e7b573cb9c8731854a41a58b95301d47c3ee6e006c4b1d79e979",
         "ofi.svg": "0ca4eeab5d0dca84e27f3b8b76d74db93cba5b99d1a59a2a4db46b8c332dc404",
         "di.svg": "d08d8e81663a347fb330b41b42a0a3b5bbc2645a543e8f9ba2c5e50f7381bc14",
         "grid.ofi.csv": "c966d032b75f84bcd712af4e1da30fc20dca40755638935940e022e8f341e462",
         "grid.di.csv": "815a22a9295777a86dc2340cf114739aace2f7bc0f06dc6db1a8cd526fcbdc93",
     },
     "scenario_alpha+flip": {
-        "report.json": "4c8e546ea84461897c6ebc8aa240f40adcf30c1501ad225caa6a9b02608353b1",
+        "report.json": "d84b0bfb26e0715f5a234c9368267718fe3c7a5f45c7c1bd633eac1daa684fea",
         "ofi.svg": "6e96547159bad78940f7b2931c8763df305fd05b1ef6795a1b595f730dec2bad",
         "di.svg": "9dfe4efad0b26ee1cfbb314a336454224700a6353563d562b71b09a9e40c887c",
         "grid.ofi.csv": "22994899999d1d99d3144482a0a7dc03ff1c02d36c5cb1d873d6ebf16d2981bb",
         "grid.di.csv": "5771dd16005e9d651d89057dc714900ef4afa2646cd03d52e7165401d27e94d8",
     },
     "scenario_b": {
-        "report.json": "8211d6ddbfed02bb49780f456cc775cbdabbb0b5e810b7333dcf1eb78bdb9b6c",
+        "report.json": "f573c75834647636d249bcfa9d50488d45350815f542f3a4e03440531b4919ae",
         "ofi.svg": "cba792bf5a68a34657014383758f0040e5a7d377d7e6b0e81bd47ff8dd9c5e3f",
         "di.svg": "692738dbf120ccb92603dea2c9e3d30cbcecf11ee90cb48efbbb236b07db2937",
         "grid.ofi.csv": "81326f1099b0b8ff0859559d802c1c69535209c3f55be0f665b97deba2b0860b",
         "grid.di.csv": "9392410c1b58badd4222df661549a517f005593b9fc5d8274b71fff4bae169f0",
     },
     "scenario_b+flip": {
-        "report.json": "a4bd7ecb52f698398aadddb8145491ab425fe27a8cb412b3b628bec88d4bc0ab",
+        "report.json": "95a2a40c2b30099c965aab24fab23984e72a9edaecb67b2aa4ab51ddd637dcbc",
         "ofi.svg": "cbdee6cc458caf40f282b8da00124e9a2bcb9db5d2d3fced1ef101f7cb686192",
         "di.svg": "692738dbf120ccb92603dea2c9e3d30cbcecf11ee90cb48efbbb236b07db2937",
         "grid.ofi.csv": "1b178c958f32cf4e573b03d7220a6d47b3295d49ee655a0579bc5cbf1ddef45c",
         "grid.di.csv": "e4967ce5806a554476bf69b385ef598b4bb7c5a44d57c15c71fa903e48f5221a",
     },
     "synthetic": {
-        "report.json": "b1b984b52915cef9ede40826e9c567369ae5bda1615c9038159d221cc6da4be1",
+        "report.json": "b907b70068384b6bf337d4294541756ca826f0e286ff939ef7598113b1162c0e",
         "ofi.svg": "cac385b1d21f1a826729f09e05f847d915cfb26ae48cbc67818164b626f2a23e",
         "di.svg": "ec6c89be77c02b9faa3732119285fefa7294d3ca9b88adf67a8e227c624dd53a",
         "grid.ofi.csv": "a0510ad4ac6152d32b85744c1d5c20dfca070c3670402eb821a6d630afc372ee",
         "grid.di.csv": "dc5568b2d7c69acb8a1a361b6e0db07967604d28fabc94c8ae3336f32a091145",
     },
     "synthetic+flip": {
-        "report.json": "28e7c79fdd5c7fde7f443c02330ae30e112aa2c2ce92e6b623b6234fcf4ab718",
+        "report.json": "41af1d501e74aaa06bed7d91debd4d966768d72733985872b76a887d3479eb55",
         "ofi.svg": "4c24156726d0a6e950141c1ad4eecf94888c9f55c70a3eda3b907a9b026a999a",
         "di.svg": "bd582420dc57cd272f883304ca1e37fa91c5bfc30b30a8294c89464cf35a11f9",
         "grid.ofi.csv": "63effee6e3bf294732c502fa2519ef2fd4dc4e7c4f56058dee82b134e9c25e4a",
         "grid.di.csv": "431d91802229327b6f0bc74c55c32e4d0e3d501d71d4b4418c8c187153ca0f32",
     },
     "wide": {
-        "report.json": "09d839f76349ff3381ce32afa581202649b9e322f3ee4d58bef51c59ba7a6bb8",
+        "report.json": "7bedc96fca4d61d949ebcb02ee43264a9990703f7d287def5ebdc83514ff845f",
         "ofi.svg": "bf517fe58b724dfb94688e1db819c1c2e9a66f72043a47c32925f89409c3ff26",
         "di.svg": "62a2d7bcd33f130bbd38b7e68760d973df2edea3a6c98012dfb6b82ed1889a82",
         "grid.ofi.csv": "3beda5adaf0ea41e792e29dcb4dba8405424d7838ea69f9787e18512be36ae46",
         "grid.di.csv": "91c9e699ad3d795a0c937eac652dfa5fca80e159b1fba6a1d1929f0fc73ddf55",
     },
     "wide+flip": {
-        "report.json": "e4968153e33370f9604d0d5b45906eb58ba66ee15cdcb3c2bcf7f54cc013748d",
+        "report.json": "6407d50f1360488645561f25307abc909d9f4afce6ce98c2fa54105f12108740",
         "ofi.svg": "ca9a158851582e6305b04e7a159aca47ee87ad6b31cbc020fc6b3f58aed06ef2",
         "di.svg": "023bc4229de13d30df92afa4ece6d5c48e9ce6bea7a9974f67945deda270ffac",
         "grid.ofi.csv": "5824a5d5244b893c5f3637f4a100b15bce6e1b95631109b5ed35b9592a430547",
         "grid.di.csv": "ad187588e1efdb805c2b740a8307a0be219f79ecd0c46aef0e24ef533a0d784c",
     },
     "huge": {
-        "report.json": "620c24782292736d4f12eb3442dac79456563981f35cd15b331bc003de9dbba1",
+        "report.json": "52c39f5ccb5edde56c71d2eb96e7c026d499c030a8a0e46928c711c58a3a11fe",
         "ofi.svg": "f3e46280904a25de0409a86489fa8eec327a2c685bb84789740e594cf78251d3",
         "di.svg": "156e8d63b55e89e7137175ff03dec21471c11ff7a47d6936a9b254886a8ea1f6",
         "grid.ofi.csv": "ab8469361250d059c11cd2bcb29853ca43f4176652d4b53c5a0035c206477b36",
@@ -258,9 +260,7 @@ def test_report_cells_are_the_grid_csv_cells(capsys, tmp_path, fixtures_dir, cas
 
 
 def test_huge_counts_match_pinned_digests():
-    total = BinaryConfusion(*(sum(getattr(cm, cell) for cm in HUGE.values())
-                              for cell in ("tp", "fn", "fp", "tn")))
-    report = build_report(GroupTable(groups=HUGE, total=total))
+    report = build_report(GroupTable(HUGE))
     outputs = {
         "report.json": serialize_report(report),
         "ofi.svg": "".join(heatmap_chunks(report.ofi_grid)),

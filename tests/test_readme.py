@@ -1,6 +1,8 @@
-"""The README's Library example runs, and the package root exports its names."""
+"""The README's Library example runs, the package root exports its names,
+and the README states the report schema that reports carry."""
 
 import ast
+import json
 import re
 import shutil
 from pathlib import Path
@@ -37,3 +39,11 @@ def test_library_example_runs(tmp_path, fixtures_dir, monkeypatch, capsys):
 def test_root_exports_are_the_documented_names():
     assert set(ofi_audit.__all__) == imported_names(library_block()) | {"parse_report"}
     assert all(hasattr(ofi_audit, name) for name in ofi_audit.__all__)
+
+
+def test_stated_schema_is_the_one_reports_carry():
+    stated = set(re.findall(r'"?schema"?:? (\d+)', README.read_text(encoding="utf-8")))
+    lines = ["group,label,prediction", "a,1,1", "b,0,0"]
+    table = ofi_audit.aggregate(ofi_audit.iter_records(lines))
+    written = json.loads(ofi_audit.serialize_report(ofi_audit.build_report(table)))["schema"]
+    assert stated == {str(written)}
