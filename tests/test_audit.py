@@ -371,6 +371,9 @@ class TestBuildReport:
         assert parse_report(serialize_report(subset)) == subset
 
 
+SECTIONS = ("config", "dataset", "grids", "group_metrics", "group_order", "pairs", "schema")
+
+
 def without(section: str):
     return lambda doc: {key: value for key, value in doc.items() if key != section}
 
@@ -481,8 +484,7 @@ class TestSerialization:
         assert str(raised.value) == "report line 85 is None, but its counts and config give ''"
 
     @pytest.mark.parametrize("edit", [
-        *(without(section) for section in
-          ("config", "dataset", "grids", "group_metrics", "group_order", "pairs", "schema")),
+        *map(without, SECTIONS),
         lambda doc: [],
         lambda doc: None,
         lambda doc: 3,
@@ -501,8 +503,7 @@ class TestSerialization:
         lambda doc: doc["config"].__setitem__("ofi_threshold", float("inf")) or doc,
         lambda doc: doc["config"].__setitem__("group_order", 2) or doc,
         lambda doc: doc["config"].__setitem__("group_order", [["i"], "j"]) or doc,
-    ], ids=[*(f"no-{section}" for section in
-              ("config", "dataset", "grids", "group_metrics", "group_order", "pairs", "schema")),
+    ], ids=[*(f"no-{section}" for section in SECTIONS),
             "list", "null", "number", "string", "counts-short", "counts-long", "counts-null",
             "counts-string", "count-string", "count-float", "counts-object",
             "confusion-list", "dataset-list", "config-list", "threshold-null", "threshold-infinity",
