@@ -8,10 +8,12 @@ subcommand).
 Two routes give the same :class:`Enumeration` record. :func:`stream`
 walks the tuple stream from :func:`ofi_audit.combinatorics.enumerate_cms`
 once and applies the exact metric to each quadruple; it is pure Python
-and practical up to n of a few dozen. :func:`enumeration` runs the int64
-numpy kernel :func:`enum_stats`, which masks the (fn, fp) plane per tp
-and handles n in the hundreds; it is itself checked against the stream
-route.
+and practical up to n of a few dozen. :func:`enumerations` gives the
+record of every size up to n_max from one pass of the int64 numpy kernel
+:func:`enum_by_sum` over the triples (tp, fn, fp) with tp + fn + fp <=
+n_max, taken in order of their sum s: the quadruples with cell sum n are
+the triples with s <= n, tn being n - s. That pass handles n_max in the
+hundreds and is itself checked against the stream route.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -52,49 +55,79 @@ class Enumeration:
         )
 
 
-def enum_stats(n: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
-    """Every enumeration fact about the quadruples with cell sum n, from
-    one pass over them.
+def enum_by_sum(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Count the triples (tp, fn, fp) with tp + fn + fp = s, for each sum
+    s in 0..n_max in turn.
 
-    Returns ``(count, cell_counts, score_counts, total, total_sq)``:
-    the number of quadruples; ``cell_counts[c, x]``, how many have cell c
+    Yields ``(cell_counts, score_counts)``: ``cell_counts[c, x]``, how
+    many of the triples have cell c equal to x, shape (3, n_max + 1) with
+    cells ordered (tp, fn, fp); and ``score_counts[d + n_max]``, how many
+    have fp - fn = d, shape (2 * n_max + 1,).
+    """
+    size = n_max + 1
+    r = np.arange(size, dtype=np.int64)
+    for s in range(size):
+        tp_axis, fn_axis = r[: s + 1, None], r[None, : s + 1]
+        valid = tp_axis + fn_axis <= s
+        tp = np.broadcast_to(tp_axis, valid.shape)[valid]
+        fn = np.broadcast_to(fn_axis, valid.shape)[valid]
+        fp = s - tp - fn
+        cell_counts = np.stack([np.bincount(v, minlength=size) for v in (tp, fn, fp)])
+        yield cell_counts, np.bincount(fp - fn + n_max, minlength=2 * size - 1)
+
+
+def enum_stats(n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int, int]]:
+    """Every enumeration fact about the quadruples with cell sum n, for
+    each n in 1..n_max in turn, from one pass of :func:`enum_by_sum`.
+
+    The quadruples with cell sum n are the triples with sum s <= n, tn
+    being n - s, so running totals over s give every size.
+
+    Yields ``(count, cell_counts, score_counts, total, total_sq)``: the
+    number of quadruples; ``cell_counts[c, x]``, how many have cell c
     equal to x, shape (4, n + 1) with cells ordered (tp, fn, fp, tn);
     ``score_counts[d + n]``, how many have fp - fn = d; and the sum and
     sum of squares of fp - fn as Python ints.
     """
-    count = 0
-    cell_counts = np.zeros((4, n + 1), dtype=np.int64)
-    score_counts = np.zeros(2 * n + 1, dtype=np.int64)
-    total = 0
-    total_sq = 0
-    r = np.arange(n + 1, dtype=np.int64)
-    for tp in range(n + 1):
-        m = n - tp
-        fn_axis, fp_axis = r[: m + 1, None], r[None, : m + 1]
-        valid = fn_axis + fp_axis <= m
-        fn = np.broadcast_to(fn_axis, valid.shape)[valid]
-        fp = np.broadcast_to(fp_axis, valid.shape)[valid]
-        d = fp - fn
-        count += d.size
-        cell_counts[0, tp] += d.size
-        cell_counts[1] += np.bincount(fn, minlength=n + 1)
-        cell_counts[2] += np.bincount(fp, minlength=n + 1)
-        cell_counts[3] += np.bincount(m - fn - fp, minlength=n + 1)
-        score_counts += np.bincount(d + n, minlength=2 * n + 1)
-        total += int(d.sum())
-        total_sq += int((d * d).sum())
-    return count, cell_counts, score_counts, total, total_sq
+    size = n_max + 1
+    cells = np.zeros((3, size), dtype=np.int64)
+    scores = np.zeros(2 * size - 1, dtype=np.int64)
+    # triples per sum s; a quadruple of size n has tn = x exactly when s = n - x
+    per_sum = np.zeros(size, dtype=np.int64)
+    d = np.arange(-n_max, n_max + 1, dtype=np.int64)
+    d_sq = d * d
+    for n, (layer_cells, layer_scores) in enumerate(enum_by_sum(n_max)):
+        # with the triples of sum n added, the totals cover size n
+        cells += layer_cells
+        scores += layer_scores
+        per_sum[n] = layer_cells[0].sum()
+        if n == 0:
+            continue
+        cell_counts = np.empty((4, n + 1), dtype=np.int64)
+        cell_counts[:3] = cells[:, : n + 1]
+        cell_counts[3] = per_sum[n::-1]
+        yield (
+            int(per_sum[: n + 1].sum()),
+            cell_counts,
+            scores[n_max - n : n_max + n + 1].copy(),
+            int(scores @ d),
+            int(scores @ d_sq),
+        )
 
 
-def enumeration(n: int) -> Enumeration:
-    """The record from one pass of the numpy enumeration kernel; the
-    moments come from the integer sums of d and d^2."""
-    count, cell_counts, score_counts, total, total_sq = enum_stats(n)
-    mean = Fraction(total, count * n)
-    variance = Fraction(total_sq, count * n * n) - mean**2
-    return Enumeration(
-        count, cell_counts, ScoreDistribution(n=n, counts=score_counts), mean, variance
-    )
+def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
+    """The record of each size n in n_min..n_max in turn, from one pass
+    of the numpy enumeration kernel; the moments come from the integer
+    sums of d and d^2."""
+    stats = enum_stats(n_max)
+    for n, (count, cell_counts, score_counts, total, total_sq) in enumerate(stats, 1):
+        if n < n_min:
+            continue
+        mean = Fraction(total, count * n)
+        variance = Fraction(total_sq, count * n * n) - mean**2
+        yield Enumeration(
+            count, cell_counts, ScoreDistribution(n=n, counts=score_counts), mean, variance
+        )
 
 
 def stream(n: int) -> Enumeration:

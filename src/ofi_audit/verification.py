@@ -1,9 +1,10 @@
 """Identity checks between the closed forms and full enumeration.
 
 :func:`run_identity_checks` evaluates every identity over a range of
-sample sizes and reports one result per identity. Full enumeration is
-O(n^3) per size, so ranges are guarded at n <= 200 (about 1.4 million
-quadruples at the cap).
+sample sizes and reports one result per identity. One pass over the
+triples (tp, fn, fp) with tp + fn + fp <= n_max gives the enumeration of
+every size in the range; it is O(n_max^3), so ranges are guarded at
+n <= 500 (about 21 million triples at the cap).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .combinatorics import (
 )
 
 #: Largest n the verify command will enumerate.
-ENUMERATION_MAX = 200
+ENUMERATION_MAX = 500
 
 #: Largest n for the pure-Python tuple-stream cross-check.
 STREAM_CHECK_MAX = 40
@@ -68,13 +69,12 @@ class CheckResult:
     detail: str
 
 
-def _check_single_n(n: int) -> dict[str, str | None]:
-    """Run every identity at one n. Returns failure text per identity,
-    None where the identity holds."""
+def _check_single_n(n: int, record: exhaustive.Enumeration) -> dict[str, str | None]:
+    """Run every identity at one n against its enumeration record.
+    Returns failure text per identity, None where the identity holds."""
     failures: dict[str, str | None] = {name: None for name, _ in IDENTITIES}
 
     expected_total = total_combinations(n)
-    record = exhaustive.enumeration(n)
     if record.count != expected_total:
         failures["cardinality"] = f"n={n}: enumerated {record.count}, closed form {expected_total}"
 
@@ -151,7 +151,8 @@ def run_identity_checks(n_min: int = 1, n_max: int = STREAM_CHECK_MAX) -> list[C
         )
 
     ns = range(n_min, n_max + 1)
-    per_n = [_check_single_n(n) for n in ns]
+    records = exhaustive.enumerations(n_min, n_max)
+    per_n = [_check_single_n(n, record) for n, record in zip(ns, records, strict=True)]
 
     stream_span = [n for n in ns if n <= STREAM_CHECK_MAX]
     results = []

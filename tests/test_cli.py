@@ -505,6 +505,25 @@ class TestVerify:
         assert code == 1
         assert "[verify]" in err and "guard" in err
 
+    def test_guard_is_checked_before_any_enumeration(self, capsys, monkeypatch):
+        def kernel(n_max):
+            raise AssertionError(f"enumerated to {n_max} past the guard")
+
+        monkeypatch.setattr(exhaustive, "enum_by_sum", kernel)
+        code, out, err = run(capsys, "verify", "--n-max", "501")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error [verify]: n_max 501 exceeds the enumeration guard 500; "
+            "full enumeration is O(n^3)\n"
+        )
+
+    def test_guard_size_enumerates_without_overflow(self, capsys):
+        # the d^2 sums and the counts at the cap stay well inside int64
+        code, out, _ = run(capsys, "verify", "--n-min", "500", "--n-max", "500")
+        assert code == 0
+        assert out.endswith("all identities hold for n in [500, 500]\n")
+
     def test_inverted_range(self, capsys):
         code, _, err = run(capsys, "verify", "--n-min", "9", "--n-max", "3")
         assert code == 1
@@ -513,7 +532,7 @@ class TestVerify:
 
 # the originals, taken before any test patches them
 PAIR_SCORE_COUNTS = combinatorics.pair_score_counts
-ENUM_STATS = exhaustive.enum_stats
+ENUM_BY_SUM = exhaustive.enum_by_sum
 MARGINAL_BENEFIT = exhaustive.marginal_benefit
 
 
@@ -523,12 +542,17 @@ def _pair_counts_off_at_the_ends(n):
     return counts
 
 
-def _enum_stats_missing_one(n):
-    # drop the quadruple (0, 0, 0, n), whose score difference is 0
-    count, cells, scores, total, total_sq = ENUM_STATS(n)
-    cells[[0, 1, 2, 3], [0, 0, 0, n]] -= 1
-    scores[n] -= 1
-    return count - 1, cells, scores, total, total_sq
+def _enumeration_without(triple):
+    # the kernel as if it never reached one triple (tp, fn, fp)
+    tp, fn, fp = triple
+
+    def kernel(n_max):
+        for s, (cells, scores) in enumerate(ENUM_BY_SUM(n_max)):
+            if s == tp + fn + fp:
+                cells[[0, 1, 2], [tp, fn, fp]] -= 1
+                scores[fp - fn + n_max] -= 1
+            yield cells, scores
+    return kernel
 
 
 def _marginal_benefit_wrong_once(cm):
@@ -542,7 +566,8 @@ class TestVerifyFails:
 
     @pytest.mark.parametrize("module, name, fault, identity", [
         (combinatorics, "pair_score_counts", _pair_counts_off_at_the_ends, "distribution"),
-        (exhaustive, "enum_stats", _enum_stats_missing_one, "cardinality"),
+        # (0, 0, 0) is the quadruple (0, 0, 0, n) of every size
+        (exhaustive, "enum_by_sum", _enumeration_without((0, 0, 0)), "cardinality"),
         (exhaustive, "marginal_benefit", _marginal_benefit_wrong_once, "stream-equivalence"),
     ], ids=["pair-counts-off-by-one", "enumeration-missing-a-quadruple", "stream-misscored"])
     def test_fault_fails_its_identity(self, capsys, monkeypatch, module, name, fault, identity):
@@ -552,3 +577,14 @@ class TestVerifyFails:
         assert f"FAIL {identity}: " in out
         assert "all identities hold" not in out
         assert err == "identity check failed\n"
+
+    def test_missing_triple_hits_every_size_from_its_sum_up(self, capsys, monkeypatch):
+        # (1, 1, 1) is a quadruple of size 3 and up, and of no smaller size
+        monkeypatch.setattr(exhaustive, "enum_by_sum", _enumeration_without((1, 1, 1)))
+        code, out, _ = run(capsys, "verify", "--n-max", "6")
+        assert code == 1
+        first_failure = next(line for line in out.splitlines() if line.startswith("FAIL"))
+        assert first_failure == (
+            "FAIL cardinality: enumerated quadruple count equals (n+1)(n+2)(n+3)/6"
+            "  [n=3: enumerated 19, closed form 20]"
+        )

@@ -205,11 +205,18 @@ class TestDistribution:
 
 class TestEnumerationRecord:
     def test_stream_equals_kernel_enumeration(self):
+        records = list(exhaustive.enumerations(1, 16))
+        assert len(records) == 16
         for n in (1, 2, 7, 16):
-            assert exhaustive.stream(n) == exhaustive.enumeration(n)
+            assert exhaustive.stream(n) == records[n - 1]
+
+    def test_range_starts_at_n_min(self):
+        records = list(exhaustive.enumerations(7, 9))
+        assert [record.histogram.n for record in records] == [7, 8, 9]
+        assert records[0] == exhaustive.stream(7)
 
     def test_equality_compares_every_field(self):
-        record = exhaustive.enumeration(5)
+        (record,) = exhaustive.enumerations(5, 5)
         cells = record.cell_counts.copy()
         cells[2, 1] += 1
         counts = record.histogram.counts.copy()

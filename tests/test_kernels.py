@@ -7,16 +7,15 @@ from ofi_audit.combinatorics import pair_score_counts
 from ofi_audit.exhaustive import enum_stats
 from reference import enum_stats_loops, pair_score_counts_loops
 
-# id -> (kernel, reference, part of the result it compares); the four
-# enum_* ids each compare one part of the single enumeration pass
-KERNEL_PARTS = {
-    "enum_count": (enum_stats, enum_stats_loops, slice(0, 1)),
-    "enum_cell_counts": (enum_stats, enum_stats_loops, slice(1, 2)),
-    "enum_score_counts": (enum_stats, enum_stats_loops, slice(2, 3)),
-    "enum_score_sums": (enum_stats, enum_stats_loops, slice(3, 5)),
-    "pair_score_counts": (pair_score_counts, pair_score_counts_loops, None),
+# id -> part of the enumeration result it compares; one pass to
+# ENUM_N_MAX gives the result of every size up to it
+ENUM_PARTS = {
+    "enum_count": slice(0, 1),
+    "enum_cell_counts": slice(1, 2),
+    "enum_score_counts": slice(2, 3),
+    "enum_score_sums": slice(3, 5),
 }
-SIZES = (1, 2, 5, 16, 31)
+ENUM_N_MAX = 31
 
 
 def _results_equal(a, b) -> bool:
@@ -27,14 +26,18 @@ def _results_equal(a, b) -> bool:
     return type(a) is type(b) is int and a == b
 
 
-@pytest.mark.parametrize("name", KERNEL_PARTS)
-@pytest.mark.parametrize("n", SIZES)
-def test_numpy_matches_plain_loops(name, n):
-    kernel, reference, part = KERNEL_PARTS[name]
-    got, want = kernel(n), reference(n)
-    if part is not None:
-        got, want = got[part], want[part]
-    assert _results_equal(got, want)
+@pytest.fixture(scope="module")
+def one_pass():
+    results = list(enum_stats(ENUM_N_MAX))
+    assert len(results) == ENUM_N_MAX
+    return results
+
+
+@pytest.mark.parametrize("name", ENUM_PARTS)
+@pytest.mark.parametrize("n", range(1, ENUM_N_MAX + 1))
+def test_numpy_matches_plain_loops(one_pass, name, n):
+    part = ENUM_PARTS[name]
+    assert _results_equal(one_pass[n - 1][part], enum_stats_loops(n)[part])
 
 
 def test_closed_form_matches_pair_counting_loops():
@@ -43,13 +46,13 @@ def test_closed_form_matches_pair_counting_loops():
 
 
 def test_counts_are_int64():
-    _, cell_counts, score_counts, _, _ = enum_stats(9)
+    _, cell_counts, score_counts, _, _ = list(enum_stats(9))[-1]
     assert pair_score_counts(9).dtype == np.int64
     assert cell_counts.dtype == np.int64
     assert score_counts.dtype == np.int64
 
 
 def test_sums_are_python_ints():
-    count, _, _, total, total_sq = enum_stats(9)
-    assert type(count) is int and type(total) is int and type(total_sq) is int
-    assert total == 0  # symmetric differences cancel
+    for count, _, _, total, total_sq in enum_stats(9):
+        assert type(count) is int and type(total) is int and type(total_sq) is int
+        assert total == 0  # symmetric differences cancel

@@ -1,5 +1,6 @@
 """The README's Library example runs, the package root exports its names,
-and the README states the report schema that reports carry."""
+and the README states the report schema that reports carry and the
+enumeration guard that `verify` applies."""
 
 import ast
 import json
@@ -8,6 +9,7 @@ import shutil
 from pathlib import Path
 
 import ofi_audit
+from ofi_audit.verification import ENUMERATION_MAX
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -47,3 +49,8 @@ def test_stated_schema_is_the_one_reports_carry():
     table = ofi_audit.aggregate(ofi_audit.iter_records(lines))
     written = json.loads(ofi_audit.serialize_report(ofi_audit.build_report(table)))["schema"]
     assert stated == {str(written)}
+
+
+def test_stated_guard_is_the_one_verify_applies():
+    stated = set(re.findall(r"guarded at `--n-max (\d+)`", README.read_text(encoding="utf-8")))
+    assert stated == {str(ENUMERATION_MAX)}
