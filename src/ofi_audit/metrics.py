@@ -56,10 +56,13 @@ class BinaryConfusion:
 
     def __post_init__(self) -> None:
         for name in ("tp", "fn", "fp", "tn"):
-            value = index(getattr(self, name))
+            value = getattr(self, name)
+            # plain ints are stored as given; bools and numpy integers become int
+            if type(value) is not int:
+                value = index(value)
+                object.__setattr__(self, name, value)
             if value < 0:
                 raise ValueError(f"confusion cell {name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

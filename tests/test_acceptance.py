@@ -113,12 +113,12 @@ def test_counting_identities():
 
 def test_moment_identities():
     ok = True
-    records = list(exhaustive.enumerations(1, 40))
+    records = list(exhaustive.enumerations(1, 200))
     for n, record in enumerate(records, 1):
         ok = ok and record.mean == 0 and record.variance == Fraction(n + 4, 10 * n)
-    ok = ok and len(records) == 40 and records[0].variance == Fraction(1, 2)
+    ok = ok and len(records) == 200 and records[0].variance == Fraction(1, 2)
     ok = ok and math.isclose(b_stats(1).std, 0.70711, abs_tol=5e-6)
-    check("enumerated moments match mean 0 and variance (n+4)/(10n) for n in 1..40", ok)
+    check("enumerated moments match mean 0 and variance (n+4)/(10n) for n in 1..200", ok)
 
 
 def test_convergence():

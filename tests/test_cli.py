@@ -561,6 +561,11 @@ def _marginal_benefit_wrong_once(cm):
     return MARGINAL_BENEFIT(cm)
 
 
+def _marginal_benefit_off_grid(cm):
+    # a score in steps of 1/(n+1), which mostly falls between the bins d/n
+    return Fraction(cm.fp - cm.fn, cm.n + 1)
+
+
 class TestVerifyFails:
     """A fault on either side of an identity makes `verify` fail loudly."""
 
@@ -569,7 +574,13 @@ class TestVerifyFails:
         # (0, 0, 0) is the quadruple (0, 0, 0, n) of every size
         (exhaustive, "enum_by_sum", _enumeration_without((0, 0, 0)), "cardinality"),
         (exhaustive, "marginal_benefit", _marginal_benefit_wrong_once, "stream-equivalence"),
-    ], ids=["pair-counts-off-by-one", "enumeration-missing-a-quadruple", "stream-misscored"])
+        (exhaustive, "marginal_benefit", _marginal_benefit_off_grid, "stream-equivalence"),
+    ], ids=[
+        "pair-counts-off-by-one",
+        "enumeration-missing-a-quadruple",
+        "stream-misscored",
+        "stream-off-grid",
+    ])
     def test_fault_fails_its_identity(self, capsys, monkeypatch, module, name, fault, identity):
         monkeypatch.setattr(module, name, fault)
         code, out, err = run(capsys, "verify", "--n-max", "6")

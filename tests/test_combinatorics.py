@@ -21,7 +21,7 @@ from ofi_audit.combinatorics import (
     termial,
     total_combinations,
 )
-from ofi_audit.verification import count_increment, count_sum_identity
+from ofi_audit.verification import STREAM_CHECK_MAX, count_increment, count_sum_identity
 from reference import pair_score_counts_loops
 
 
@@ -205,10 +205,22 @@ class TestDistribution:
 
 class TestEnumerationRecord:
     def test_stream_equals_kernel_enumeration(self):
-        records = list(exhaustive.enumerations(1, 16))
-        assert len(records) == 16
-        for n in (1, 2, 7, 16):
-            assert exhaustive.stream(n) == records[n - 1]
+        # from n = 10 on, the walk spans more than one batch
+        assert total_combinations(9) <= exhaustive.STREAM_BATCH < total_combinations(10)
+        records = list(exhaustive.enumerations(1, STREAM_CHECK_MAX))
+        assert len(records) == STREAM_CHECK_MAX
+        for n, record in enumerate(records, 1):
+            assert exhaustive.stream(n) == record
+
+    def test_stream_leaves_off_grid_scores_out_of_the_histogram(self, monkeypatch):
+        # with scores (fp - fn)/7 at n = 6, only 0 is a multiple of 1/6
+        monkeypatch.setattr(
+            exhaustive, "marginal_benefit", lambda cm: Fraction(cm.fp - cm.fn, cm.n + 1)
+        )
+        record = exhaustive.stream(6)
+        on_grid = sum(1 for _, fn, fp, _ in enumerate_cms(6) if fp == fn)
+        assert record.count == total_combinations(6)
+        assert record.histogram.counts.tolist() == [0] * 6 + [on_grid] + [0] * 6
 
     def test_range_starts_at_n_min(self):
         records = list(exhaustive.enumerations(7, 9))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,13 +43,21 @@ class TestBinaryConfusion:
         assert cm.positive_labels == 7
         assert cm.positive_predictions == 8
 
+    def test_integer_like_cells_are_stored_as_int(self):
+        cm = BinaryConfusion(True, np.int64(3), 0, 2)
+        assert (cm.tp, cm.fn) == (1, 3)
+        assert all(type(cell) is int for cell in (cm.tp, cm.fn, cm.fp, cm.tn))
+
     def test_rejects_negative_cells(self):
-        with pytest.raises(ValueError, match="fp"):
-            BinaryConfusion(1, 0, -1, 0)
+        for name in ("tp", "fn", "fp", "tn"):
+            cells = {"tp": 1, "fn": 0, "fp": 0, "tn": 0, name: -1}
+            with pytest.raises(ValueError, match=f"confusion cell {name} must be >= 0, got -1"):
+                BinaryConfusion(**cells)
 
     def test_rejects_non_integers(self):
-        with pytest.raises(TypeError):
-            BinaryConfusion(1.5, 0, 0, 0)
+        for value in (1.5, "1"):
+            with pytest.raises(TypeError):
+                BinaryConfusion(value, 0, 0, 0)
 
 
 class TestBenefit:

@@ -1,6 +1,7 @@
 """The README's Library example runs, the package root exports its names,
-and the README states the report schema that reports carry and the
-enumeration guard that `verify` applies."""
+and the README states the report schema that reports carry, the
+enumeration guard that `verify` applies and the bound of its stream
+cross-check."""
 
 import ast
 import json
@@ -9,7 +10,7 @@ import shutil
 from pathlib import Path
 
 import ofi_audit
-from ofi_audit.verification import ENUMERATION_MAX
+from ofi_audit.verification import ENUMERATION_MAX, STREAM_CHECK_MAX
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -54,3 +55,8 @@ def test_stated_schema_is_the_one_reports_carry():
 def test_stated_guard_is_the_one_verify_applies():
     stated = set(re.findall(r"guarded at `--n-max (\d+)`", README.read_text(encoding="utf-8")))
     assert stated == {str(ENUMERATION_MAX)}
+
+
+def test_stated_stream_bound_is_the_one_verify_applies():
+    stated = set(re.findall(r"Up to `n = (\d+)`", README.read_text(encoding="utf-8")))
+    assert stated == {str(STREAM_CHECK_MAX)}
