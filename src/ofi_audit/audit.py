@@ -452,14 +452,17 @@ def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
     and contextual DI as "1 (contextual)".
     """
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    # the writer quotes a field that holds a character of its line
+    # terminator, so a CR in a group name is quoted only under "\r\n";
+    # each line then ends in "\n" alone
+    writer = csv.writer(buffer, lineterminator="\r\n")
 
     def line(cells: list[str]) -> str:
         writer.writerow(cells)
         text = buffer.getvalue()
         buffer.seek(0)
         buffer.truncate()
-        return text
+        return text[:-2] + "\n"
 
     yield line(["group", *matrix.group_order])
     for name, row in zip(matrix.group_order, matrix._text_rows()):

@@ -45,7 +45,6 @@ from .metrics import (
     ofi,
     ofi_verdict,
 )
-from .verification import run_identity_checks
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -243,7 +242,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if args.out_grid_csv:
             _write_text(args.out_grid_csv + ".ofi.csv", grid_csv_chunks(report.ofi_grid))
             _write_text(args.out_grid_csv + ".di.csv", grid_csv_chunks(report.di_grid))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a name an SVG cannot carry
         return _fail("write", str(exc))
     return 0
 
@@ -324,6 +323,9 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the enumeration kernels need numpy, which no other subcommand loads
+    from .verification import run_identity_checks
+
     try:
         results = run_identity_checks(args.n_min, args.n_max)
     except ValueError as exc:

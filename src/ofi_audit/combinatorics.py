@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 #: Standard deviation of a symmetric triangular distribution on [-1, 1].
 TRIANGULAR_STD = 1 / math.sqrt(6)
 
@@ -106,20 +104,26 @@ class ScoreDistribution:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreDistribution):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.counts, other.counts)
+        return (
+            self.n == other.n
+            and self.counts.shape == other.counts.shape
+            and bool((self.counts == other.counts).all())
+        )
 
     def total(self) -> int:
         return int(self.counts.sum())
 
     def mode(self) -> Fraction:
         """Score with the highest multiplicity (smallest such score on ties)."""
-        return Fraction(int(np.argmax(self.counts)) - self.n, self.n)
+        return Fraction(int(self.counts.argmax()) - self.n, self.n)
 
     def csv_chunks(self) -> Iterator[str]:
         """The distribution as CSV text: a header, then rows
         (score_numerator, score_denominator, multiplicity) in ascending
         score order with scores in lowest terms, CSV_CHUNK_ROWS rows per
         yielded piece."""
+        import numpy as np
+
         n = self.n
         yield "score_numerator,score_denominator,multiplicity\n"
         for start in range(0, 2 * n + 1, CSV_CHUNK_ROWS):
@@ -139,6 +143,8 @@ def pair_score_counts(n: int) -> np.ndarray:
     for (tp, tn). Summing over k gives m(n + 1 - |d|) - m(m - 1), which
     is m(n + 2 - |d| - m); it is computed in place in two arrays.
     """
+    import numpy as np
+
     a = np.arange(-n, n + 1, dtype=np.int64)
     np.abs(a, out=a)
     m = n - a

@@ -9,8 +9,8 @@ DI cells are hatched and labeled "undef".
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
-from xml.sax.saxutils import escape
 
 from .audit import PairwiseMatrix
 from .formatting import fixed_text
@@ -27,6 +27,24 @@ HIGH_COLOR = "#b2182b"
 
 
 Rgb = tuple[int, int, int]
+
+# characters XML 1.0 cannot carry, even as a character reference
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _escape(name: str) -> str:
+    """A group name as SVG text content. CR is written as a character
+    reference so that a parser does not fold it into LF; a character XML
+    1.0 cannot carry raises ValueError."""
+    bad = _NOT_XML.search(name)
+    if bad:
+        raise ValueError(
+            f"group {name!r} holds U+{ord(bad.group()):04X}, which an SVG cannot carry"
+        )
+    return (
+        name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
 
 
 def _hex_to_rgb(color: str) -> Rgb:
@@ -51,7 +69,8 @@ def _is_dark(rgb: Rgb) -> bool:
 
 def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
     """Render a pairwise grid as an SVG document, yielded in pieces: the
-    header and axis labels, then one piece per grid row.
+    header and axis labels, then one piece per grid row. A group name
+    that holds a character XML 1.0 cannot carry raises ValueError.
     """
     names = matrix.group_order
     if not names:
@@ -78,23 +97,24 @@ def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
         "  </defs>\n",
         f'  <text class="title" x="{left}" y="{FONT_SIZE + 6}" '
         f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE + 2}" '
-        f'font-weight="bold">{escape(matrix.metric.upper())}</text>\n',
+        f'font-weight="bold">{_escape(matrix.metric.upper())}</text>\n',
     ]
 
-    for j, name in enumerate(names):
+    labels = [_escape(name) for name in names]
+    for j, label in enumerate(labels):
         x = left + j * cell + cell / 2
         parts.append(
             f'  <text class="axis-label" x="{x:.1f}" y="{top - 8}" '
             f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
             f'text-anchor="end" transform="rotate(-40 {x:.1f} {top - 8})">'
-            f"{escape(name)}</text>\n"
+            f"{label}</text>\n"
         )
-    for i, name in enumerate(names):
+    for i, label in enumerate(labels):
         y = top + i * cell + cell / 2 + FONT_SIZE / 3
         parts.append(
             f'  <text class="axis-label" x="{left - 8}" y="{y:.1f}" '
             f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
-            f'text-anchor="end">{escape(name)}</text>\n'
+            f'text-anchor="end">{label}</text>\n'
         )
     yield "".join(parts)
 

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +353,49 @@ class TestAuditInput:
         assert code == 0, err
         sizes = json.loads(out)["dataset"]["group_sizes"]
         assert sizes == {**{name: 1 for name in names}, "z": 2}
+
+    def test_quoted_line_separators_round_trip_through_the_grid_csvs(self, capsys, tmp_path):
+        names = sorted(["x\ry", "x\ny", "x\r\ny", "x\u2028y", "x\x0cy", "z"])
+        path = tmp_path / "separators.csv"
+        path.write_bytes(csv_text(names, [(5, 0, 0)]).encode("utf-8"))
+        prefix = str(tmp_path / "grid")
+        code, _, err = run(capsys, "audit", "--input", str(path), "--out-report",
+                           str(tmp_path / "report.json"), "--out-grid-csv", prefix)
+        assert (code, err) == (0, "")
+        for metric in ("ofi", "di"):
+            with open(f"{prefix}.{metric}.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["group", *names]
+            assert [row[0] for row in rows[1:]] == names
+            assert {len(row) for row in rows} == {len(names) + 1}
+
+    def test_quoted_line_separators_round_trip_through_the_svgs(self, capsys, tmp_path):
+        names = sorted(["x\ry", "x\ny", "x\r\ny", "x\u2028y", "x\u2029y", "x\x85y", "z"])
+        path = tmp_path / "separators.csv"
+        path.write_bytes(csv_text(names, [(5, 0, 0)]).encode("utf-8"))
+        svgs = [tmp_path / "ofi.svg", tmp_path / "di.svg"]
+        code, _, err = run(capsys, "audit", "--input", str(path), "--out-report",
+                           str(tmp_path / "report.json"), "--out-heatmap-ofi", str(svgs[0]),
+                           "--out-heatmap-di", str(svgs[1]))
+        assert (code, err) == (0, "")
+        for svg in svgs:
+            root = ElementTree.parse(svg).getroot()
+            labels = [el.text for el in root.iter() if el.get("class") == "axis-label"]
+            assert labels == names + names  # column labels, then row labels
+
+    @pytest.mark.parametrize("char, shown", [
+        ("\x0c", "'a\\x0cb' holds U+000C"),
+        ("\x01", "'a\\x01b' holds U+0001"),
+        ("\ufffe", "'a\\ufffeb' holds U+FFFE"),
+    ])
+    def test_name_an_svg_cannot_carry_fails_at_write_stage(self, capsys, tmp_path, char, shown):
+        path = tmp_path / "control.csv"
+        path.write_bytes(csv_text([f"a{char}b", "z"], []).encode("utf-8"))
+        argv = ["audit", "--input", str(path), "--out-report", str(tmp_path / "report.json")]
+        assert run(capsys, *argv) == (0, "", "")  # the report carries the name
+        code, out, err = run(capsys, *argv, "--out-heatmap-di", str(tmp_path / "di.svg"))
+        assert (code, out) == (1, "")
+        assert err == f"error [write]: group {shown}, which an SVG cannot carry\n"
 
     def test_invalid_utf8_fails_at_parse_stage(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"

@@ -110,3 +110,11 @@ def test_group_names_are_escaped():
     svg = render(build_report(table).ofi_grid)
     ElementTree.fromstring(svg)  # parses only if escaping is correct
     assert "a&lt;b" in svg and "c&amp;d" in svg
+
+
+def test_greater_than_and_carriage_return_are_escaped():
+    grid = PairwiseMatrix(metric="ofi", group_order=("a>b", "c\rd"), scores=(Fraction(0),) * 2)
+    svg = render(grid)
+    assert ">a&gt;b</text>" in svg and ">c&#13;d</text>" in svg
+    labels = [el.text for el in svg_elements(svg, "axis-label")]
+    assert labels == ["a>b", "c\rd"] * 2  # a literal CR would parse back as LF

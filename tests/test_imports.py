@@ -1,0 +1,63 @@
+"""Each subcommand loads only what it runs.
+
+numpy serves only ``dist`` and ``verify``, and no output needs the
+``xml.sax`` -> ``urllib`` -> ``http``/``email``/``ssl`` chain. Each case runs
+in a fresh interpreter, because this process has long since loaded numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src"
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Modules that no audit-side invocation may load.
+HEAVY = ("numpy", "xml.sax", "urllib.request", "http.client", "email", "ssl")
+
+# runs the CLI (or nothing, for a bare import) and prints the loaded
+# module names; --version exits through SystemExit
+PROBE = """\
+import json, sys
+import ofi_audit
+if len(sys.argv) > 1:
+    from ofi_audit.cli import main
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+def loaded_modules(*argv: str, cwd: Path) -> set[str]:
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("--version",),
+    ("scenario", "1", "0", "0", "5", "7", "0", "1", "10"),
+    ("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "report.json",
+     "--out-heatmap-ofi", "ofi.svg", "--out-grid-csv", "grid"),
+], ids=["import", "version", "scenario", "audit"])
+def test_audit_side_loads_none_of_the_heavy_modules(tmp_path, argv):
+    assert loaded_modules(*argv, cwd=tmp_path).isdisjoint(HEAVY)
+    if argv[:1] == ("audit",):
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "report.json", "ofi.svg", "grid.ofi.csv", "grid.di.csv"
+        }
+
+
+@pytest.mark.parametrize("argv", [("dist", "--n", "3"), ("verify", "--n-max", "3")],
+                         ids=["dist", "verify"])
+def test_kernel_subcommands_load_numpy(tmp_path, argv):
+    assert "numpy" in loaded_modules(*argv, cwd=tmp_path)
