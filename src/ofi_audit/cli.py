@@ -234,14 +234,19 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return _fail("report", str(exc))
 
     try:
-        _write_text(args.out_report, report_chunks(report))
+        # each output renders as it is written, but a heatmap checks its
+        # group names when it is set up: a name an SVG cannot carry fails
+        # here, before any file is opened
+        outputs = [(args.out_report, report_chunks(report))]
         if args.out_heatmap_ofi:
-            _write_text(args.out_heatmap_ofi, heatmap_chunks(report.ofi_grid))
+            outputs.append((args.out_heatmap_ofi, heatmap_chunks(report.ofi_grid)))
         if args.out_heatmap_di:
-            _write_text(args.out_heatmap_di, heatmap_chunks(report.di_grid))
+            outputs.append((args.out_heatmap_di, heatmap_chunks(report.di_grid)))
         if args.out_grid_csv:
-            _write_text(args.out_grid_csv + ".ofi.csv", grid_csv_chunks(report.ofi_grid))
-            _write_text(args.out_grid_csv + ".di.csv", grid_csv_chunks(report.di_grid))
+            outputs.append((args.out_grid_csv + ".ofi.csv", grid_csv_chunks(report.ofi_grid)))
+            outputs.append((args.out_grid_csv + ".di.csv", grid_csv_chunks(report.di_grid)))
+        for path, chunks in outputs:
+            _write_text(path, chunks)
     except (OSError, ValueError) as exc:  # ValueError: a name an SVG cannot carry
         return _fail("write", str(exc))
     return 0

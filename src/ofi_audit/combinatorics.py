@@ -25,8 +25,11 @@ included, and
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from operator import floordiv, mul
 from typing import Iterator
 
 #: Standard deviation of a symmetric triangular distribution on [-1, 1].
@@ -94,66 +97,86 @@ class ScoreDistribution:
     """Exact multiplicity of every score (fp - fn)/n over all quadruples.
 
     ``counts[d + n]`` is the multiplicity of the score d/n, for d in
-    [-n, n]. The multiplicities sum to total_combinations(n), the array is
-    symmetric, and its middle entry (score zero) is the unique maximum.
+    [-n, n], held as an int64 ``array("q")``. The multiplicities sum to
+    total_combinations(n), the array is symmetric, and its middle entry
+    (score zero) is the unique maximum.
     """
 
     n: int
-    counts: np.ndarray
+    counts: array
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreDistribution):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.counts.shape == other.counts.shape
-            and bool((self.counts == other.counts).all())
-        )
+        return self.n == other.n and self.counts == other.counts
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts)
 
     def mode(self) -> Fraction:
         """Score with the highest multiplicity (smallest such score on ties)."""
-        return Fraction(int(self.counts.argmax()) - self.n, self.n)
+        return Fraction(self.counts.index(max(self.counts)) - self.n, self.n)
 
     def csv_chunks(self) -> Iterator[str]:
         """The distribution as CSV text: a header, then rows
         (score_numerator, score_denominator, multiplicity) in ascending
         score order with scores in lowest terms, CSV_CHUNK_ROWS rows per
-        yielded piece."""
-        import numpy as np
+        yielded piece.
 
+        The score d/n reduces by gcd(|d|, n), read from one
+        :func:`gcd_table` that serves d and -d alike: backwards while d
+        rises to 0, forwards after it.
+        """
         n = self.n
+        gcds = gcd_table(n)
+        row_gcds = chain(reversed(gcds), islice(gcds, 1, None))
         yield "score_numerator,score_denominator,multiplicity\n"
         for start in range(0, 2 * n + 1, CSV_CHUNK_ROWS):
-            mults = self.counts[start : start + CSV_CHUNK_ROWS]
-            d = np.arange(start - n, start - n + mults.size, dtype=np.int64)
-            g = np.gcd(d, n)
-            rows = zip((d // g).tolist(), (n // g).tolist(), mults.tolist())
-            yield "".join(f"{num},{den},{mult}\n" for num, den, mult in rows)
+            g = list(islice(row_gcds, CSV_CHUNK_ROWS))
+            d = range(start - n, start - n + len(g))
+            rows = zip(map(floordiv, d, g), map(floordiv, repeat(n), g),
+                       self.counts[start : start + len(g)])
+            yield ("%d,%d,%d\n" * len(g)) % tuple(chain.from_iterable(rows))
 
 
-def pair_score_counts(n: int) -> np.ndarray:
+def gcd_table(n: int) -> array:
+    """gcd(a, n) for every a in 0..n, as an int32 ``array("i")``.
+
+    Each divisor g of n, in ascending order, is written to every multiple
+    of g, so a keeps the largest divisor of n that divides it. That costs
+    the sum of n's divisors' cofactors, O(n log log n), against a
+    Euclid run per entry.
+    """
+    _require_positive(n)
+    small = [g for g in range(1, math.isqrt(n) + 1) if n % g == 0]
+    divisors = small + [n // g for g in reversed(small) if g * g != n]
+    table = array("i", [1]) * (n + 1)
+    for g in divisors[1:]:
+        table[::g] = array("i", [g]) * (n // g + 1)
+    return table
+
+
+def pair_score_counts(n: int) -> array:
     """Multiplicity of every score difference fp - fn over all quadruples
-    with cell sum n, indexed d + n, in closed form, as int64.
+    with cell sum n, indexed d + n, in closed form, as an int64
+    ``array("q")``.
 
     The pairs (fp, fn) with fp - fn = d have fp + fn = |d| + 2k for
     k < m = (n - |d|)//2 + 1, and each leaves n - fp - fn + 1 completions
-    for (tp, tn). Summing over k gives m(n + 1 - |d|) - m(m - 1), which
-    is m(n + 2 - |d| - m); it is computed in place in two arrays.
+    for (tp, tn). Summing over k gives m(n + 2 - |d| - m): m^2 where
+    n - |d| = 2m - 2 and m(m + 1) where n - |d| = 2m - 1. Walking d up
+    from -n, the two forms alternate, starting with m = 1; each is built
+    once and written to d <= 0 and, mirrored, to d >= 0.
     """
-    import numpy as np
-
-    a = np.arange(-n, n + 1, dtype=np.int64)
-    np.abs(a, out=a)
-    m = n - a
-    m //= 2
-    m += 1
-    np.subtract(n + 2, a, out=a)
-    a -= m
-    a *= m
-    return a
+    # m where n - |d| is even (2m - 2), then where it is odd (2m - 1)
+    evens = range(1, n // 2 + 2)
+    squares = array("q", map(mul, evens, evens))
+    odds = range(1, (n + 1) // 2 + 1)
+    products = array("q", map(mul, odds, range(2, (n + 1) // 2 + 2)))
+    counts = array("q", [0]) * (2 * n + 1)
+    counts[0 : n + 1 : 2] = counts[2 * n : n - 1 : -2] = squares
+    counts[1 : n + 1 : 2] = counts[2 * n - 1 : n - 1 : -2] = products
+    return counts
 
 
 def marginal_benefit_distribution(n: int) -> ScoreDistribution:

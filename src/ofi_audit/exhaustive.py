@@ -22,6 +22,7 @@ hundreds and is itself checked against the stream route.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,9 +136,8 @@ def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
             continue
         mean = Fraction(total, count * n)
         variance = Fraction(total_sq, count * n * n) - mean**2
-        yield Enumeration(
-            count, cell_counts, ScoreDistribution(n=n, counts=score_counts), mean, variance
-        )
+        histogram = ScoreDistribution(n=n, counts=array("q", score_counts.tobytes()))
+        yield Enumeration(count, cell_counts, histogram, mean, variance)
 
 
 def stream(n: int) -> Enumeration:
@@ -168,7 +168,7 @@ def stream(n: int) -> Enumeration:
     # the score p/q is d/n with d = p * (n // q) when q divides n; a score
     # off that grid, or outside [-1, 1], has no bin and stays out, so the
     # histogram cannot equal one that holds every quadruple
-    score_counts = np.zeros(2 * n + 1, dtype=np.int64)
+    score_counts = array("q", [0]) * (2 * n + 1)
     for (p, q), k in scores.items():
         d = p * (n // q)
         if n % q == 0 and -n <= d <= n:

@@ -69,13 +69,19 @@ def _is_dark(rgb: Rgb) -> bool:
 
 def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
     """Render a pairwise grid as an SVG document, yielded in pieces: the
-    header and axis labels, then one piece per grid row. A group name
-    that holds a character XML 1.0 cannot carry raises ValueError.
+    header and axis labels, then one piece per grid row.
+
+    The names are checked by this call, before any piece is rendered: an
+    empty grid, or a group name that holds a character XML 1.0 cannot
+    carry, raises ValueError here rather than partway through a write.
     """
-    names = matrix.group_order
-    if not names:
+    if not matrix.group_order:
         raise ValueError("cannot render an empty matrix")
-    size = len(names)
+    return _svg_pieces(matrix, [_escape(name) for name in matrix.group_order])
+
+
+def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
+    size = len(labels)
     center, span = (1.0, 1.0) if matrix.metric == "di" else (0.0, 2.0)
 
     cell = CELL_SIZE
@@ -100,7 +106,6 @@ def heatmap_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
         f'font-weight="bold">{_escape(matrix.metric.upper())}</text>\n',
     ]
 
-    labels = [_escape(name) for name in names]
     for j, label in enumerate(labels):
         x = left + j * cell + cell / 2
         parts.append(

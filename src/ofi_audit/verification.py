@@ -107,7 +107,7 @@ def _check_single_n(n: int, record: exhaustive.Enumeration) -> dict[str, str | N
         )
 
     # counts[i] is the multiplicity of the score (i - n)/n
-    counts = dist.counts
+    counts = np.frombuffer(dist.counts, dtype=np.int64)
     asymmetric = np.flatnonzero(counts != counts[::-1])
     if asymmetric.size:
         i = int(asymmetric[0])

@@ -1,18 +1,18 @@
-"""Plain-loop references for the numpy kernels, one quadruple or one
-(fp, fn) pair at a time."""
+"""Plain-loop references for the counting kernels: one term per (fp, fn)
+pair for the closed-form distribution, one quadruple at a time for the
+numpy enumeration."""
 
 import numpy as np
 
 
-def pair_score_counts_loops(n: int) -> np.ndarray:
-    # multiplicity of each difference d = fp - fn at index d + n; each
-    # (fp, fn) pair leaves n - fp - fn samples for the other two cells,
-    # hence n - fp - fn + 1 completions
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    for fp in range(n + 1):
-        for fn in range(n - fp + 1):
-            counts[fp - fn + n] += n - fp - fn + 1
-    return counts
+def pair_score_counts_loops(n: int) -> list[int]:
+    # multiplicity of each difference d = fp - fn at index d + n. The
+    # pairs with fp - fn = d are (fp, fn) = ((s + d)/2, (s - d)/2), one
+    # for each s = fp + fn in |d|, |d| + 2, ... up to n, and each leaves
+    # n - s samples for the other two cells, hence n - s + 1 completions:
+    # one term per pair, summed in a C loop so that sizes in the
+    # thousands stay cheap
+    return [sum(range(n + 1 - abs(d), 0, -2)) for d in range(-n, n + 1)]
 
 
 def enum_stats_loops(n: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:

@@ -391,11 +391,17 @@ class TestAuditInput:
     def test_name_an_svg_cannot_carry_fails_at_write_stage(self, capsys, tmp_path, char, shown):
         path = tmp_path / "control.csv"
         path.write_bytes(csv_text([f"a{char}b", "z"], []).encode("utf-8"))
-        argv = ["audit", "--input", str(path), "--out-report", str(tmp_path / "report.json")]
+        report = tmp_path / "report.json"
+        argv = ["audit", "--input", str(path), "--out-report", str(report)]
         assert run(capsys, *argv) == (0, "", "")  # the report carries the name
-        code, out, err = run(capsys, *argv, "--out-heatmap-di", str(tmp_path / "di.svg"))
+        written = report.read_bytes()
+        code, out, err = run(capsys, *argv, "--out-heatmap-di", str(tmp_path / "di.svg"),
+                             "--out-grid-csv", str(tmp_path / "grid"))
         assert (code, out) == (1, "")
         assert err == f"error [write]: group {shown}, which an SVG cannot carry\n"
+        # refused before any output is opened: nothing created or truncated
+        assert report.read_bytes() == written
+        assert {p.name for p in tmp_path.iterdir()} == {"control.csv", "report.json"}
 
     def test_invalid_utf8_fails_at_parse_stage(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -582,7 +588,8 @@ MARGINAL_BENEFIT = exhaustive.marginal_benefit
 
 def _pair_counts_off_at_the_ends(n):
     counts = PAIR_SCORE_COUNTS(n)
-    counts[[0, -1]] += 1  # |d| = n
+    counts[0] += 1  # |d| = n
+    counts[-1] += 1
     return counts
 
 

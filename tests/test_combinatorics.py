@@ -1,6 +1,7 @@
 """Closed forms against enumeration oracles, plus the stated examples."""
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -17,6 +18,7 @@ from ofi_audit.combinatorics import (
     b_stats,
     count_value,
     enumerate_cms,
+    gcd_table,
     marginal_benefit_distribution,
     termial,
     total_combinations,
@@ -30,6 +32,16 @@ def csv_rows(dist: ScoreDistribution) -> list[tuple[int, int, int]]:
     header, *lines = "".join(dist.csv_chunks()).splitlines()
     assert header == "score_numerator,score_denominator,multiplicity"
     return [tuple(int(field) for field in line.split(",")) for line in lines]
+
+
+def oracle_rows(n: int) -> list[tuple[int, int, int]]:
+    """The rows the CSV must hold: each score d/n reduced by Fraction,
+    with its multiplicity from the pair-loop reference."""
+    mults = pair_score_counts_loops(n)
+    return [
+        (Fraction(d, n).numerator, Fraction(d, n).denominator, mults[d + n])
+        for d in range(-n, n + 1)
+    ]
 
 
 # the ten quadruples of size 2, spelled out
@@ -172,12 +184,18 @@ class TestDistribution:
 
     def test_csv_rows_match_reduced_fractions(self):
         for n in range(1, 61):
-            oracle = pair_score_counts_loops(n)
-            expected = [
-                (Fraction(d, n).numerator, Fraction(d, n).denominator, oracle[d + n])
-                for d in range(-n, n + 1)
-            ]
-            assert csv_rows(marginal_benefit_distribution(n)) == expected
+            assert csv_rows(marginal_benefit_distribution(n)) == oracle_rows(n)
+
+    @pytest.mark.parametrize("n", [2049, 4096, 5000, 5040, 7919])
+    def test_csv_rows_match_reduced_fractions_across_chunks(self, n):
+        # d = 0 falls inside a chunk at 2049, 5000, 5040 and 7919, and
+        # opens the second chunk at 4096; 5040 has 60 divisors, 7919 two
+        assert 2 * n + 1 > CSV_CHUNK_ROWS
+        assert csv_rows(marginal_benefit_distribution(n)) == oracle_rows(n)
+
+    def test_gcd_table_matches_math_gcd(self):
+        for n in range(1, 2001):
+            assert gcd_table(n).tolist() == [math.gcd(a, n) for a in range(n + 1)], n
 
     def test_csv_text_comes_in_bounded_pieces(self):
         # 2n + 1 = CSV_CHUNK_ROWS + 1 rows: one full piece and one single row
@@ -188,8 +206,8 @@ class TestDistribution:
 
     def test_equality_compares_every_multiplicity(self):
         dist = marginal_benefit_distribution(7)
-        assert dist == ScoreDistribution(n=7, counts=dist.counts.copy())
-        changed = dist.counts.copy()
+        assert dist == ScoreDistribution(n=7, counts=array("q", dist.counts))
+        changed = array("q", dist.counts)
         changed[3] += 1
         assert dist != ScoreDistribution(n=7, counts=changed)
 
@@ -231,7 +249,7 @@ class TestEnumerationRecord:
         (record,) = exhaustive.enumerations(5, 5)
         cells = record.cell_counts.copy()
         cells[2, 1] += 1
-        counts = record.histogram.counts.copy()
+        counts = array("q", record.histogram.counts)
         counts[0] += 1
         for changed in (
             replace(record, count=record.count + 1),

@@ -1,4 +1,6 @@
-"""The numpy kernels against their plain-loop references."""
+"""The counting kernels against their plain-loop references: the
+closed-form distribution, built with the standard library, and the numpy
+enumeration."""
 
 import numpy as np
 import pytest
@@ -42,12 +44,12 @@ def test_numpy_matches_plain_loops(one_pass, name, n):
 
 def test_closed_form_matches_pair_counting_loops():
     for n in range(1, 301):
-        assert np.array_equal(pair_score_counts(n), pair_score_counts_loops(n)), n
+        assert pair_score_counts(n).tolist() == pair_score_counts_loops(n), n
 
 
 def test_counts_are_int64():
     _, cell_counts, score_counts, _, _ = list(enum_stats(9))[-1]
-    assert pair_score_counts(9).dtype == np.int64
+    assert pair_score_counts(9).typecode == "q"
     assert cell_counts.dtype == np.int64
     assert score_counts.dtype == np.int64
 
