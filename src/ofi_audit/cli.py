@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import io
+import os
 import random
+import stat
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .audit import (
@@ -24,6 +27,7 @@ from .combinatorics import (
     TRIANGULAR_STD,
     b_stats,
     marginal_benefit_distribution,
+    total_combinations,
 )
 from .formatting import format_fixed, format_fraction
 from .heatmap import heatmap_chunks
@@ -92,6 +96,144 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(chunks)
+
+
+Output = tuple[str, Iterable[str]]
+
+#: Group count from which ``audit`` renders its heatmaps in a forked child
+#: while it writes the report and grid CSVs itself. In A/B runs on 2 vCPUs
+#: the fork never won at 8 or 30 groups and lost some run sets at 100 and
+#: 150, where a host that lent no second core left only the fork's cost
+#: and the two processes' contention; from 200 on it won every set.
+FORK_MIN_GROUPS = 200
+
+#: The write error of a heatmap child that ended without reporting.
+CHILD_DIED = "the heatmap writer process ended unexpectedly"
+
+
+def _check_output(path: str) -> os.stat_result | None:
+    """The status of the file an output path names, or None for one that
+    is not there yet. A directory, or a new file in a directory that is
+    not there, raises the error open() would raise, before any output is
+    opened; any other fault is left for open() to report."""
+    try:
+        status = os.stat(path)
+    except FileNotFoundError:
+        if os.path.isdir(os.path.dirname(path.rstrip("/")) or "."):
+            return None
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path) from None
+    except OSError:
+        return None
+    if stat.S_ISDIR(status.st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return status
+
+
+def _file_key(path: str, status: os.stat_result | None) -> object:
+    # one key per file, whatever path names it
+    if path == "-":
+        try:
+            status = os.fstat(sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file behind it
+            return path
+    elif status is None:
+        return os.path.realpath(path)
+    return status.st_dev, status.st_ino
+
+
+def _child_outputs(
+    outputs: list[Output], statuses: list[os.stat_result | None], heatmaps: list[int]
+) -> list[int]:
+    """The heatmaps a forked child can write: each names a regular file,
+    or one not there yet, that no other output names."""
+    keys = [_file_key(path, status) for (path, _), status in zip(outputs, statuses)]
+    return [
+        i for i in heatmaps
+        if outputs[i][0] != "-"
+        and (statuses[i] is None or stat.S_ISREG(statuses[i].st_mode))
+        and keys.count(keys[i]) == 1
+    ]
+
+
+def _can_fork() -> bool:
+    # fork copies only the calling thread, so a lock that another thread
+    # holds (numpy's OpenBLAS pool, say) would stay held in the child
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _child_main(outputs: list[Output], child: list[int], read_fd: int, write_fd: int) -> NoReturn:
+    # writes its heatmaps, sends (index, message) of the first that fails
+    # and leaves by os._exit: no at-exit code runs and no buffer it
+    # inherited is flushed, since the parent owns both
+    code = 1
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            for index in child:
+                try:
+                    _write_text(*outputs[index])
+                except (OSError, ValueError) as exc:
+                    pipe.write(f"{index}\n{exc}".encode("utf-8", "surrogatepass"))
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_child(outputs: list[Output], child: list[int]) -> tuple[int, int] | None:
+    """Fork a child process that writes the outputs at the positions
+    ``child``. Return its pid and the read end of its pipe, or None when
+    no pipe or process can be had."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _child_main(outputs, child, read_fd, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _write_outputs(outputs: list[Output], child: list[int]) -> str | None:
+    """Write every output, those at the positions ``child`` in a forked
+    child process, and return the error text of the first output that
+    fails, in output order, or None."""
+    forked = _fork_child(outputs, child) if child else None
+    if forked is None:
+        child = []
+    failures: dict[int, str] = {}
+    try:
+        for index, (path, chunks) in enumerate(outputs):
+            if index in child:
+                continue
+            try:
+                _write_text(path, chunks)
+            except (OSError, ValueError) as exc:
+                failures[index] = str(exc)
+                break
+    finally:
+        if forked is not None:
+            pid, read_fd = forked
+            with open(read_fd, "rb") as pipe:
+                message = pipe.read().decode("utf-8", "surrogatepass")
+            _, status = os.waitpid(pid, 0)
+            if message:
+                index, text = message.split("\n", 1)
+                failures[int(index)] = text
+            elif status:
+                failures[child[0]] = CHILD_DIED
+    return failures[min(failures)] if failures else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,20 +377,30 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     try:
         # each output renders as it is written, but a heatmap checks its
-        # group names when it is set up: a name an SVG cannot carry fails
-        # here, before any file is opened
-        outputs = [(args.out_report, report_chunks(report))]
-        if args.out_heatmap_ofi:
-            outputs.append((args.out_heatmap_ofi, heatmap_chunks(report.ofi_grid)))
-        if args.out_heatmap_di:
-            outputs.append((args.out_heatmap_di, heatmap_chunks(report.di_grid)))
+        # group names when it is set up, and every path is checked for a
+        # directory: such a fault fails here, before any file is opened
+        outputs: list[Output] = [(args.out_report, report_chunks(report))]
+        heatmaps = []
+        for path, grid in ((args.out_heatmap_ofi, report.ofi_grid),
+                           (args.out_heatmap_di, report.di_grid)):
+            if path:
+                heatmaps.append(len(outputs))
+                outputs.append((path, heatmap_chunks(grid)))
         if args.out_grid_csv:
             outputs.append((args.out_grid_csv + ".ofi.csv", grid_csv_chunks(report.ofi_grid)))
             outputs.append((args.out_grid_csv + ".di.csv", grid_csv_chunks(report.di_grid)))
-        for path, chunks in outputs:
-            _write_text(path, chunks)
+        statuses = [None if path == "-" else _check_output(path) for path, _ in outputs]
     except (OSError, ValueError) as exc:  # ValueError: a name an SVG cannot carry
         return _fail("write", str(exc))
+
+    # the heatmaps are the largest outputs: rendered on the second core
+    # while this process writes the rest, they finish in parallel
+    child = []
+    if heatmaps and len(report.ofi_grid.group_order) >= FORK_MIN_GROUPS and _can_fork():
+        child = _child_outputs(outputs, statuses, heatmaps)
+    error = _write_outputs(outputs, child)
+    if error is not None:
+        return _fail("write", error)
     return 0
 
 
@@ -317,10 +469,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
     stats = b_stats(args.n)
     sys.stdout.writelines(dist.csv_chunks())
 
+    # the total and the mode (0: the counts are symmetric and peak at the
+    # middle) are closed forms, so the 2n + 1 counts are not walked again
     print(
-        f"dist n={args.n}: total={dist.total()} mean={format_fraction(stats.mean)} "
+        f"dist n={args.n}: total={total_combinations(args.n)} "
+        f"mean={format_fraction(stats.mean)} "
         f"variance={format_fraction(stats.variance)} ({float(stats.variance):.6f}) "
-        f"std={stats.std:.6f} mode={format_fraction(dist.mode())} "
+        f"std={stats.std:.6f} mode=0 "
         f"triangular_std={TRIANGULAR_STD:.6f}",
         file=sys.stderr,
     )

@@ -163,6 +163,28 @@ class TestAudit:
         assert (tmp_path / "grid.ofi.csv").read_text().splitlines()[0] == "group,i,j"
         assert (tmp_path / "grid.di.csv").exists()
 
+    @pytest.mark.parametrize("flag, target, message", [
+        ("--out-heatmap-ofi", "adir", "[Errno 21] Is a directory: '{}adir'"),
+        ("--out-grid-csv", "nodir/g", "[Errno 2] No such file or directory: '{}nodir/g.ofi.csv'"),
+    ], ids=["directory", "missing-directory"])
+    @pytest.mark.parametrize("report_exists", [False, True])
+    def test_directory_output_fails_before_any_output_is_opened(
+        self, capsys, fixtures_dir, tmp_path, flag, target, message, report_exists
+    ):
+        (tmp_path / "adir").mkdir()
+        report = tmp_path / "report.json"
+        if report_exists:
+            report.write_text("old\n")
+        code, out, err = run(
+            capsys, "audit", "--input", str(fixtures_dir / "scenario_a.csv"),
+            "--out-report", str(report), flag, str(tmp_path / target),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error [write]: " + message.format(f"{tmp_path}/") + "\n"
+        # nothing created or truncated
+        assert {p.name for p in tmp_path.iterdir()} == {"adir"} | ({"report.json"} if report_exists else set())
+        assert not report_exists or report.read_text() == "old\n"
+
     def test_custom_columns_and_flip(self, capsys, fixtures_dir):
         argv = [
             "audit",
