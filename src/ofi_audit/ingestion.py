@@ -68,6 +68,11 @@ class GroupTable:
 
     groups: dict[str, BinaryConfusion]
 
+    @classmethod
+    def from_counts(cls, counts: dict[str, list[int]]) -> GroupTable:
+        """The table of each group's ``[tp, fn, fp, tn]``, in name order."""
+        return cls({name: BinaryConfusion(*counts[name]) for name in sorted(counts)})
+
     @property
     def total(self) -> BinaryConfusion:
         """The cell-wise sum over every group; all zero for no groups."""
@@ -98,15 +103,18 @@ def iter_records(
     ValueError naming the CSV line for text the csv module rejects, and
     EmptyDatasetError when no data rows follow the header.
     """
-    schema = schema or ColumnSchema()
     reader = csv.reader(source, delimiter=delimiter)
+    return _records(reader, reader, schema or ColumnSchema())
+
+
+def header_positions(reader: Iterator[list[str]], schema: ColumnSchema) -> dict[str, int]:
+    """Read the header row from a csv reader and map each trimmed column
+    name to its first position. Raises SchemaError when there is no
+    header or a configured column is missing from it."""
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("input is empty: no header row") from None
-    except csv.Error as exc:
-        raise _csv_error(reader, exc) from exc
-
     positions: dict[str, int] = {}
     for pos, name in enumerate(header):
         positions.setdefault(name.strip(), pos)
@@ -115,14 +123,37 @@ def iter_records(
             raise SchemaError(
                 f"column {column!r} not found in header {[h.strip() for h in header]}"
             )
+    return positions
 
-    cells = itemgetter(
-        positions[schema.group], positions[schema.label], positions[schema.prediction]
-    )
-    seen: dict[tuple[str, str, str], PredictionRecord] = {}
-    row_num = 0
+
+def count_rows(
+    reader, positions: dict[str, int], schema: ColumnSchema, end: list[str] | None = None
+) -> dict[str, list[int]]:
+    """Each group's ``[tp, fn, fp, tn]`` over the rows a csv reader yields
+    after its header, validated as iter_records validates them and with
+    its errors, EmptyDatasetError for no data rows included. With ``end``,
+    the rows stop before the first row equal to it."""
+    rows = reader if end is None else iter(reader.__next__, end)
+    return _tally(_records(reader, rows, schema, positions))
+
+
+def _records(
+    reader,
+    rows: Iterable[list[str]],
+    schema: ColumnSchema,
+    positions: dict[str, int] | None = None,
+) -> Iterator[PredictionRecord]:
+    # one record per data row of ``rows``, read from the csv ``reader``,
+    # whose header is read first unless its positions are given
     try:
-        for row in reader:
+        if positions is None:
+            positions = header_positions(reader, schema)
+        cells = itemgetter(
+            positions[schema.group], positions[schema.label], positions[schema.prediction]
+        )
+        seen: dict[tuple[str, str, str], PredictionRecord] = {}
+        row_num = 0
+        for row in rows:
             if not row:
                 continue
             row_num += 1
@@ -134,7 +165,6 @@ def iter_records(
             yield record
     except csv.Error as exc:
         raise _csv_error(reader, exc) from exc
-
     if not row_num:
         raise EmptyDatasetError("no data rows after the header")
 
@@ -195,6 +225,13 @@ def aggregate(records: Iterable[PredictionRecord]) -> GroupTable:
     of record order; group identifiers compare case-sensitively after
     trimming (done at record construction).
     """
+    cells = _tally(records)
+    if not cells:
+        raise EmptyDatasetError("cannot aggregate an empty record list")
+    return GroupTable.from_counts(cells)
+
+
+def _tally(records: Iterable[PredictionRecord]) -> dict[str, list[int]]:
     cells: dict[str, list[int]] = {}
     for r in records:
         quad = cells.get(r.group)
@@ -202,6 +239,4 @@ def aggregate(records: Iterable[PredictionRecord]) -> GroupTable:
             quad = cells[r.group] = [0, 0, 0, 0]
         # tp, fn, fp, tn sit at 3 - 2*label - prediction
         quad[3 - 2 * r.label - r.prediction] += 1
-    if not cells:
-        raise EmptyDatasetError("cannot aggregate an empty record list")
-    return GroupTable({name: BinaryConfusion(*cells[name]) for name in sorted(cells)})
+    return cells

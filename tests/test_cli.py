@@ -166,7 +166,13 @@ class TestAudit:
     @pytest.mark.parametrize("flag, target, message", [
         ("--out-heatmap-ofi", "adir", "[Errno 21] Is a directory: '{}adir'"),
         ("--out-grid-csv", "nodir/g", "[Errno 2] No such file or directory: '{}nodir/g.ofi.csv'"),
-    ], ids=["directory", "missing-directory"])
+        # an empty path names no file: "" is passed as it is
+        ("--out-report", "", "[Errno 2] No such file or directory: ''"),
+        ("--out-heatmap-ofi", "", "[Errno 2] No such file or directory: ''"),
+        ("--out-heatmap-di", "", "[Errno 2] No such file or directory: ''"),
+        ("--out-grid-csv", "", "[Errno 2] No such file or directory: ''"),
+    ], ids=["directory", "missing-directory", "empty-report", "empty-heatmap-ofi",
+            "empty-heatmap-di", "empty-grid-csv"])
     @pytest.mark.parametrize("report_exists", [False, True])
     def test_directory_output_fails_before_any_output_is_opened(
         self, capsys, fixtures_dir, tmp_path, flag, target, message, report_exists
@@ -177,7 +183,7 @@ class TestAudit:
             report.write_text("old\n")
         code, out, err = run(
             capsys, "audit", "--input", str(fixtures_dir / "scenario_a.csv"),
-            "--out-report", str(report), flag, str(tmp_path / target),
+            "--out-report", str(report), flag, str(tmp_path / target) if target else "",
         )
         assert (code, out) == (1, "")
         assert err == "error [write]: " + message.format(f"{tmp_path}/") + "\n"

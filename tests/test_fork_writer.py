@@ -3,55 +3,20 @@
 From ``FORK_MIN_GROUPS`` groups on, on Linux and in a process with one
 thread, ``audit`` forks one child that writes the heatmaps while the
 parent writes the report and grid CSVs. Each case runs in a fresh
-interpreter: this one has loaded numpy, whose thread pool keeps the CLI
-on its in-order path. The probe runs under ``-X dev``, so a file or pipe
-left unclosed would print a ResourceWarning into the stderr that each
-case compares whole.
+``-X dev`` interpreter (see probe.py). Every input here is far below
+``SPLIT_MIN_BYTES``, so any child process is the heatmap writer.
 """
 
 import errno
-import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from probe import run_probe
 
 from ofi_audit.cli import CHILD_DIED, FORK_MIN_GROUPS
 
-SRC = Path(__file__).parent.parent / "src"
-
 OUTPUTS = ("report.json", "ofi.svg", "di.svg", "grid.ofi.csv", "grid.di.csv")
-
-# modes: "fork" forks at any group count, "in-order" has no os.fork (the
-# path every other platform takes), "die" forks a child that is killed
-# while it renders, "default" leaves the module as it is. The last stderr
-# line reports the exit code, whether a child is left and the CPU time of
-# the children waited for.
-PROBE = """\
-import json, os, resource, signal, sys
-from ofi_audit import cli
-mode, *argv = sys.argv[1:]
-if mode == "in-order":
-    del os.fork
-elif mode in ("fork", "die"):
-    cli.FORK_MIN_GROUPS = 2
-if mode == "die":
-    def dying(grid):
-        os.kill(os.getpid(), signal.SIGKILL)
-        yield ""
-    cli.heatmap_chunks = dying
-code = cli.main(argv)
-sys.stdout.flush()
-try:
-    os.waitpid(-1, os.WNOHANG)
-    left = True
-except ChildProcessError:
-    left = False
-usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-print(json.dumps([code, left, usage.ru_utime + usage.ru_stime]), file=sys.stderr)
-"""
 
 
 def write_input(path: Path, groups: int) -> Path:
@@ -67,19 +32,6 @@ def write_input(path: Path, groups: int) -> Path:
     return path
 
 
-def run_probe(mode: str, *argv: str, cwd: Path) -> tuple[int, float, str, str]:
-    """(exit code, children's CPU seconds, stdout, stderr) of one audit."""
-    done = subprocess.run(
-        [sys.executable, "-X", "dev", "-c", PROBE, mode, *argv],
-        cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, encoding="utf-8", timeout=120,
-    )
-    *err, last = done.stderr.splitlines(keepends=True)
-    code, left, child_cpu = json.loads(last)
-    assert not left, "a child process outlived main()"
-    return code, child_cpu, done.stdout, "".join(err)
-
-
 def every_output(out: Path) -> list[str]:
     return ["--out-report", str(out / "report.json"),
             "--out-heatmap-ofi", str(out / "ofi.svg"), "--out-heatmap-di", str(out / "di.svg"),
@@ -92,7 +44,7 @@ def test_forked_outputs_match_the_in_order_path(tmp_path):
     for mode in ("fork", "in-order"):
         out = tmp_path / mode
         out.mkdir()
-        code, child_cpu, stdout, stderr = run_probe(
+        code, child_cpu, stdout, stderr, _ = run_probe(
             mode, "audit", "--input", str(data), *every_output(out), cwd=tmp_path
         )
         assert (code, stdout, stderr) == (0, "", "")
@@ -101,10 +53,25 @@ def test_forked_outputs_match_the_in_order_path(tmp_path):
     assert written["fork"] == written["in-order"]
 
 
+def test_one_usable_core_runs_no_child(tmp_path):
+    # the heatmap writer and the two-process count both need a second core
+    data = write_input(tmp_path / "in.csv", 12)
+    written = {}
+    for mode in ("one-core", "in-order"):
+        out = tmp_path / mode
+        out.mkdir()
+        code, child_cpu, stdout, stderr, split = run_probe(
+            mode, "audit", "--input", str(data), *every_output(out), cwd=tmp_path
+        )
+        assert (code, stdout, stderr, child_cpu, split) == (0, "", "", 0, None)
+        written[mode] = [(out / name).read_bytes() for name in OUTPUTS]
+    assert written["one-core"] == written["in-order"]
+
+
 @pytest.mark.parametrize("groups", [FORK_MIN_GROUPS - 1, FORK_MIN_GROUPS])
 def test_forks_from_the_threshold_group_count(tmp_path, groups):
     data = write_input(tmp_path / "in.csv", groups)
-    code, child_cpu, _, stderr = run_probe(
+    code, child_cpu, _, stderr, _ = run_probe(
         "default", "audit", "--input", str(data), "--out-report", os.devnull,
         "--out-heatmap-ofi", "ofi.svg", "--out-heatmap-di", "di.svg", cwd=tmp_path,
     )
@@ -133,14 +100,14 @@ def test_first_failing_output_in_order_is_reported(tmp_path, flags, message):
     data = write_input(tmp_path / "in.csv", 6)
     argv = ["audit", "--input", str(data), "--out-report", os.devnull, *flags]
     for mode in ("fork", "in-order"):
-        code, child_cpu, stdout, stderr = run_probe(mode, *argv, cwd=tmp_path)
+        code, child_cpu, stdout, stderr, _ = run_probe(mode, *argv, cwd=tmp_path)
         assert (code, stdout, stderr) == (1, "", message)
         assert (child_cpu > 0) == (mode == "fork")
 
 
 def test_a_child_that_dies_fails_the_write_stage(tmp_path):
     data = write_input(tmp_path / "in.csv", 6)
-    code, child_cpu, _, stderr = run_probe(
+    code, child_cpu, _, stderr, _ = run_probe(
         "die", "audit", "--input", str(data), *every_output(tmp_path), cwd=tmp_path
     )
     assert (code, stderr) == (1, f"error [write]: {CHILD_DIED}\n")
@@ -162,7 +129,7 @@ def test_heatmaps_that_stay_in_the_parent(tmp_path, flags, held, existing):
         out.mkdir()
         if existing:
             (out / "same.svg").write_text("old\n")
-        code, child_cpu, stdout, stderr = run_probe(
+        code, child_cpu, stdout, stderr, _ = run_probe(
             mode, "audit", "--input", str(data), *flags, cwd=out
         )
         assert (code, stderr, child_cpu) == (0, "", 0)
