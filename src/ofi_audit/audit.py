@@ -20,10 +20,10 @@ from .metrics import (
     FOUR_FIFTHS_LOW,
     BiasVerdict,
     BinaryConfusion,
-    DiScore,
     ThresholdError,
+    _check_di_band,
+    _check_ofi_threshold,
     benefit,
-    di_from_rates,
     di_rule,
     expected_benefit,
     marginal_benefit,
@@ -115,28 +115,10 @@ class PairwiseMatrix:
                 for x, y in row
             ]
 
-    def _value(self, x: int, y: int) -> Fraction | DiScore:
-        if self.metric == "ofi":
-            return Fraction(x, y)
-        return di_from_rates(Fraction(x), Fraction(y))
 
-    @property
-    def cells(self) -> tuple[tuple[Fraction | DiScore, ...], ...]:
-        """Every cell as a Fraction (OFI) or a DiScore (DI), row by row."""
-        return tuple(tuple(self._value(x, y) for x, y in row) for row in self.integer_rows())
-
-    def value_at(self, first: str, second: str) -> Fraction | DiScore:
-        i = self.group_order.index(first)
-        j = self.group_order.index(second)
-        [(x, y)] = _cell_row(self.metric, self._parts[i], (self._parts[j],))
-        return self._value(x, y)
-
-
-def check_digits(label: str, value: Fraction) -> None:
-    """Raise ThresholdError if ``value`` has more digits than Python
-    writes an int in: reports and the CLI write every threshold as its
-    exact text, and Python caps the digits of an int it converts to text.
-    """
+def _check_digits(label: str, value: Fraction) -> None:
+    # reports and the CLI write every threshold as its exact text, and
+    # Python caps the digits of an int it converts to text
     try:
         format_fraction(value)
     except ValueError:
@@ -158,13 +140,11 @@ class AuditConfig:
         object.__setattr__(self, "ofi_threshold", Fraction(self.ofi_threshold))
         object.__setattr__(self, "di_low", Fraction(self.di_low))
         object.__setattr__(self, "di_high", Fraction(self.di_high))
-        check_digits("OFI threshold", self.ofi_threshold)
-        check_digits("DI low edge", self.di_low)
-        check_digits("DI high edge", self.di_high)
-        if self.ofi_threshold <= 0:
-            raise ThresholdError(f"OFI threshold must be > 0, got {self.ofi_threshold}")
-        if self.di_low <= 0 or self.di_high <= 0 or self.di_low > self.di_high:
-            raise ThresholdError(f"bad DI band [{self.di_low}, {self.di_high}]")
+        _check_digits("OFI threshold", self.ofi_threshold)
+        _check_digits("DI low edge", self.di_low)
+        _check_digits("DI high edge", self.di_high)
+        _check_ofi_threshold(self.ofi_threshold)
+        _check_di_band(self.di_low, self.di_high)
         if self.group_order is not None:
             object.__setattr__(self, "group_order", tuple(self.group_order))
 
@@ -177,27 +157,13 @@ class GroupMetrics:
 
 
 @dataclass(frozen=True)
-class PairFinding:
-    """Rule verdicts and diagnosis for one ordered group pair.
-
-    The pair's OFI and DI values live in the report's grids, at
-    ``value_at(first, second)``.
-    """
-
-    first: str
-    second: str
-    ofi_verdict: BiasVerdict
-    di_verdict: BiasVerdict
-    diagnosis: Diagnosis
-
-
-@dataclass(frozen=True)
 class AuditReport:
     """Everything an audit computes, ready for serialization.
 
     The report keeps the table it was built from, every group of it. The
     grids hold one score per group of the group order, and the pair
-    findings are decided from them and the config when they are read.
+    verdicts are decided from them and the config by
+    :func:`_verdict_rows` when they are written.
     """
 
     table: GroupTable
@@ -215,15 +181,6 @@ class AuditReport:
     def group_sizes(self) -> dict[str, int]:
         """Each group of the group order and its number of records."""
         return {name: self.table.groups[name].n for name in self.ofi_grid.group_order}
-
-    @property
-    def pairs(self) -> tuple[PairFinding, ...]:
-        """Every ordered pair of distinct groups, row by row of the grids."""
-        return tuple(
-            PairFinding(first, second, ofi_v, di_v, _diagnosis(ofi_v, di_v))
-            for first, row in _verdict_rows(self)
-            for second, ofi_v, di_v in row
-        )
 
 
 def _verdict_rows(

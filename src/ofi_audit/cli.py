@@ -21,8 +21,8 @@ from . import __version__
 from .audit import (
     AuditConfig,
     InsufficientGroupsError,
+    _verdict_rows,
     build_report,
-    check_digits,
     grid_csv_chunks,
     report_chunks,
 )
@@ -33,7 +33,7 @@ from .combinatorics import (
     marginal_benefit_distribution,
     total_combinations,
 )
-from .formatting import format_fixed, format_fraction
+from .formatting import fixed_text, format_fixed, format_fraction, ratio_text
 from .heatmap import heatmap_chunks
 from .ingestion import (
     ColumnSchema,
@@ -44,18 +44,7 @@ from .ingestion import (
     header_positions,
     iter_records,
 )
-from .metrics import (
-    BinaryConfusion,
-    DiKind,
-    ThresholdError,
-    benefit,
-    disparate_impact,
-    expected_benefit,
-    four_fifths_verdict,
-    marginal_benefit,
-    ofi,
-    ofi_verdict,
-)
+from .metrics import BinaryConfusion, ThresholdError
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -551,59 +540,49 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_group_lines(name: str, cm: BinaryConfusion) -> list[str]:
-    rows = [
-        ("benefit", benefit(cm)),
-        ("expected benefit", expected_benefit(cm)),
-        ("marginal benefit", marginal_benefit(cm)),
-    ]
-    lines = [
-        f"group {name}: tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn} n={cm.n}"
-    ]
-    for label, value in rows:
-        lines.append(
-            f"  {label:<17} {format_fraction(value)} ({format_fixed(value)})"
-        )
-    return lines
-
-
 def _verdict_text(verdict) -> str:
     return verdict.value.replace("_", " ")
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    # a two-group audit, judged by the rules that judge audit's pairs;
+    # cells and thresholds are checked before any line is printed
     try:
-        cm_i = BinaryConfusion(*args.cells[:4])
-        cm_j = BinaryConfusion(*args.cells[4:])
-        for name, cm in (("i", cm_i), ("j", cm_j)):
-            print("\n".join(_scenario_group_lines(name, cm)))
-
-        ofi_value = ofi(cm_i, cm_j)
-        di = disparate_impact(cm_i, cm_j)
-        # the verdict lines write each threshold as its exact text
-        check_digits("OFI threshold", args.ofi_threshold)
-        check_digits("DI low edge", args.di_low)
-        check_digits("DI high edge", args.di_high)
-        ofi_v = ofi_verdict(ofi_value, args.ofi_threshold)
-        di_v = four_fifths_verdict(di, args.di_low, args.di_high)
+        table = GroupTable({
+            "i": BinaryConfusion(*args.cells[:4]),
+            "j": BinaryConfusion(*args.cells[4:]),
+        })
+        config = AuditConfig(args.ofi_threshold, args.di_low, args.di_high)
+        report = build_report(table, config)
     except ValueError as exc:
         return _fail("scenario", str(exc))
 
+    for name, gm in report.group_metrics.items():
+        cm = table.groups[name]
+        print(f"group {name}: tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn} n={cm.n}")
+        for label, value in (("benefit", gm.benefit),
+                             ("expected benefit", gm.expected_benefit),
+                             ("marginal benefit", gm.marginal_benefit)):
+            print(f"  {label:<17} {format_fraction(value)} ({format_fixed(value)})")
+
+    # the (i, j) cell of each grid, and that pair's verdicts
+    ofi_x, ofi_y = next(report.ofi_grid.integer_rows())[1]
+    di_x, di_y = next(report.di_grid.integer_rows())[1]
+    [(_, ofi_v, di_v)] = next(_verdict_rows(report))[1]
     print(
-        f"OFI: {format_fraction(ofi_value)} ({format_fixed(ofi_value)})"
+        f"OFI: {ratio_text(ofi_x, ofi_y)} ({fixed_text(ofi_x, ofi_y)})"
         f"  verdict: {_verdict_text(ofi_v)}"
-        f" (threshold {format_fraction(args.ofi_threshold)})"
+        f" (threshold {format_fraction(config.ofi_threshold)})"
     )
-    if di.kind is DiKind.FINITE:
-        assert di.value is not None
-        di_text = f"{format_fraction(di.value)} ({format_fixed(di.value)})"
-    elif di.kind is DiKind.CONTEXTUAL_ONE:
+    if di_y:
+        di_text = f"{ratio_text(di_x, di_y)} ({fixed_text(di_x, di_y)})"
+    elif di_x == 0:
         di_text = "1 (1.00, contextual: both positive-prediction rates are zero)"
     else:
         di_text = "undefined (zero denominator)"
     print(
         f"DI:  {di_text}  verdict: {_verdict_text(di_v)}"
-        f" (band {format_fraction(args.di_low)}..{format_fraction(args.di_high)})"
+        f" (band {format_fraction(config.di_low)}..{format_fraction(config.di_high)})"
     )
     return 0
 

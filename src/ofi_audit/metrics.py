@@ -4,9 +4,12 @@ Every metric here is computed with exact rational arithmetic
 (:class:`fractions.Fraction`). Floating point never enters a metric value;
 decimals appear only when results are formatted for display. Verdicts
 are exact integer comparisons: :func:`ofi_rule` and :func:`di_rule`
-cross-multiply a value's numerator and denominator with the threshold's,
-and the validating wrappers :func:`ofi_verdict` and
-:func:`four_fifths_verdict` pass them a value's integer parts.
+cross-multiply a value's numerator and denominator with the threshold's.
+:func:`ofi_verdict` and :func:`four_fifths_verdict` are the public
+``Fraction`` API over them: each checks its thresholds with
+:func:`_check_ofi_threshold` or :func:`_check_di_band`, the checks that
+the audit config also makes, then hands a value's integer parts to the
+rule.
 
 Conventions:
 
@@ -168,13 +171,17 @@ def ofi(cm_i: BinaryConfusion, cm_j: BinaryConfusion) -> Fraction:
     return marginal_benefit(cm_i) - marginal_benefit(cm_j)
 
 
-def di_from_rates(rate_i: Fraction, rate_j: Fraction) -> DiScore:
-    """The three-state DI rule over two positive-prediction rates.
+def disparate_impact(cm_i: BinaryConfusion, cm_j: BinaryConfusion) -> DiScore:
+    """Disparate impact of group i versus group j.
 
-    A finite ratio when ``rate_j`` is positive, the contextual value 1
-    when both rates are zero, and an explicit zero-denominator marker
-    when only ``rate_j`` is zero.
+    The ratio of the groups' positive-prediction rates, their benefits:
+    finite when group j's rate is positive, the contextual value 1 when
+    both rates are zero, and an explicit zero-denominator marker when
+    only group j's rate is zero.
     """
+    _require_samples(cm_i, "first group")
+    _require_samples(cm_j, "second group")
+    rate_i, rate_j = benefit(cm_i), benefit(cm_j)
     if rate_j > 0:
         return DiScore.finite(rate_i / rate_j)
     if rate_i == 0:
@@ -182,15 +189,17 @@ def di_from_rates(rate_i: Fraction, rate_j: Fraction) -> DiScore:
     return DiScore.zero_denominator()
 
 
-def disparate_impact(cm_i: BinaryConfusion, cm_j: BinaryConfusion) -> DiScore:
-    """Disparate impact of group i versus group j.
+# The one home of each threshold rule; the audit config and the verdict
+# wrappers below all check their thresholds here.
 
-    :func:`di_from_rates` applied to the groups' positive-prediction
-    rates, their benefits.
-    """
-    _require_samples(cm_i, "first group")
-    _require_samples(cm_j, "second group")
-    return di_from_rates(benefit(cm_i), benefit(cm_j))
+def _check_ofi_threshold(threshold: Fraction) -> None:
+    if threshold <= 0:
+        raise ThresholdError(f"OFI threshold must be > 0, got {threshold}")
+
+
+def _check_di_band(low: Fraction, high: Fraction) -> None:
+    if low <= 0 or high <= 0 or low > high:
+        raise ThresholdError(f"bad DI band [{low}, {high}]")
 
 
 def di_rule(x: int, y: int, low: Fraction, high: Fraction) -> BiasVerdict:
@@ -230,10 +239,7 @@ def four_fifths_verdict(
     """
     low = Fraction(low)
     high = Fraction(high)
-    if low <= 0 or high <= 0:
-        raise ThresholdError(f"DI band must be positive, got [{low}, {high}]")
-    if low > high:
-        raise ThresholdError(f"DI band is inverted: [{low}, {high}]")
+    _check_di_band(low, high)
     if di.kind is DiKind.FINITE:
         assert di.value is not None
         return di_rule(di.value.numerator, di.value.denominator, low, high)
@@ -270,7 +276,6 @@ def ofi_verdict(
     :func:`ofi_rule` decides.
     """
     threshold = Fraction(threshold)
-    if threshold <= 0:
-        raise ThresholdError(f"OFI threshold must be > 0, got {threshold}")
+    _check_ofi_threshold(threshold)
     value = Fraction(value)
     return ofi_rule(value.numerator, value.denominator, threshold)

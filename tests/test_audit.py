@@ -16,6 +16,7 @@ from ofi_audit.audit import (
     Diagnosis,
     InsufficientGroupsError,
     _diagnosis,
+    _verdict_rows,
     build_report,
     grid_csv_chunks,
     parse_report,
@@ -69,26 +70,27 @@ class TestPairwise:
     def test_ofi_grid_scenario_a(self):
         grid, _ = grids(table_from(SCENARIO_A))
         assert grid.group_order == ("i", "j")
-        assert grid.cells == (
-            (Fraction(0), Fraction(-1, 18)),
-            (Fraction(1, 18), Fraction(0)),
-        )
+        assert [[Fraction(x, y) for x, y in row] for row in grid.integer_rows()] == [
+            [Fraction(0), Fraction(-1, 18)],
+            [Fraction(1, 18), Fraction(0)],
+        ]
 
     def test_di_grid_scenario_a(self):
         _, grid = grids(table_from(SCENARIO_A))
-        assert grid.cells == (
-            (DiScore.finite(Fraction(1)), DiScore.finite(Fraction(3, 8))),
-            (DiScore.finite(Fraction(8, 3)), DiScore.finite(Fraction(1))),
-        )
+        # every cell finite: y > 0
+        assert [[Fraction(x, y) for x, y in row] for row in grid.integer_rows()] == [
+            [Fraction(1), Fraction(3, 8)],
+            [Fraction(8, 3), Fraction(1)],
+        ]
 
     def test_identical_groups_give_zero_ofi_grid(self):
         cm = BinaryConfusion(2, 1, 1, 4)
         grid, _ = grids(table_from({"a": cm, "b": cm, "c": cm}))
-        assert all(v == 0 for row in grid.cells for v in row)
+        assert all(x == 0 for row in grid.integer_rows() for x, _ in row)
 
     def test_caller_order(self):
         grid, _ = grids(table_from(SCENARIO_A), ("j", "i"))
-        assert grid.cells[0][1] == Fraction(1, 18)
+        assert Fraction(*next(grid.integer_rows())[1]) == Fraction(1, 18)
 
     def test_antisymmetry_and_reciprocity(self):
         table = table_from(
@@ -99,14 +101,15 @@ class TestPairwise:
             }
         )
         ofi_grid, di_grid = grids(table)
-        size = len(ofi_grid.group_order)
+        ofi_rows, di_rows = list(ofi_grid.integer_rows()), list(di_grid.integer_rows())
+        size = len(ofi_rows)
         for i in range(size):
-            assert ofi_grid.cells[i][i] == 0
+            assert ofi_rows[i][i][0] == 0
             for j in range(size):
-                assert ofi_grid.cells[i][j] == -ofi_grid.cells[j][i]
-                forward, backward = di_grid.cells[i][j], di_grid.cells[j][i]
-                if forward.kind is DiKind.FINITE and backward.kind is DiKind.FINITE:
-                    assert forward.value * backward.value == 1
+                assert Fraction(*ofi_rows[i][j]) == -Fraction(*ofi_rows[j][i])
+                (x, y), (x_back, y_back) = di_rows[i][j], di_rows[j][i]
+                if y and y_back:  # both finite
+                    assert Fraction(x, y) * Fraction(x_back, y_back) == 1
 
     def test_needs_two_groups(self):
         with pytest.raises(InsufficientGroupsError):
@@ -180,9 +183,15 @@ class TestGridMatchesTwoGroupMetrics:
             for grid, two_group, text in ((ofi_grid, ofi, str), (di_grid, disparate_impact, di_text)):
                 expected = [[two_group(table.groups[gi], table.groups[gj]) for gj in names]
                             for gi in names]
-                assert grid.cells == tuple(map(tuple, expected))
-                for (i, gi), (j, gj) in itertools.product(enumerate(names), repeat=2):
-                    assert grid.value_at(gi, gj) == expected[i][j]
+                rows = grid.integer_rows()
+                if grid.metric == "ofi":
+                    got = [[Fraction(x, y) for x, y in row] for row in rows]
+                else:
+                    # y = 0 is undefined, or the contextual 1 when x = 0 too
+                    got = [[DiScore.finite(Fraction(x, y)) if y else DiScore.contextual_one()
+                            if x == 0 else DiScore.zero_denominator() for x, y in row]
+                           for row in rows]
+                assert got == expected
                 texts = [[text(value) for value in row] for row in expected]
                 assert doc["grids"][grid.metric] == texts
                 header, *rows = csv.reader(io.StringIO("".join(grid_csv_chunks(grid))))
@@ -268,7 +277,7 @@ ZERO_RATES = {"a": BinaryConfusion(0, 2, 0, 3), "b": BinaryConfusion(0, 1, 0, 7)
 
 
 class TestVerdictsMatchFractionVerdicts:
-    """build_report's integer verdicts agree with the Fraction functions."""
+    """_verdict_rows' integer verdicts agree with the Fraction functions."""
 
     @settings(max_examples=200, deadline=None)
     @given(audits())
@@ -280,17 +289,21 @@ class TestVerdictsMatchFractionVerdicts:
         table, config = case
         threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
         report = build_report(table, config)
-        assert len(report.pairs) == len(report.ofi_grid.group_order) ** 2 - len(
-            report.ofi_grid.group_order
-        )
-        for p in report.pairs:
-            cm_i, cm_j = table.groups[p.first], table.groups[p.second]
-            ofi_value, di = ofi(cm_i, cm_j), disparate_impact(cm_i, cm_j)
-            assert p.ofi_verdict == ofi_verdict(ofi_value, threshold)
-            assert p.di_verdict == four_fifths_verdict(di, low, high)
-            assert p.diagnosis == fraction_diagnosis(ofi_value, p.di_verdict, threshold)
-            assert p.ofi_verdict == fraction_verdict(ofi_value, -threshold, threshold)
-            assert p.di_verdict == fraction_verdict(di.value, low, high)
+        names = report.ofi_grid.group_order
+        rows = list(_verdict_rows(report))
+        # every ordered pair of distinct groups, row by row of the grids
+        assert [(first, [second for second, _, _ in row]) for first, row in rows] == [
+            (gi, [gj for gj in names if gj != gi]) for gi in names
+        ]
+        for first, row in rows:
+            for second, ofi_v, di_v in row:
+                cm_i, cm_j = table.groups[first], table.groups[second]
+                ofi_value, di = ofi(cm_i, cm_j), disparate_impact(cm_i, cm_j)
+                assert ofi_v == ofi_verdict(ofi_value, threshold)
+                assert di_v == four_fifths_verdict(di, low, high)
+                assert _diagnosis(ofi_v, di_v) == fraction_diagnosis(ofi_value, di_v, threshold)
+                assert ofi_v == fraction_verdict(ofi_value, -threshold, threshold)
+                assert di_v == fraction_verdict(di.value, low, high)
 
 
 class TestDiagnose:
@@ -308,29 +321,32 @@ class TestDiagnose:
             {"a": BinaryConfusion(3, 0, 0, 1), "b": BinaryConfusion(1, 0, 0, 3)}
         )
         report = build_report(table)
-        finding = next(p for p in report.pairs if p.first == "a")
-        assert report.ofi_grid.value_at("a", "b") == 0
-        assert report.di_grid.value_at("a", "b") == DiScore.finite(Fraction(3))
-        assert finding.diagnosis is Diagnosis.SYSTEMIC_DISPARITY
+        # the (a, b) cell of each grid, and that pair's verdicts
+        assert Fraction(*next(report.ofi_grid.integer_rows())[1]) == 0
+        assert Fraction(*next(report.di_grid.integer_rows())[1]) == 3
+        [(_, ofi_v, di_v)] = next(_verdict_rows(report))[1]
+        assert _diagnosis(ofi_v, di_v) is Diagnosis.SYSTEMIC_DISPARITY
 
 
 class TestBuildReport:
     def test_scenario_b_threshold_sensitivity(self):
         table = table_from(SCENARIO_B)
         default = build_report(table)
-        finding = next(p for p in default.pairs if p.first == "i")
-        assert default.ofi_grid.value_at("i", "j") == Fraction(4, 18)
-        assert default.di_grid.value_at("i", "j").kind is DiKind.CONTEXTUAL_ONE
-        assert finding.diagnosis is Diagnosis.NO_FINDING
+        # the (i, j) cell of each grid, and that pair's verdicts
+        assert Fraction(*next(default.ofi_grid.integer_rows())[1]) == Fraction(4, 18)
+        assert next(default.di_grid.integer_rows())[1] == (0, 0)  # the contextual 1
+        [(_, ofi_v, di_v)] = next(_verdict_rows(default))[1]
+        assert _diagnosis(ofi_v, di_v) is Diagnosis.NO_FINDING
 
         lowered = build_report(table, AuditConfig(ofi_threshold=Fraction(1, 5)))
-        finding = next(p for p in lowered.pairs if p.first == "i")
-        assert finding.diagnosis is Diagnosis.ALGORITHMIC_BIAS
+        [(_, ofi_v, di_v)] = next(_verdict_rows(lowered))[1]
+        assert _diagnosis(ofi_v, di_v) is Diagnosis.ALGORITHMIC_BIAS
 
     def test_identical_groups_no_finding(self):
         cm = BinaryConfusion(2, 2, 2, 2)
         report = build_report(table_from({"a": cm, "b": cm, "c": cm}))
-        assert all(p.diagnosis is Diagnosis.NO_FINDING for p in report.pairs)
+        assert all(_diagnosis(ofi_v, di_v) is Diagnosis.NO_FINDING
+                   for _, row in _verdict_rows(report) for _, ofi_v, di_v in row)
 
     def test_every_ordered_pair_present_once(self):
         report = build_report(
@@ -342,21 +358,23 @@ class TestBuildReport:
                 }
             )
         )
-        assert sorted((p.first, p.second) for p in report.pairs) == sorted(
+        pairs = [(first, second) for first, row in _verdict_rows(report) for second, _, _ in row]
+        assert sorted(pairs) == sorted(
             (a, b) for a in "abc" for b in "abc" if a != b
         )
 
     def test_verdicts_recompute_from_grid_and_config(self):
         report = build_report(table_from(SCENARIO_A))
-        for p in report.pairs:
-            assert p.ofi_verdict == ofi_verdict(
-                report.ofi_grid.value_at(p.first, p.second), report.config.ofi_threshold
-            )
-            assert p.di_verdict == four_fifths_verdict(
-                report.di_grid.value_at(p.first, p.second),
-                report.config.di_low,
-                report.config.di_high,
-            )
+        config, names = report.config, report.ofi_grid.group_order
+        grid_rows = zip(report.ofi_grid.integer_rows(), report.di_grid.integer_rows())
+        for (_, row), (ofi_row, di_row) in zip(_verdict_rows(report), grid_rows, strict=True):
+            for second, ofi_v, di_v in row:
+                j = names.index(second)
+                assert ofi_v == ofi_verdict(Fraction(*ofi_row[j]), config.ofi_threshold)
+                # every DI cell of scenario A is finite
+                assert di_v == four_fifths_verdict(
+                    DiScore.finite(Fraction(*di_row[j])), config.di_low, config.di_high
+                )
 
     def test_summary_fields(self):
         report = build_report(table_from(SCENARIO_A))
@@ -406,9 +424,10 @@ class TestSerialization:
         doc = json.loads(text)
         assert doc["schema"] == 3
         assert doc["dataset"]["confusion"] == {"i": [0, 1, 0, 5], "j": [0, 7, 0, 11]}
-        for pair, finding in zip(doc["pairs"], report.pairs, strict=True):
-            assert pair == [finding.first, finding.second, finding.ofi_verdict.value,
-                            finding.di_verdict.value, finding.diagnosis.value]
+        assert doc["pairs"] == [
+            [first, second, ofi_v.value, di_v.value, _diagnosis(ofi_v, di_v).value]
+            for first, row in _verdict_rows(report) for second, ofi_v, di_v in row
+        ]
 
     def test_rejects_other_schemas(self):
         doc = json.loads(serialize_report(build_report(table_from(SCENARIO_A))))
@@ -518,11 +537,8 @@ class TestSerialization:
             {"i": BinaryConfusion(1, 0, 0, 5), "j": BinaryConfusion(0, 7, 0, 11)}
         )
         report = build_report(table)
-        assert any(
-            report.di_grid.value_at(p.first, p.second).kind
-            is DiKind.UNDEFINED_ZERO_DENOMINATOR
-            for p in report.pairs
-        )
+        # an undefined DI cell: a zero denominator under a nonzero numerator
+        assert any(y == 0 and x != 0 for row in report.di_grid.integer_rows() for x, y in row)
         assert parse_report(serialize_report(report)) == report
 
     def test_deterministic_bytes(self):
@@ -548,11 +564,23 @@ def di_text(di: DiScore) -> str:
     return str(di.value)
 
 
+def reference_pair(first: str, second: str, groups, config) -> list[str]:
+    # a pair's verdicts and diagnosis, from the Fraction functions
+    ofi_value = ofi(groups[first], groups[second])
+    ofi_v = ofi_verdict(ofi_value, config.ofi_threshold)
+    di_v = four_fifths_verdict(disparate_impact(groups[first], groups[second]),
+                               config.di_low, config.di_high)
+    diagnosis = fraction_diagnosis(ofi_value, di_v, config.ofi_threshold)
+    return [first, second, ofi_v.value, di_v.value, diagnosis.value]
+
+
 def reference_doc(report) -> dict:
     # the report as one nested document, laid out by the json module: the
-    # counts of every group of the table, and the sizes of those in order
+    # counts of every group of the table, and the sizes of those in order;
+    # the grids and pairs come from the two-group Fraction functions
     config = report.config
     groups = report.table.groups
+    names = report.ofi_grid.group_order
     return {
         "schema": 3,
         "dataset": {
@@ -576,13 +604,11 @@ def reference_doc(report) -> dict:
             for name, gm in report.group_metrics.items()
         },
         "grids": {
-            "ofi": [[str(v) for v in row] for row in report.ofi_grid.cells],
-            "di": [[di_text(v) for v in row] for row in report.di_grid.cells],
+            "ofi": [[str(ofi(groups[a], groups[b])) for b in names] for a in names],
+            "di": [[di_text(disparate_impact(groups[a], groups[b])) for b in names]
+                   for a in names],
         },
-        "pairs": [
-            [p.first, p.second, p.ofi_verdict.value, p.di_verdict.value, p.diagnosis.value]
-            for p in report.pairs
-        ],
+        "pairs": [reference_pair(a, b, groups, config) for a in names for b in names if a != b],
     }
 
 

@@ -27,21 +27,99 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestScenario:
-    def test_scenario_a(self, capsys):
-        code, out, err = run(capsys, "scenario", "1", "0", "0", "5", "7", "0", "1", "10")
-        assert code == 0
-        assert "OFI: -1/18 (-0.06)" in out
-        assert "DI:  3/8 (0.38)" in out
-        assert "bias toward second" in out
-        assert "benefit           1/6 (0.17)" in out
+SCENARIO_A_GROUPS = """\
+group i: tp=1 fn=0 fp=0 tn=5 n=6
+  benefit           1/6 (0.17)
+  expected benefit  1/6 (0.17)
+  marginal benefit  0 (0.00)
+group j: tp=7 fn=0 fp=1 tn=10 n=18
+  benefit           4/9 (0.44)
+  expected benefit  7/18 (0.39)
+  marginal benefit  1/18 (0.06)
+"""
 
-    def test_scenario_b_contextual_di(self, capsys):
-        code, out, _ = run(capsys, "scenario", "0", "1", "0", "5", "0", "7", "0", "11")
-        assert code == 0
-        assert "OFI: 2/9 (0.22)" in out
-        assert "contextual" in out
-        assert "no bias indicated" in out
+SCENARIO_B_GROUPS = """\
+group i: tp=0 fn=1 fp=0 tn=5 n=6
+  benefit           0 (0.00)
+  expected benefit  1/6 (0.17)
+  marginal benefit  -1/6 (-0.17)
+group j: tp=0 fn=7 fp=0 tn=11 n=18
+  benefit           0 (0.00)
+  expected benefit  7/18 (0.39)
+  marginal benefit  -7/18 (-0.39)
+"""
+
+CONTEXTUAL_DI = "1 (1.00, contextual: both positive-prediction rates are zero)"
+
+README_CELLS = ["1", "0", "0", "5", "7", "0", "1", "10"]
+
+
+class TestScenario:
+    @pytest.mark.parametrize("argv, stdout", [
+        (README_CELLS, SCENARIO_A_GROUPS + """\
+OFI: -1/18 (-0.06)  verdict: no bias indicated (threshold 3/10)
+DI:  3/8 (0.38)  verdict: bias toward second (band 4/5..5/4)
+"""),
+        (["0", "1", "0", "5", "0", "7", "0", "11"], SCENARIO_B_GROUPS + f"""\
+OFI: 2/9 (0.22)  verdict: no bias indicated (threshold 3/10)
+DI:  {CONTEXTUAL_DI}  verdict: no bias indicated (band 4/5..5/4)
+"""),
+        (["1", "1", "0", "5", "1", "7", "0", "11"], """\
+group i: tp=1 fn=1 fp=0 tn=5 n=7
+  benefit           1/7 (0.14)
+  expected benefit  2/7 (0.29)
+  marginal benefit  -1/7 (-0.14)
+group j: tp=1 fn=7 fp=0 tn=11 n=19
+  benefit           1/19 (0.05)
+  expected benefit  8/19 (0.42)
+  marginal benefit  -7/19 (-0.37)
+OFI: 30/133 (0.23)  verdict: no bias indicated (threshold 3/10)
+DI:  19/7 (2.71)  verdict: bias toward first (band 4/5..5/4)
+"""),
+        (["5", "0", "0", "0", "0", "0", "0", "5"], """\
+group i: tp=5 fn=0 fp=0 tn=0 n=5
+  benefit           1 (1.00)
+  expected benefit  1 (1.00)
+  marginal benefit  0 (0.00)
+group j: tp=0 fn=0 fp=0 tn=5 n=5
+  benefit           0 (0.00)
+  expected benefit  0 (0.00)
+  marginal benefit  0 (0.00)
+OFI: 0 (0.00)  verdict: no bias indicated (threshold 3/10)
+DI:  undefined (zero denominator)  verdict: undefined (band 4/5..5/4)
+"""),
+        (["0", "1", "0", "5", "0", "7", "0", "11", "--di-low", "3/2", "--di-high", "2"],
+         SCENARIO_B_GROUPS + f"""\
+OFI: 2/9 (0.22)  verdict: no bias indicated (threshold 3/10)
+DI:  {CONTEXTUAL_DI}  verdict: bias toward second (band 3/2..2)
+"""),
+        (["0", "1", "0", "5", "0", "7", "0", "11", "--ofi-threshold", "1/5"],
+         SCENARIO_B_GROUPS + f"""\
+OFI: 2/9 (0.22)  verdict: bias toward first (threshold 1/5)
+DI:  {CONTEXTUAL_DI}  verdict: no bias indicated (band 4/5..5/4)
+"""),
+    ], ids=["readme-a", "b-contextual", "alpha", "undefined-di", "band-excludes-one",
+            "ofi-threshold"])
+    def test_whole_stdout(self, capsys, argv, stdout):
+        assert run(capsys, "scenario", *argv) == (0, stdout, "")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*README_CELLS, "--ofi-threshold", "0"], "OFI threshold must be > 0, got 0"),
+        ([*README_CELLS, "--di-low", "2", "--di-high", "1"], "bad DI band [2, 1]"),
+        ([*README_CELLS, "--di-low", "0"], "bad DI band [0, 5/4]"),
+        (["1", "0", "0", "5", "0", "0", "0", "0"], "group has no observations (n=0)"),
+        (["0", "0", "0", "0", "7", "0", "1", "10"], "group has no observations (n=0)"),
+        # the thresholds are checked before the groups' metrics, the cells first
+        (["1", "0", "0", "5", "0", "0", "0", "0", "--ofi-threshold", "0"],
+         "OFI threshold must be > 0, got 0"),
+        (["-1", "0", "0", "5", "7", "0", "1", "10"], "confusion cell tp must be >= 0, got -1"),
+        (["-1", "0", "0", "5", "7", "0", "1", "10", "--ofi-threshold", "0"],
+         "confusion cell tp must be >= 0, got -1"),
+    ], ids=["ofi-threshold-zero", "band-inverted", "band-not-positive", "empty-group-j",
+            "empty-group-i", "empty-group-and-bad-threshold", "negative-cell",
+            "negative-cell-and-bad-threshold"])
+    def test_failure_writes_one_stderr_line_and_no_stdout(self, capsys, argv, message):
+        assert run(capsys, "scenario", *argv) == (1, "", f"error [scenario]: {message}\n")
 
     @pytest.mark.parametrize("cells", [
         ("0", "1", "0", "5", "0", "7", "0", "11"),  # contextual: both rates zero
@@ -51,23 +129,6 @@ class TestScenario:
         code, out, _ = run(capsys, "scenario", *cells, "--di-low", "3/2", "--di-high", "2")
         assert code == 0
         assert out.splitlines()[-1].endswith("verdict: bias toward second (band 3/2..2)")
-
-    def test_scenario_alpha(self, capsys):
-        code, out, _ = run(capsys, "scenario", "1", "1", "0", "5", "1", "7", "0", "11")
-        assert code == 0
-        assert "OFI: 30/133 (0.23)" in out
-        assert "DI:  19/7 (2.71)" in out
-        assert "bias toward first" in out
-
-    def test_negative_cell_fails(self, capsys):
-        code, _, err = run(capsys, "scenario", "-1", "0", "0", "5", "7", "0", "1", "10")
-        assert code == 1
-        assert "[scenario]" in err
-
-    def test_empty_group_fails(self, capsys):
-        code, _, err = run(capsys, "scenario", "0", "0", "0", "0", "7", "0", "1", "10")
-        assert code == 1
-        assert "[scenario]" in err
 
     @pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
     @pytest.mark.parametrize("flag, label", [
@@ -97,8 +158,9 @@ class TestAudit:
         )
         assert code == 0, err
         report = parse_report(report_path.read_text())
-        assert report.ofi_grid.value_at("i", "j") == Fraction(-1, 18)
-        assert report.di_grid.value_at("i", "j").value == Fraction(3, 8)
+        # the (i, j) cell of each grid
+        assert Fraction(*next(report.ofi_grid.integer_rows())[1]) == Fraction(-1, 18)
+        assert Fraction(*next(report.di_grid.integer_rows())[1]) == Fraction(3, 8)
 
     def test_report_to_stdout_by_default(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "audit", "--input", str(fixtures_dir / "scenario_a.csv"))
@@ -123,8 +185,10 @@ class TestAudit:
         code, out, _ = run(capsys, *argv, "--group-order", "j,i")
         assert code == 0
         swapped = parse_report(out)
-        assert swapped.ofi_grid.cells[0][1] == -forward.ofi_grid.cells[0][1]
-        assert forward.ofi_grid.cells[0][1] == Fraction(-1, 18)
+        forward_ij, swapped_ji = (Fraction(*next(report.ofi_grid.integer_rows())[1])
+                                  for report in (forward, swapped))
+        assert swapped_ji == -forward_ij
+        assert forward_ij == Fraction(-1, 18)
 
     def test_unknown_group_in_order(self, capsys, fixtures_dir):
         code, _, err = run(
@@ -274,9 +338,8 @@ class TestAudit:
             "--ofi-threshold", "1/5",
         )
         assert code == 0
-        report = parse_report(out)
-        finding = next(p for p in report.pairs if p.first == "i")
-        assert finding.diagnosis.value == "algorithmic_bias"
+        first, second, *_, diagnosis = json.loads(out)["pairs"][0]
+        assert (first, second, diagnosis) == ("i", "j", "algorithmic_bias")
 
     @pytest.mark.parametrize("input_exists", [True, False])
     @pytest.mark.parametrize(

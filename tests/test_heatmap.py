@@ -77,7 +77,7 @@ def test_undefined_di_is_hatched():
 def test_extreme_values_clamp_to_palette_edges():
     # marginal benefits 1 and -1 give the OFI cells 2 and -2
     grid = PairwiseMatrix(metric="ofi", group_order=("a", "b"), scores=(Fraction(1), Fraction(-1)))
-    assert grid.cells == ((0, 2), (-2, 0))
+    assert [[Fraction(x, y) for x, y in row] for row in grid.integer_rows()] == [[0, 2], [-2, 0]]
     svg = render(grid)
     fills = {el.get("fill") for el in svg_elements(svg, "cell")}
     assert HIGH_COLOR in fills and LOW_COLOR in fills

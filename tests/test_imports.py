@@ -3,9 +3,12 @@
 numpy serves only ``verify``: ``dist`` computes its closed form and CSV
 rows with the standard library. No output needs the ``xml.sax`` ->
 ``urllib`` -> ``http``/``email``/``ssl`` chain. Each case runs in a fresh
-interpreter, because this process has long since loaded numpy.
+interpreter, because this process has long since loaded numpy. The CLI
+takes no verdict function from ``metrics``: it reads every verdict off
+``build_report``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -62,3 +65,16 @@ def test_audit_side_loads_none_of_the_heavy_modules(tmp_path, argv):
 @pytest.mark.parametrize("argv", [("verify", "--n-max", "3")], ids=["verify"])
 def test_kernel_subcommands_load_numpy(tmp_path, argv):
     assert "numpy" in loaded_modules(*argv, cwd=tmp_path)
+
+
+def test_cli_takes_no_verdict_route_from_metrics():
+    # scenario and audit judge by build_report's integer rules; the
+    # Fraction wrappers are the library's API, not a second CLI route
+    tree = ast.parse((SRC / "ofi_audit" / "cli.py").read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("metrics", "ofi_audit.metrics")
+        for alias in node.names
+    }
+    assert names == {"BinaryConfusion", "ThresholdError"}

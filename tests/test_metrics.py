@@ -178,9 +178,10 @@ class TestFourFifthsVerdict:
         assert four_fifths_verdict(DiScore.finite(edge)) == BiasVerdict.NO_BIAS_INDICATED
 
     def test_bad_band(self):
-        with pytest.raises(ThresholdError):
+        # the texts AuditConfig gives for the same band
+        with pytest.raises(ThresholdError, match=r"^bad DI band \[0, 2\]$"):
             four_fifths_verdict(DiScore.finite(Fraction(1)), low=Fraction(0), high=Fraction(2))
-        with pytest.raises(ThresholdError):
+        with pytest.raises(ThresholdError, match=r"^bad DI band \[2, 1\]$"):
             four_fifths_verdict(DiScore.finite(Fraction(1)), low=Fraction(2), high=Fraction(1))
 
 
@@ -203,9 +204,9 @@ class TestOfiVerdict:
         assert ofi_verdict(Fraction(4, 18), Fraction(1, 5)) == BiasVerdict.BIAS_TOWARD_FIRST
 
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ThresholdError):
+        with pytest.raises(ThresholdError, match=r"^OFI threshold must be > 0, got 0$"):
             ofi_verdict(Fraction(0), Fraction(0))
-        with pytest.raises(ThresholdError):
+        with pytest.raises(ThresholdError, match=r"^OFI threshold must be > 0, got -1/10$"):
             ofi_verdict(Fraction(0), Fraction(-1, 10))
 
 
