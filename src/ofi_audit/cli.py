@@ -14,7 +14,6 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from . import __version__
@@ -113,14 +112,6 @@ CHILD_DIED = "the heatmap writer process ended unexpectedly"
 #: second core by 4-6% in median at 1, 2 and 4 MiB; from 8 MiB on it won
 #: every set in median, by 25-34% at 8 MiB and 33-39% at 16 MiB.
 SPLIT_MIN_BYTES = 8 << 20
-
-# Fed to the first process's reader after its byte range. The line holds
-# no quote, CR or LF, so it comes back as a row of its own exactly when
-# the range ends on a record boundary, and is read into the open quoted
-# field otherwise; the second line tells a sentinel row from the end.
-_SENTINEL_ROW = ["\ufdd0"]  # a noncharacter
-_SENTINEL_LINES = (_SENTINEL_ROW[0] + "\n",) * 2
-
 
 def _check_output(path: str) -> os.stat_result | None:
     """The status of the file an output path names, or None for one that
@@ -323,16 +314,17 @@ def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable 
             head = io.TextIOWrapper(
                 _ByteRange(raw.fileno(), split), encoding="utf-8-sig", newline=""
             )
-            reader = csv.reader(chain(head, _SENTINEL_LINES), delimiter=delimiter)
+            # strict: a range that ends inside a quoted field, off a record
+            # boundary, raises "unexpected end of data" instead of yielding
+            # the open field
+            reader = csv.reader(head, delimiter=delimiter, strict=True)
             positions = header_positions(reader, schema)
             forked = _fork(partial(_count_tail, path, split, positions, schema, delimiter))
             if forked is None:
                 return None
             counts = None
             try:
-                counts = count_rows(reader, positions, schema, end=_SENTINEL_ROW)
-                if next(reader, None) != _SENTINEL_ROW or next(reader, None) is not None:
-                    counts = None
+                counts = count_rows(reader, positions, schema)
             finally:
                 if counts is None:
                     # loaded here: building its enums costs every run a ms
@@ -544,35 +536,25 @@ def _verdict_text(verdict) -> str:
     return verdict.value.replace("_", " ")
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    # a two-group audit, judged by the rules that judge audit's pairs;
-    # cells and thresholds are checked before any line is printed
-    try:
-        table = GroupTable({
-            "i": BinaryConfusion(*args.cells[:4]),
-            "j": BinaryConfusion(*args.cells[4:]),
-        })
-        config = AuditConfig(args.ofi_threshold, args.di_low, args.di_high)
-        report = build_report(table, config)
-    except ValueError as exc:
-        return _fail("scenario", str(exc))
-
+def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
+    # a two-group audit, judged by the rules that judge audit's pairs
+    report = build_report(table, config)
     for name, gm in report.group_metrics.items():
         cm = table.groups[name]
-        print(f"group {name}: tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn} n={cm.n}")
+        yield f"group {name}: tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn} n={cm.n}\n"
         for label, value in (("benefit", gm.benefit),
                              ("expected benefit", gm.expected_benefit),
                              ("marginal benefit", gm.marginal_benefit)):
-            print(f"  {label:<17} {format_fraction(value)} ({format_fixed(value)})")
+            yield f"  {label:<17} {format_fraction(value)} ({format_fixed(value)})\n"
 
     # the (i, j) cell of each grid, and that pair's verdicts
     ofi_x, ofi_y = next(report.ofi_grid.integer_rows())[1]
     di_x, di_y = next(report.di_grid.integer_rows())[1]
     [(_, ofi_v, di_v)] = next(_verdict_rows(report))[1]
-    print(
+    yield (
         f"OFI: {ratio_text(ofi_x, ofi_y)} ({fixed_text(ofi_x, ofi_y)})"
         f"  verdict: {_verdict_text(ofi_v)}"
-        f" (threshold {format_fraction(config.ofi_threshold)})"
+        f" (threshold {format_fraction(config.ofi_threshold)})\n"
     )
     if di_y:
         di_text = f"{ratio_text(di_x, di_y)} ({fixed_text(di_x, di_y)})"
@@ -580,10 +562,25 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         di_text = "1 (1.00, contextual: both positive-prediction rates are zero)"
     else:
         di_text = "undefined (zero denominator)"
-    print(
+    yield (
         f"DI:  {di_text}  verdict: {_verdict_text(di_v)}"
-        f" (band {format_fraction(config.di_low)}..{format_fraction(config.di_high)})"
+        f" (band {format_fraction(config.di_low)}..{format_fraction(config.di_high)})\n"
     )
+
+
+def cmd_scenario(args: argparse.Namespace) -> int:
+    # every line is rendered before any is printed, so a fault, a value
+    # past the int-to-text digit limit included, leaves stdout empty
+    try:
+        table = GroupTable({
+            "i": BinaryConfusion(*args.cells[:4]),
+            "j": BinaryConfusion(*args.cells[4:]),
+        })
+        config = AuditConfig(args.ofi_threshold, args.di_low, args.di_high)
+        text = "".join(_scenario_lines(table, config))
+    except ValueError as exc:
+        return _fail("scenario", str(exc))
+    sys.stdout.write(text)
     return 0
 
 

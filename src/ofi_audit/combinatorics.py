@@ -15,11 +15,12 @@ set of all such quadruples this module provides
 * the distribution's exact moments: mean 0, variance ``(n+4)/(10n)``
   (:func:`b_stats`).
 
-Every closed form is checked against full enumeration by the test suite
-and by the ``verify`` CLI subcommand; :mod:`ofi_audit.exhaustive` holds the
-enumeration-based reference computations, its numpy enumeration kernel
-included, and
-:mod:`ofi_audit.verification` the count identities that only it checks.
+Everything here runs on the standard library. Every closed form is
+checked against full enumeration by the test suite and by the ``verify``
+CLI subcommand: :mod:`ofi_audit.exhaustive` holds the enumeration-based
+reference computations, its numpy enumeration kernel included, and
+:mod:`ofi_audit.verification` the checks, among them the count identities
+that only it checks.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def count_value(x: int, n: int) -> int:
     return termial(n - x + 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScoreDistribution:
     """Exact multiplicity of every score (fp - fn)/n over all quadruples.
 
@@ -104,18 +105,6 @@ class ScoreDistribution:
 
     n: int
     counts: array
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreDistribution):
-            return NotImplemented
-        return self.n == other.n and self.counts == other.counts
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def mode(self) -> Fraction:
-        """Score with the highest multiplicity (smallest such score on ties)."""
-        return Fraction(self.counts.index(max(self.counts)) - self.n, self.n)
 
     def csv_chunks(self) -> Iterator[str]:
         """The distribution as CSV text: a header, then rows

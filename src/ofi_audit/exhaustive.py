@@ -18,6 +18,11 @@ record of every size up to n_max from one pass of the int64 numpy kernel
 n_max, taken in order of their sum s: the quadruples with cell sum n are
 the triples with s <= n, tn being n - s. That pass handles n_max in the
 hundreds and is itself checked against the stream route.
+
+numpy stays inside the kernel and the running totals that
+:func:`enumerations` keeps over its layers, the package's only use of it.
+Both routes give records of plain values: ints, tuples of ints, an
+int64 ``array("q")`` and exact ``Fraction`` moments.
 """
 
 from __future__ import annotations
@@ -40,30 +45,21 @@ from .metrics import BinaryConfusion, marginal_benefit
 STREAM_BATCH = 256
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Enumeration:
     """What full enumeration says about the quadruples with cell sum n.
 
-    ``cell_counts[c, x]`` counts the quadruples whose cell c equals x,
-    shape (4, n + 1) with cells ordered (tp, fn, fp, tn). ``histogram``
-    holds the multiplicity of every score (fp - fn)/n, and ``mean`` and
-    ``variance`` are the score's exact population moments.
+    ``cell_counts[c][x]`` counts the quadruples whose cell c equals x:
+    four tuples of n + 1 ints, cells ordered (tp, fn, fp, tn).
+    ``histogram`` holds the multiplicity of every score (fp - fn)/n, and
+    ``mean`` and ``variance`` are the score's exact population moments.
     """
 
     count: int
-    cell_counts: np.ndarray
+    cell_counts: tuple[tuple[int, ...], ...]
     histogram: ScoreDistribution
     mean: Fraction
     variance: Fraction
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Enumeration):
-            return NotImplemented
-        return (
-            (self.count, self.histogram, self.mean, self.variance)
-            == (other.count, other.histogram, other.mean, other.variance)
-            and np.array_equal(self.cell_counts, other.cell_counts)
-        )
 
 
 def enum_by_sum(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -87,57 +83,34 @@ def enum_by_sum(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield cell_counts, np.bincount(fp - fn + n_max, minlength=2 * size - 1)
 
 
-def enum_stats(n_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, int, int]]:
-    """Every enumeration fact about the quadruples with cell sum n, for
-    each n in 1..n_max in turn, from one pass of :func:`enum_by_sum`.
+def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
+    """The record of each size n in n_min..n_max in turn, from one pass
+    of :func:`enum_by_sum`.
 
     The quadruples with cell sum n are the triples with sum s <= n, tn
-    being n - s, so running totals over s give every size.
-
-    Yields ``(count, cell_counts, score_counts, total, total_sq)``: the
-    number of quadruples; ``cell_counts[c, x]``, how many have cell c
-    equal to x, shape (4, n + 1) with cells ordered (tp, fn, fp, tn);
-    ``score_counts[d + n]``, how many have fp - fn = d; and the sum and
-    sum of squares of fp - fn as Python ints.
+    being n - s, so running totals over s give every size; the moments
+    come from the integer sums of d = fp - fn and d^2.
     """
     size = n_max + 1
     cells = np.zeros((3, size), dtype=np.int64)
     scores = np.zeros(2 * size - 1, dtype=np.int64)
-    # triples per sum s; a quadruple of size n has tn = x exactly when s = n - x
-    per_sum = np.zeros(size, dtype=np.int64)
     d = np.arange(-n_max, n_max + 1, dtype=np.int64)
     d_sq = d * d
+    # triples per sum s; a quadruple of size n has tn = x exactly when s = n - x
+    per_sum: list[int] = []
     for n, (layer_cells, layer_scores) in enumerate(enum_by_sum(n_max)):
         # with the triples of sum n added, the totals cover size n
         cells += layer_cells
         scores += layer_scores
-        per_sum[n] = layer_cells[0].sum()
-        if n == 0:
+        per_sum.append(int(layer_cells[0].sum()))
+        if n < max(n_min, 1):
             continue
-        cell_counts = np.empty((4, n + 1), dtype=np.int64)
-        cell_counts[:3] = cells[:, : n + 1]
-        cell_counts[3] = per_sum[n::-1]
-        yield (
-            int(per_sum[: n + 1].sum()),
-            cell_counts,
-            scores[n_max - n : n_max + n + 1].copy(),
-            int(scores @ d),
-            int(scores @ d_sq),
-        )
-
-
-def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
-    """The record of each size n in n_min..n_max in turn, from one pass
-    of the numpy enumeration kernel; the moments come from the integer
-    sums of d and d^2."""
-    stats = enum_stats(n_max)
-    for n, (count, cell_counts, score_counts, total, total_sq) in enumerate(stats, 1):
-        if n < n_min:
-            continue
-        mean = Fraction(total, count * n)
-        variance = Fraction(total_sq, count * n * n) - mean**2
-        histogram = ScoreDistribution(n=n, counts=array("q", score_counts.tobytes()))
-        yield Enumeration(count, cell_counts, histogram, mean, variance)
+        count = sum(per_sum)
+        mean = Fraction(int(scores @ d), count * n)
+        variance = Fraction(int(scores @ d_sq), count * n * n) - mean**2
+        cell_counts = (*map(tuple, cells[:, : n + 1].tolist()), tuple(reversed(per_sum)))
+        counts = array("q", scores[n_max - n : n_max + n + 1].tobytes())
+        yield Enumeration(count, cell_counts, ScoreDistribution(n, counts), mean, variance)
 
 
 def stream(n: int) -> Enumeration:
@@ -173,10 +146,5 @@ def stream(n: int) -> Enumeration:
         d = p * (n // q)
         if n % q == 0 and -n <= d <= n:
             score_counts[d + n] = k
-    return Enumeration(
-        count,
-        np.array([[counts[x] for x in range(n + 1)] for counts in cells], dtype=np.int64),
-        ScoreDistribution(n=n, counts=score_counts),
-        mean,
-        variance,
-    )
+    cell_counts = tuple(tuple(map(counts.__getitem__, range(n + 1))) for counts in cells)
+    return Enumeration(count, cell_counts, ScoreDistribution(n, score_counts), mean, variance)

@@ -104,7 +104,7 @@ def iter_records(
     EmptyDatasetError when no data rows follow the header.
     """
     reader = csv.reader(source, delimiter=delimiter)
-    return _records(reader, reader, schema or ColumnSchema())
+    return _records(reader, schema or ColumnSchema())
 
 
 def header_positions(reader: Iterator[list[str]], schema: ColumnSchema) -> dict[str, int]:
@@ -126,25 +126,18 @@ def header_positions(reader: Iterator[list[str]], schema: ColumnSchema) -> dict[
     return positions
 
 
-def count_rows(
-    reader, positions: dict[str, int], schema: ColumnSchema, end: list[str] | None = None
-) -> dict[str, list[int]]:
+def count_rows(reader, positions: dict[str, int], schema: ColumnSchema) -> dict[str, list[int]]:
     """Each group's ``[tp, fn, fp, tn]`` over the rows a csv reader yields
     after its header, validated as iter_records validates them and with
-    its errors, EmptyDatasetError for no data rows included. With ``end``,
-    the rows stop before the first row equal to it."""
-    rows = reader if end is None else iter(reader.__next__, end)
-    return _tally(_records(reader, rows, schema, positions))
+    its errors, EmptyDatasetError for no data rows included."""
+    return _tally(_records(reader, schema, positions))
 
 
 def _records(
-    reader,
-    rows: Iterable[list[str]],
-    schema: ColumnSchema,
-    positions: dict[str, int] | None = None,
+    reader, schema: ColumnSchema, positions: dict[str, int] | None = None
 ) -> Iterator[PredictionRecord]:
-    # one record per data row of ``rows``, read from the csv ``reader``,
-    # whose header is read first unless its positions are given
+    # one record per data row of the csv ``reader``, whose header is read
+    # first unless its positions are given
     try:
         if positions is None:
             positions = header_positions(reader, schema)
@@ -153,7 +146,7 @@ def _records(
         )
         seen: dict[tuple[str, str, str], PredictionRecord] = {}
         row_num = 0
-        for row in rows:
+        for row in reader:
             if not row:
                 continue
             row_num += 1

@@ -1,18 +1,19 @@
 """Identity checks between the closed forms and full enumeration.
 
 :func:`run_identity_checks` evaluates every identity over a range of
-sample sizes and reports one result per identity. One pass over the
-triples (tp, fn, fp) with tp + fn + fp <= n_max gives the enumeration of
-every size in the range; it is O(n_max^3), so ranges are guarded at
-n <= 500 (about 21 million triples at the cap).
+sample sizes and reports one result per identity, with the first n it
+fails at. One pass over the triples (tp, fn, fp) with tp + fn + fp <=
+n_max gives the enumeration of every size in the range; it is
+O(n_max^3), so ranges are guarded at n <= 500 (about 21 million triples
+at the cap). The checks read the records' plain ints, tuples and
+``array("q")`` counts directly, without numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import Iterator
 
 from . import exhaustive
 from .combinatorics import (
@@ -42,25 +43,6 @@ IDENTITIES: tuple[tuple[str, str], ...] = (
 )
 
 
-def count_sum_identity(n: int) -> bool:
-    """Whether the per-cell counts over all values sum to the total count.
-
-    Always true; checked by the ``count-sum`` identity.
-    """
-    return sum(count_value(x, n) for x in range(n + 1)) == total_combinations(n)
-
-
-def count_increment(x: int, n: int) -> int:
-    """Growth of count_value(x, .) when n increases by one.
-
-    Computed as the difference of the two counts, which reject x outside
-    [0, n]; the ``count-increment`` identity checks that it equals
-    n - x + 2.
-    """
-    before = count_value(x, n)
-    return count_value(x, n + 1) - before
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -69,71 +51,64 @@ class CheckResult:
     detail: str
 
 
-def _check_single_n(n: int, record: exhaustive.Enumeration) -> dict[str, str | None]:
+def _check_single_n(n: int, record: exhaustive.Enumeration) -> Iterator[tuple[str, str]]:
     """Run every identity at one n against its enumeration record.
-    Returns failure text per identity, None where the identity holds."""
-    failures: dict[str, str | None] = {name: None for name, _ in IDENTITIES}
-
+    Yields (identity name, failure text) for each identity that fails."""
     expected_total = total_combinations(n)
     if record.count != expected_total:
-        failures["cardinality"] = f"n={n}: enumerated {record.count}, closed form {expected_total}"
+        yield "cardinality", f"n={n}: enumerated {record.count}, closed form {expected_total}"
 
-    expected_cells = np.array([count_value(x, n) for x in range(n + 1)])
-    wrong = np.argwhere(record.cell_counts != expected_cells)
-    if wrong.size:
-        cell, x = (int(i) for i in wrong[0])
-        failures["cell-counts"] = (
-            f"n={n}: cell {cell} value {x}: enumerated "
-            f"{record.cell_counts[cell, x]}, closed form {count_value(x, n)}"
-        )
-
-    if not count_sum_identity(n):
-        failures["count-sum"] = f"n={n}: sum of counts differs from total"
-
-    for x in range(n + 1):
-        if count_increment(x, n) != n - x + 2:
-            failures["count-increment"] = (
-                f"n={n}, x={x}: increment {count_increment(x, n)} != {n - x + 2}"
+    expected_cells = tuple(count_value(x, n) for x in range(n + 1))
+    for cell, counts in enumerate(record.cell_counts):
+        if counts != expected_cells:
+            x = next(x for x, value in enumerate(expected_cells) if counts[x] != value)
+            yield "cell-counts", (
+                f"n={n}: cell {cell} value {x}: enumerated "
+                f"{counts[x]}, closed form {expected_cells[x]}"
             )
+            break
+
+    if sum(expected_cells) != expected_total:
+        yield "count-sum", f"n={n}: sum of counts differs from total"
+
+    # count_value(x, n) grows by n - x + 2 when n grows by one
+    for x, before in enumerate(expected_cells):
+        increment = count_value(x, n + 1) - before
+        if increment != n - x + 2:
+            yield "count-increment", f"n={n}, x={x}: increment {increment} != {n - x + 2}"
             break
 
     dist = marginal_benefit_distribution(n)
     if dist != record.histogram:
-        failures["distribution"] = f"n={n}: closed form and enumeration disagree"
+        yield "distribution", f"n={n}: closed form and enumeration disagree"
 
-    if dist.total() != expected_total:
-        failures["distribution-total"] = (
-            f"n={n}: multiplicities sum to {dist.total()}, expected {expected_total}"
-        )
+    total = sum(dist.counts)
+    if total != expected_total:
+        yield "distribution-total", f"n={n}: multiplicities sum to {total}, expected {expected_total}"
 
     # counts[i] is the multiplicity of the score (i - n)/n
-    counts = np.frombuffer(dist.counts, dtype=np.int64)
-    asymmetric = np.flatnonzero(counts != counts[::-1])
-    if asymmetric.size:
-        i = int(asymmetric[0])
-        failures["distribution-symmetry"] = (
+    counts = dist.counts
+    i = next((i for i in range(n) if counts[i] != counts[2 * n - i]), None)
+    if i is not None:
+        yield "distribution-symmetry", (
             f"n={n}: counts[{Fraction(i - n, n)}]={counts[i]} "
             f"but counts[{Fraction(n - i, n)}]={counts[2 * n - i]}"
         )
 
-    rivals = np.flatnonzero(counts >= counts[n])
-    rivals = rivals[rivals != n]
-    if rivals.size:
-        i = int(rivals[0])
-        failures["distribution-mode"] = (
+    i = next((i for i, count in enumerate(counts) if count >= counts[n] and i != n), None)
+    if i is not None:
+        yield "distribution-mode", (
             f"n={n}: counts[{Fraction(i - n, n)}]={counts[i]} >= counts[0]={counts[n]}"
         )
 
     if record.mean != 0 or record.variance != Fraction(n + 4, 10 * n):
-        failures["moments"] = (
+        yield "moments", (
             f"n={n}: enumerated mean {record.mean}, variance {record.variance}, "
             f"expected 0 and {Fraction(n + 4, 10 * n)}"
         )
 
     if n <= STREAM_CHECK_MAX and exhaustive.stream(n) != record:
-        failures["stream-equivalence"] = f"n={n}: stream route disagrees with kernels"
-
-    return failures
+        yield "stream-equivalence", f"n={n}: stream route disagrees with kernels"
 
 
 def run_identity_checks(n_min: int = 1, n_max: int = STREAM_CHECK_MAX) -> list[CheckResult]:
@@ -152,7 +127,10 @@ def run_identity_checks(n_min: int = 1, n_max: int = STREAM_CHECK_MAX) -> list[C
 
     ns = range(n_min, n_max + 1)
     records = exhaustive.enumerations(n_min, n_max)
-    per_n = [_check_single_n(n, record) for n, record in zip(ns, records, strict=True)]
+    first_failures: dict[str, str] = {}
+    for n, record in zip(ns, records, strict=True):
+        for name, failure in _check_single_n(n, record):
+            first_failures.setdefault(name, failure)
 
     stream_span = [n for n in ns if n <= STREAM_CHECK_MAX]
     results = []
@@ -161,12 +139,8 @@ def run_identity_checks(n_min: int = 1, n_max: int = STREAM_CHECK_MAX) -> list[C
             results.append(
                 CheckResult(name, description, True, "skipped: range starts above the stream bound")
             )
-            continue
-        first_failure = next(
-            (failures[name] for failures in per_n if failures[name]), None
-        )
-        if first_failure:
-            results.append(CheckResult(name, description, False, first_failure))
+        elif name in first_failures:
+            results.append(CheckResult(name, description, False, first_failures[name]))
         else:
             span = (
                 f"n in [{stream_span[0]}, {stream_span[-1]}]"

@@ -1,8 +1,8 @@
 """Plain-loop references for the counting kernels: one term per (fp, fn)
 pair for the closed-form distribution, one quadruple at a time for the
-numpy enumeration."""
+enumeration records."""
 
-import numpy as np
+from fractions import Fraction
 
 
 def pair_score_counts_loops(n: int) -> list[int]:
@@ -15,12 +15,14 @@ def pair_score_counts_loops(n: int) -> list[int]:
     return [sum(range(n + 1 - abs(d), 0, -2)) for d in range(-n, n + 1)]
 
 
-def enum_stats_loops(n: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
-    # the same five results as exhaustive.enum_stats, one quadruple at a
-    # time, with the cells ordered (tp, fn, fp, tn)
+def enumeration_loops(n: int) -> tuple[int, list[list[int]], list[int], Fraction, Fraction]:
+    # what an exhaustive.Enumeration of size n holds, one quadruple at a
+    # time: the count, the cell counts [c][x] with the cells ordered
+    # (tp, fn, fp, tn), the count of each d = fp - fn at index d + n, and
+    # the mean and population variance of the score d/n
     count = 0
-    cell_counts = np.zeros((4, n + 1), dtype=np.int64)
-    score_counts = np.zeros(2 * n + 1, dtype=np.int64)
+    cell_counts = [[0] * (n + 1) for _ in range(4)]
+    score_counts = [0] * (2 * n + 1)
     total = 0
     total_sq = 0
     for tp in range(n + 1):
@@ -28,9 +30,10 @@ def enum_stats_loops(n: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
             for fp in range(n - tp - fn + 1):
                 count += 1
                 for cell, value in enumerate((tp, fn, fp, n - tp - fn - fp)):
-                    cell_counts[cell, value] += 1
+                    cell_counts[cell][value] += 1
                 d = fp - fn
                 score_counts[d + n] += 1
                 total += d
                 total_sq += d * d
-    return count, cell_counts, score_counts, total, total_sq
+    mean = Fraction(total, count * n)
+    return count, cell_counts, score_counts, mean, Fraction(total_sq, count * n * n) - mean**2

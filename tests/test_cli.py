@@ -146,6 +146,16 @@ DI:  {CONTEXTUAL_DI}  verdict: no bias indicated (band 4/5..5/4)
         )
         assert "verdict" not in out
 
+    def test_ratio_past_the_digit_limit_fails_before_any_line(self, capsys):
+        # each cell's text fits the digit limit, the OFI's 6001-digit
+        # denominator does not
+        big = 10**3000
+        with pytest.raises(ValueError) as limit:
+            str(big * big)
+        code, out, err = run(capsys, "scenario", "0", "0", "1", str(big),
+                             "0", "1", "0", str(big + 1))
+        assert (code, out, err) == (1, "", f"error [scenario]: {limit.value}\n")
+
 
 class TestAudit:
     def test_scenario_a_fixture(self, capsys, fixtures_dir, tmp_path):
@@ -697,6 +707,20 @@ def _enumeration_without(triple):
     return kernel
 
 
+def _pair_counts_off_at_one_end(n):
+    counts = PAIR_SCORE_COUNTS(n)
+    counts[0] += 1  # d = -n only
+    return counts
+
+
+def _pair_counts_tied_at_two_n_ths(n):
+    # from n = 4 on, the score 2/n as frequent as 0
+    counts = PAIR_SCORE_COUNTS(n)
+    if n >= 4:
+        counts[n + 2] = counts[n]
+    return counts
+
+
 def _marginal_benefit_wrong_once(cm):
     if (cm.tp, cm.fn, cm.fp) == (0, 0, 0):
         return Fraction(1, cm.n)
@@ -741,3 +765,46 @@ class TestVerifyFails:
             "FAIL cardinality: enumerated quadruple count equals (n+1)(n+2)(n+3)/6"
             "  [n=3: enumerated 19, closed form 20]"
         )
+
+    @pytest.mark.parametrize("module, name, fault, argv, lines", [
+        (exhaustive, "enum_by_sum", _enumeration_without((1, 1, 1)), ("--n-max", "6"), [
+            "FAIL cell-counts: enumerated per-cell value counts match the triangular "
+            "closed form  [n=3: cell 0 value 1: enumerated 5, closed form 6]",
+        ]),
+        (combinatorics, "pair_score_counts", _pair_counts_off_at_the_ends, ("--n-max", "6"), [
+            "FAIL distribution-total: distribution multiplicities sum to the total count"
+            "  [n=1: multiplicities sum to 6, expected 4]",
+            "FAIL distribution-mode: zero is the unique most frequent score"
+            "  [n=1: counts[-1]=2 >= counts[0]=2]",
+        ]),
+        (combinatorics, "pair_score_counts", _pair_counts_off_at_one_end, ("--n-max", "6"), [
+            "FAIL distribution-total: distribution multiplicities sum to the total count"
+            "  [n=1: multiplicities sum to 5, expected 4]",
+            "FAIL distribution-symmetry: multiplicities at s and -s agree"
+            "  [n=1: counts[-1]=2 but counts[1]=1]",
+            "FAIL distribution-mode: zero is the unique most frequent score"
+            "  [n=1: counts[-1]=2 >= counts[0]=2]",
+        ]),
+        (combinatorics, "pair_score_counts", _pair_counts_tied_at_two_n_ths,
+         ("--n-min", "3", "--n-max", "6"), [
+            "FAIL distribution-total: distribution multiplicities sum to the total count"
+            "  [n=4: multiplicities sum to 40, expected 35]",
+            "FAIL distribution-symmetry: multiplicities at s and -s agree"
+            "  [n=4: counts[-1/2]=4 but counts[1/2]=9]",
+            "FAIL distribution-mode: zero is the unique most frequent score"
+            "  [n=4: counts[1/2]=9 >= counts[0]=9]",
+        ]),
+    ], ids=[
+        "enumeration-missing-a-triple",
+        "pair-counts-off-at-the-ends",
+        "pair-counts-off-at-one-end",
+        "pair-counts-tied-with-the-mode",
+    ])
+    def test_failure_lines(self, capsys, monkeypatch, module, name, fault, argv, lines):
+        # the whole line of each failing identity named, and the first n it fails at
+        monkeypatch.setattr(module, name, fault)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 1
+        for line in lines:
+            identity = line.split(":")[0]
+            assert [x for x in out.splitlines() if x.startswith(identity + ":")] == [line]

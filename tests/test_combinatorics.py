@@ -6,7 +6,6 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ofi_audit import exhaustive
@@ -23,7 +22,7 @@ from ofi_audit.combinatorics import (
     termial,
     total_combinations,
 )
-from ofi_audit.verification import STREAM_CHECK_MAX, count_increment, count_sum_identity
+from ofi_audit.verification import STREAM_CHECK_MAX
 from reference import pair_score_counts_loops
 
 
@@ -122,31 +121,36 @@ class TestTotalCombinations:
 class TestCountSumIdentity:
     @pytest.mark.parametrize("n", [1, 2, 37])
     def test_holds(self, n):
-        assert count_sum_identity(n)
+        assert sum(count_value(x, n) for x in range(n + 1)) == total_combinations(n)
 
 
 class TestCountIncrement:
+    """count_value(x, n + 1) - count_value(x, n), the growth of a value's
+    count when one sample is added."""
+
     def test_examples(self):
-        assert count_increment(0, 1) == 3
-        assert count_increment(4, 10) == 8
+        assert count_value(0, 2) - count_value(0, 1) == 3
+        assert count_value(4, 11) - count_value(4, 10) == 8
         for n in (1, 4, 9):
-            assert count_increment(n, n) == 2
+            assert count_value(n, n + 1) - count_value(n, n) == 2
 
     def test_lemma_formula(self):
         for n in range(1, 30):
             for x in range(n + 1):
-                assert count_increment(x, n) == n - x + 2
+                assert count_value(x, n + 1) - count_value(x, n) == n - x + 2
 
     def test_against_enumeration(self):
         for n in (3, 10):
             before = Counter(cm[0] for cm in enumerate_cms(n))
             after = Counter(cm[0] for cm in enumerate_cms(n + 1))
             for x in range(n + 1):
-                assert after[x] - before[x] == count_increment(x, n)
+                assert after[x] - before[x] == count_value(x, n + 1) - count_value(x, n)
 
     def test_domain(self):
+        # x = 11 has a count at n = 11 but none at n = 10
+        assert count_value(11, 11) == 1
         with pytest.raises(ValueError):
-            count_increment(11, 10)
+            count_value(11, 10)
 
 
 class TestDistribution:
@@ -162,11 +166,11 @@ class TestDistribution:
     @pytest.mark.parametrize("n", [1, 2, 6, 17, 50])
     def test_total_symmetry_mode(self, n):
         dist = marginal_benefit_distribution(n)
-        assert dist.total() == total_combinations(n)
         counts = dist.counts
-        assert np.array_equal(counts, counts[::-1])
-        assert np.delete(counts, n).max() < counts[n]
-        assert dist.mode() == 0
+        assert sum(counts) == total_combinations(n)
+        assert counts == counts[::-1]
+        # zero, at index n, is the unique most frequent score
+        assert max(counts[:n] + counts[n + 1 :]) < counts[n]
 
     def test_scores_are_reduced_with_denominator_dividing_n(self):
         rows = csv_rows(marginal_benefit_distribution(12))
@@ -247,19 +251,20 @@ class TestEnumerationRecord:
 
     def test_equality_compares_every_field(self):
         (record,) = exhaustive.enumerations(5, 5)
-        cells = record.cell_counts.copy()
-        cells[2, 1] += 1
+        cells = [list(counts) for counts in record.cell_counts]
+        cells[2][1] += 1
         counts = array("q", record.histogram.counts)
         counts[0] += 1
         for changed in (
             replace(record, count=record.count + 1),
-            replace(record, cell_counts=cells),
+            replace(record, cell_counts=tuple(map(tuple, cells))),
             replace(record, histogram=ScoreDistribution(n=5, counts=counts)),
             replace(record, mean=Fraction(1, 5)),
             replace(record, variance=record.variance + 1),
         ):
             assert changed != record
-        assert replace(record, cell_counts=record.cell_counts.copy()) == record
+        copied = tuple(tuple(list(counts)) for counts in record.cell_counts)
+        assert replace(record, cell_counts=copied) == record
 
 
 class TestBStats:
@@ -321,7 +326,7 @@ class TestNonTriangularWitness:
         dist = marginal_benefit_distribution(6)
         brute_var = sum(
             Fraction(i - 6, 6) ** 2 * m for i, m in enumerate(dist.counts.tolist())
-        ) / dist.total()
+        ) / sum(dist.counts)
         assert brute_var == Fraction(1, 6)
 
     def test_gap_exceeds_008_away_from_the_window(self):

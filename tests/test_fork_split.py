@@ -3,12 +3,13 @@
 From ``SPLIT_MIN_BYTES`` on, ``audit`` without ``--sample`` counts a
 regular input file in two byte ranges split at the first LF at or after
 the middle byte: a forked child counts the second range while the parent
-counts the first. When the split is not a record boundary, or either
-count fails, the parent counts the whole file in one pass, which reports
-any fault. Each case runs in a fresh ``-X dev`` interpreter (see
-probe.py), with ``SPLIT_MIN_BYTES`` patched to 1 in the "split" mode, and
-is compared with the path that has no ``os.fork``: the five outputs, the
-stdout and the stderr must be the same bytes.
+counts the first, with a strict csv reader. When the split is not a
+record boundary, the first range holds text that only a lenient reader
+accepts, or either count fails, the parent counts the whole file in one
+pass, which reports any fault. Each case runs in a fresh ``-X dev``
+interpreter (see probe.py), with ``SPLIT_MIN_BYTES`` patched to 1 in the
+"split" mode, and is compared with the path that has no ``os.fork``: the
+five outputs, the stdout and the stderr must be the same bytes.
 """
 
 import os
@@ -118,10 +119,20 @@ def test_split_at_a_record_boundary_matches_one_pass(tmp_path, data, flags):
 
 def test_quoted_field_across_the_split_is_counted_in_one_pass(tmp_path):
     # the split falls inside a quoted name after its CRLF, where what
-    # follows also reads as valid rows: only the sentinel check can tell
+    # follows also reads as valid rows: only the first range's strict
+    # reader, which refuses to end inside the open quote, can tell
     head = b"label,prediction,group\r\n" + b"1,0,a\r\n" * 8 + b'1,0,"x\r\n'
     tail = b'1,1,b\r\n1,1,c"\r\n' + b"0,1,a\r\n" * 8
     data = split_after(head, tail, b"1,0,pad\r\n")
+    code, stderr, _, split = compare(tmp_path, data)
+    assert (code, stderr, split) == (0, "", False)
+
+
+def test_text_after_a_closing_quote_in_the_first_range_is_counted_in_one_pass(tmp_path):
+    # the lenient reader of one pass reads "x"y as the name xy; the first
+    # range's strict reader refuses it, so the file is counted in one pass
+    head = HEADER + b"\n" + rows(b"\n", NAMES) + b'"x"y,1,0\n'
+    data = split_after(head, rows(b"\n", NAMES + ["xy"]))
     code, stderr, _, split = compare(tmp_path, data)
     assert (code, stderr, split) == (0, "", False)
 

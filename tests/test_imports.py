@@ -1,11 +1,12 @@
 """Each subcommand loads only what it runs.
 
 numpy serves only ``verify``: ``dist`` computes its closed form and CSV
-rows with the standard library. No output needs the ``xml.sax`` ->
-``urllib`` -> ``http``/``email``/``ssl`` chain. Each case runs in a fresh
-interpreter, because this process has long since loaded numpy. The CLI
-takes no verdict function from ``metrics``: it reads every verdict off
-``build_report``.
+rows with the standard library, and within the package only
+``exhaustive``, home of the enumeration kernel, imports numpy. No output
+needs the ``xml.sax`` -> ``urllib`` -> ``http``/``email``/``ssl`` chain.
+Each case runs in a fresh interpreter, because this process has long
+since loaded numpy. The CLI takes no verdict function from ``metrics``:
+it reads every verdict off ``build_report``.
 """
 
 import ast
@@ -78,3 +79,29 @@ def test_cli_takes_no_verdict_route_from_metrics():
         for alias in node.names
     }
     assert names == {"BinaryConfusion", "ThresholdError"}
+
+
+def test_only_the_enumeration_kernel_imports_numpy():
+    # verification and the records check plain ints, tuples and arrays
+    importers = set()
+    for path in sorted((SRC / "ofi_audit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"exhaustive.py"}
+    # and there only the kernel and the running totals over its layers use it
+    tree = ast.parse((SRC / "ofi_audit" / "exhaustive.py").read_text(encoding="utf-8"))
+    users = {
+        getattr(node, "name", None)
+        for node in tree.body
+        if not isinstance(node, ast.Import)
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and name.id == "np"
+    }
+    assert users == {"enum_by_sum", "enumerations"}

@@ -1,45 +1,49 @@
 """The counting kernels against their plain-loop references: the
-closed-form distribution, built with the standard library, and the numpy
-enumeration."""
+closed-form distribution, built with the standard library, and the
+enumeration records, whose kernel is the one numpy routine."""
 
-import numpy as np
+from array import array
+from fractions import Fraction
+from functools import cache
+
 import pytest
 
-from ofi_audit.combinatorics import pair_score_counts
-from ofi_audit.exhaustive import enum_stats
-from reference import enum_stats_loops, pair_score_counts_loops
+from ofi_audit.combinatorics import ScoreDistribution, pair_score_counts
+from ofi_audit.exhaustive import Enumeration, enumerations, stream
+from reference import enumeration_loops, pair_score_counts_loops
 
-# id -> part of the enumeration result it compares; one pass to
-# ENUM_N_MAX gives the result of every size up to it
-ENUM_PARTS = {
-    "enum_count": slice(0, 1),
-    "enum_cell_counts": slice(1, 2),
-    "enum_score_counts": slice(2, 3),
-    "enum_score_sums": slice(3, 5),
-}
+# one pass to ENUM_N_MAX gives the record of every size up to it
 ENUM_N_MAX = 31
+FIELDS = ("count", "cell_counts", "histogram", "mean", "variance")
 
 
-def _results_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(_results_equal(x, y) for x, y in zip(a, b))
-    return type(a) is type(b) is int and a == b
+@cache
+def loops_record(n: int) -> Enumeration:
+    count, cells, scores, mean, variance = enumeration_loops(n)
+    histogram = ScoreDistribution(n, array("q", scores))
+    return Enumeration(count, tuple(map(tuple, cells)), histogram, mean, variance)
+
+
+def plain(value) -> bool:
+    # an int, a Fraction, an int64 array or a tuple of these: no numpy value
+    if isinstance(value, tuple):
+        return all(map(plain, value))
+    if isinstance(value, array):
+        return value.typecode == "q"
+    return type(value) in (int, Fraction)
 
 
 @pytest.fixture(scope="module")
 def one_pass():
-    results = list(enum_stats(ENUM_N_MAX))
-    assert len(results) == ENUM_N_MAX
-    return results
+    records = list(enumerations(1, ENUM_N_MAX))
+    assert len(records) == ENUM_N_MAX
+    return records
 
 
-@pytest.mark.parametrize("name", ENUM_PARTS)
+@pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("n", range(1, ENUM_N_MAX + 1))
-def test_numpy_matches_plain_loops(one_pass, name, n):
-    part = ENUM_PARTS[name]
-    assert _results_equal(one_pass[n - 1][part], enum_stats_loops(n)[part])
+def test_kernel_record_matches_plain_loops(one_pass, field, n):
+    assert getattr(one_pass[n - 1], field) == getattr(loops_record(n), field)
 
 
 def test_closed_form_matches_pair_counting_loops():
@@ -47,14 +51,15 @@ def test_closed_form_matches_pair_counting_loops():
         assert pair_score_counts(n).tolist() == pair_score_counts_loops(n), n
 
 
-def test_counts_are_int64():
-    _, cell_counts, score_counts, _, _ = list(enum_stats(9))[-1]
+@pytest.mark.parametrize("route", ["enumerations", "stream"])
+def test_records_hold_plain_values(route):
+    records = enumerations(1, 9) if route == "enumerations" else map(stream, range(1, 10))
+    for n, record in enumerate(records, 1):
+        assert type(record.histogram.n) is int
+        assert plain((record.count, record.cell_counts, record.histogram.counts,
+                      record.mean, record.variance)), n
+        assert [len(counts) for counts in record.cell_counts] == [n + 1] * 4
+
+
+def test_closed_form_counts_are_int64():
     assert pair_score_counts(9).typecode == "q"
-    assert cell_counts.dtype == np.int64
-    assert score_counts.dtype == np.int64
-
-
-def test_sums_are_python_ints():
-    for count, _, _, total, total_sq in enum_stats(9):
-        assert type(count) is int and type(total) is int and type(total_sq) is int
-        assert total == 0  # symmetric differences cancel
