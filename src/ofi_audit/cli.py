@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from . import __version__
 from .audit import (
@@ -44,6 +44,9 @@ from .ingestion import (
     iter_records,
 )
 from .metrics import BinaryConfusion, ThresholdError
+
+if TYPE_CHECKING:
+    from .exhaustive import Enumeration
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -112,6 +115,16 @@ CHILD_DIED = "the heatmap writer process ended unexpectedly"
 #: second core by 4-6% in median at 1, 2 and 4 MiB; from 8 MiB on it won
 #: every set in median, by 25-34% at 8 MiB and 33-39% at 16 MiB.
 SPLIT_MIN_BYTES = 8 << 20
+
+#: Smallest size that ``verify`` streams in a forked child: the child
+#: walks the sizes from here to the top of the stream span while the
+#: parent loads numpy, enumerates and streams the sizes below. Stream
+#: cost grows as C(n+3, 3), so 33..40 hold 77k of the 136k quadruples in
+#: 1..40. In 10 interleaved rounds of ``verify --n-max 200`` on 2 vCPUs
+#: (time after the CLI import), the median was 0.63 s from 31, 0.59 from
+#: 32, 0.52 from 33, 0.56 from 34 and 0.63 from 35; at --n-max 40, 0.57
+#: from 31 and 0.49 from 33 (8 rounds).
+STREAM_CHILD_MIN = 33
 
 def _check_output(path: str) -> os.stat_result | None:
     """The status of the file an output path names, or None for one that
@@ -536,6 +549,16 @@ def _verdict_text(verdict) -> str:
     return verdict.value.replace("_", " ")
 
 
+def _value_text(label: str, num: int, den: int) -> str:
+    # the exact and the rounded text of an OFI or DI: its terms can have
+    # twice the digits of a cell, past the cap Python puts on the digits
+    # of an int it converts to text, and such a value is named
+    try:
+        return f"{ratio_text(num, den)} ({fixed_text(num, den)})"
+    except ValueError:
+        raise ValueError(f"{label} has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
     # a two-group audit, judged by the rules that judge audit's pairs
     report = build_report(table, config)
@@ -552,12 +575,12 @@ def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
     di_x, di_y = next(report.di_grid.integer_rows())[1]
     [(_, ofi_v, di_v)] = next(_verdict_rows(report))[1]
     yield (
-        f"OFI: {ratio_text(ofi_x, ofi_y)} ({fixed_text(ofi_x, ofi_y)})"
+        f"OFI: {_value_text('OFI', ofi_x, ofi_y)}"
         f"  verdict: {_verdict_text(ofi_v)}"
         f" (threshold {format_fraction(config.ofi_threshold)})\n"
     )
     if di_y:
-        di_text = f"{ratio_text(di_x, di_y)} ({fixed_text(di_x, di_y)})"
+        di_text = _value_text("DI", di_x, di_y)
     elif di_x == 0:
         di_text = "1 (1.00, contextual: both positive-prediction rates are zero)"
     else:
@@ -605,14 +628,65 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stream_sizes(sizes: range, pipe: BinaryIO) -> None:
+    # runs in the child: each record in the plain form marshal writes
+    from .exhaustive import stream
+
+    for n in sizes:
+        marshal.dump(stream(n).plain(), pipe)
+
+
+def _child_streams(forked: tuple[int, int], sizes: range) -> dict[int, Enumeration]:
+    """The records of ``sizes`` that a forked child streamed, by size, or
+    none when it exited nonzero or its message does not decode."""
+    from .exhaustive import Enumeration
+
+    message, status = _reap(*forked)
+    if status:
+        return {}
+    source = io.BytesIO(message)
+    try:
+        return {n: Enumeration.from_plain(marshal.load(source)) for n in sizes}
+    except (EOFError, ValueError, TypeError, ZeroDivisionError):
+        return {}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the enumeration kernels need numpy, which no other subcommand loads
-    from .verification import run_identity_checks
+    # neither module loads numpy: the enumeration kernel, which no other
+    # subcommand runs, imports it when it starts
+    from . import exhaustive
+    from .verification import STREAM_CHECK_MAX, check_range, run_identity_checks
 
     try:
-        results = run_identity_checks(args.n_min, args.n_max)
+        check_range(args.n_min, args.n_max)
     except ValueError as exc:
         return _fail("verify", str(exc))
+
+    # the largest stream sizes are walked in a forked child, started while
+    # this process has no numpy thread pool; each of its records is taken
+    # where this process would have streamed that size, so every check
+    # runs in the order, and fails with the lines, of one process
+    sizes = range(max(args.n_min, STREAM_CHILD_MIN), min(args.n_max, STREAM_CHECK_MAX) + 1)
+    forked = _fork(partial(_stream_sizes, sizes)) if sizes and _can_fork() else None
+    streamed: dict[int, Enumeration] = {}
+
+    def stream(n: int) -> Enumeration:
+        nonlocal forked
+        if forked is not None and n in sizes:
+            child, forked = forked, None
+            streamed.update(_child_streams(child, sizes))
+        # a size the child did not deliver is streamed here
+        record = streamed.pop(n, None)
+        return exhaustive.stream(n) if record is None else record
+
+    try:
+        results = run_identity_checks(args.n_min, args.n_max, stream)
+    finally:
+        if forked is not None:
+            from signal import SIGKILL
+
+            os.kill(forked[0], SIGKILL)
+            _reap(*forked)
     print(f"verifying identities for n in [{args.n_min}, {args.n_max}]")
     for result in results:
         status = "ok  " if result.passed else "FAIL"

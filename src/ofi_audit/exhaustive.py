@@ -20,9 +20,14 @@ the triples with s <= n, tn being n - s. That pass handles n_max in the
 hundreds and is itself checked against the stream route.
 
 numpy stays inside the kernel and the running totals that
-:func:`enumerations` keeps over its layers, the package's only use of it.
-Both routes give records of plain values: ints, tuples of ints, an
-int64 ``array("q")`` and exact ``Fraction`` moments.
+:func:`enumerations` keeps over its layers, the package's only use of it,
+and each imports it when it runs: importing this module, or running
+:func:`stream`, loads no numpy. So ``verify`` can fork a child that
+streams the largest sizes of the stream span while the parent loads
+numpy and enumerates. Both routes give records of plain values: ints,
+tuples of ints, an int64 ``array("q")`` and exact ``Fraction`` moments;
+:meth:`Enumeration.plain` turns one into what ``marshal`` writes, and
+:meth:`Enumeration.from_plain` turns it back.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, starmap
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .combinatorics import ScoreDistribution, enumerate_cms
 from .metrics import BinaryConfusion, marginal_benefit
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Quadruples :func:`stream` takes from the walk at a time. Larger
 #: batches run no faster, and at 1024 the batch and its column iterators
@@ -61,6 +67,21 @@ class Enumeration:
     mean: Fraction
     variance: Fraction
 
+    def plain(self) -> tuple:
+        """The record as ints, tuples and bytes, which ``marshal`` writes."""
+        histogram = self.histogram
+        return (self.count, self.cell_counts, histogram.n, histogram.counts.tobytes(),
+                self.mean.as_integer_ratio(), self.variance.as_integer_ratio())
+
+    @classmethod
+    def from_plain(cls, plain: tuple) -> Enumeration:
+        """The record that :meth:`plain` gave ``plain`` for. Raises
+        ValueError, TypeError or ZeroDivisionError for a value it cannot
+        have given."""
+        count, cell_counts, n, raw, mean, variance = plain
+        return cls(count, cell_counts, ScoreDistribution(n, array("q", raw)),
+                   Fraction(*mean), Fraction(*variance))
+
 
 def enum_by_sum(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Count the triples (tp, fn, fp) with tp + fn + fp = s, for each sum
@@ -71,6 +92,8 @@ def enum_by_sum(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     cells ordered (tp, fn, fp); and ``score_counts[d + n_max]``, how many
     have fp - fn = d, shape (2 * n_max + 1,).
     """
+    import numpy as np
+
     size = n_max + 1
     r = np.arange(size, dtype=np.int64)
     for s in range(size):
@@ -91,6 +114,8 @@ def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
     being n - s, so running totals over s give every size; the moments
     come from the integer sums of d = fp - fn and d^2.
     """
+    import numpy as np
+
     size = n_max + 1
     cells = np.zeros((3, size), dtype=np.int64)
     scores = np.zeros(2 * size - 1, dtype=np.int64)

@@ -7,13 +7,22 @@ n_max gives the enumeration of every size in the range; it is
 O(n_max^3), so ranges are guarded at n <= 500 (about 21 million triples
 at the cap). The checks read the records' plain ints, tuples and
 ``array("q")`` counts directly, without numpy.
+
+Up to n = 40 each size is also walked by the definitional stream, the
+larger part of a run. The ``verify`` command checks its range with
+:func:`check_range` before anything loads numpy, and may then fork a
+child that streams the largest of those sizes while this process
+enumerates: it hands :func:`run_identity_checks` a ``stream`` that
+returns the child's record of such a size, and each record is compared
+at the n where it would have been streamed, so the report is the one a
+single process gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import exhaustive
 from .combinatorics import (
@@ -51,8 +60,14 @@ class CheckResult:
     detail: str
 
 
-def _check_single_n(n: int, record: exhaustive.Enumeration) -> Iterator[tuple[str, str]]:
-    """Run every identity at one n against its enumeration record.
+Stream = Callable[[int], exhaustive.Enumeration]
+
+
+def _check_single_n(
+    n: int, record: exhaustive.Enumeration, stream: Stream
+) -> Iterator[tuple[str, str]]:
+    """Run every identity at one n against its enumeration record, and
+    the record ``stream`` gives against it up to STREAM_CHECK_MAX.
     Yields (identity name, failure text) for each identity that fails."""
     expected_total = total_combinations(n)
     if record.count != expected_total:
@@ -107,16 +122,13 @@ def _check_single_n(n: int, record: exhaustive.Enumeration) -> Iterator[tuple[st
             f"expected 0 and {Fraction(n + 4, 10 * n)}"
         )
 
-    if n <= STREAM_CHECK_MAX and exhaustive.stream(n) != record:
+    if n <= STREAM_CHECK_MAX and stream(n) != record:
         yield "stream-equivalence", f"n={n}: stream route disagrees with kernels"
 
 
-def run_identity_checks(n_min: int = 1, n_max: int = STREAM_CHECK_MAX) -> list[CheckResult]:
-    """Evaluate every identity for each n in [n_min, n_max].
-
-    Raises ValueError for an empty or infeasible range, before any
-    enumeration starts.
-    """
+def check_range(n_min: int, n_max: int) -> None:
+    """Raise ValueError for an empty range or one past the enumeration
+    guard."""
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if n_max > ENUMERATION_MAX:
@@ -125,11 +137,24 @@ def run_identity_checks(n_min: int = 1, n_max: int = STREAM_CHECK_MAX) -> list[C
             f"full enumeration is O(n^3)"
         )
 
+
+def run_identity_checks(
+    n_min: int = 1, n_max: int = STREAM_CHECK_MAX, stream: Stream | None = None
+) -> list[CheckResult]:
+    """Evaluate every identity for each n in [n_min, n_max].
+
+    ``stream(n)`` gives the stream route's record of size n, by default
+    :func:`exhaustive.stream`. Raises ValueError for a range that
+    :func:`check_range` refuses, before any enumeration starts.
+    """
+    check_range(n_min, n_max)
+    stream = stream or exhaustive.stream
+
     ns = range(n_min, n_max + 1)
     records = exhaustive.enumerations(n_min, n_max)
     first_failures: dict[str, str] = {}
     for n, record in zip(ns, records, strict=True):
-        for name, failure in _check_single_n(n, record):
+        for name, failure in _check_single_n(n, record, stream):
             first_failures.setdefault(name, failure)
 
     stream_span = [n for n in ns if n <= STREAM_CHECK_MAX]

@@ -18,32 +18,65 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src"
 
-# modes: "fork" forks the heatmap writer at any group count, "split"
-# counts any input file in two processes, "one-core" does both on a
-# process that may use one core only, "in-order" has no os.fork (the path
-# every other platform takes), "die" forks a heatmap writer that is
-# killed while it renders, "default" leaves the module as it is. The last
-# stderr line reports the exit code, whether a child is left, the CPU
-# time of the children waited for and whether the two-process count was
-# used (true), fell back to one pass (false) or was not tried (null).
+# modes, joined by commas: "fork" forks the heatmap writer at any group
+# count, "split" counts any input file in two processes, "one-core" does
+# both on a process that may use one core only, "in-order" has no os.fork
+# (the path every other platform takes), "die" kills a forked heatmap
+# writer while it renders and a forked verify stream child at n = 36,
+# "short" has the stream child send every record but its last and exit 0,
+# "garble" has it send bytes that are no record, "raise" makes verify's
+# enumeration raise RuntimeError, "misscore=N" scores one quadruple of
+# size N wrongly (in parent and child alike), "default" leaves the module
+# as it is. The last stderr line reports the exit code (or the name of
+# the exception main() raised), whether a child is left, the CPU time of
+# the children waited for and whether the two-process count was used
+# (true), fell back to one pass (false) or was not tried (null).
 PROBE = """\
 import json, os, resource, signal, sys
-from ofi_audit import cli
-mode, *argv = sys.argv[1:]
+from fractions import Fraction
+from ofi_audit import cli, exhaustive
+modes, *argv = sys.argv[1:]
+modes = set(modes.split(","))
+parent = os.getpid()
 split = None
-if mode == "in-order":
+if "in-order" in modes:
     del os.fork
-if mode in ("fork", "die", "one-core"):
+if modes & {"fork", "die", "one-core"}:
     cli.FORK_MIN_GROUPS = 2
-if mode in ("split", "one-core"):
+if modes & {"split", "one-core"}:
     cli.SPLIT_MIN_BYTES = 1
-if mode == "one-core":
+if "one-core" in modes:
     os.sched_getaffinity = lambda pid: {0}
-if mode == "die":
+if "die" in modes:
     def dying(grid):
         os.kill(os.getpid(), signal.SIGKILL)
         yield ""
     cli.heatmap_chunks = dying
+    stream = exhaustive.stream
+    def dying_stream(n):
+        if os.getpid() != parent and n == 36:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return stream(n)
+    exhaustive.stream = dying_stream
+stream_sizes = cli._stream_sizes
+if "short" in modes:
+    cli._stream_sizes = lambda sizes, pipe: stream_sizes(sizes[:-1], pipe)
+if "garble" in modes:
+    cli._stream_sizes = lambda sizes, pipe: pipe.write(b"?")
+if "raise" in modes:
+    def raising(n_min, n_max):
+        raise RuntimeError("enumeration failed")
+        yield
+    exhaustive.enumerations = raising
+for mode in modes:
+    if mode.startswith("misscore="):
+        size = int(mode.split("=")[1])
+        scored = exhaustive.marginal_benefit
+        def misscored(cm):
+            if cm.n == size and (cm.tp, cm.fn, cm.fp) == (0, 0, 0):
+                return Fraction(1, size)
+            return scored(cm)
+        exhaustive.marginal_benefit = misscored
 count_split = cli._count_split
 def recorded(*args):
     global split
@@ -51,7 +84,10 @@ def recorded(*args):
     split = table is not None
     return table
 cli._count_split = recorded
-code = cli.main(argv)
+try:
+    code = cli.main(argv)
+except Exception as exc:
+    code = type(exc).__name__
 sys.stdout.flush()
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -65,9 +101,10 @@ print(json.dumps([code, left, usage.ru_utime + usage.ru_stime, split]), file=sys
 
 def run_probe(
     mode: str, *argv: str, cwd: Path, stdin: Path | None = None
-) -> tuple[int, float, str, str, bool | None]:
-    """(exit code, children's CPU seconds, stdout, stderr, two-process
-    count used) of one invocation, reading ``stdin`` if given."""
+) -> tuple[int | str, float, str, str, bool | None]:
+    """(exit code or the name of the exception raised, children's CPU
+    seconds, stdout, stderr, two-process count used) of one invocation in
+    ``mode`` (modes joined by commas), reading ``stdin`` if given."""
     with open(stdin or os.devnull, "rb") as source:
         done = subprocess.run(
             [sys.executable, "-X", "dev", "-c", PROBE, mode, *argv],

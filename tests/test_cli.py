@@ -150,11 +150,20 @@ DI:  {CONTEXTUAL_DI}  verdict: no bias indicated (band 4/5..5/4)
         # each cell's text fits the digit limit, the OFI's 6001-digit
         # denominator does not
         big = 10**3000
-        with pytest.raises(ValueError) as limit:
-            str(big * big)
         code, out, err = run(capsys, "scenario", "0", "0", "1", str(big),
                              "0", "1", "0", str(big + 1))
-        assert (code, out, err) == (1, "", f"error [scenario]: {limit.value}\n")
+        assert (code, out, err) == (
+            1, "", f"error [scenario]: OFI has more than {sys.get_int_max_str_digits()} digits\n"
+        )
+
+    def test_di_past_the_digit_limit_is_named(self, capsys):
+        # OFI is 0, DI is 10^3000 (10^3000 + 3) / (10^3000 + 1)
+        big = 10**3000
+        code, out, err = run(capsys, "scenario", str(big), "0", "0", "1",
+                             "1", "0", "0", str(big + 2))
+        assert (code, out, err) == (
+            1, "", f"error [scenario]: DI has more than {sys.get_int_max_str_digits()} digits\n"
+        )
 
 
 class TestAudit:

@@ -2,7 +2,9 @@
 
 numpy serves only ``verify``: ``dist`` computes its closed form and CSV
 rows with the standard library, and within the package only
-``exhaustive``, home of the enumeration kernel, imports numpy. No output
+``exhaustive``, home of the enumeration kernel, imports numpy, when the
+kernel runs. So ``verify`` checks its range, and forks its stream child,
+before numpy loads. No output
 needs the ``xml.sax`` -> ``urllib`` -> ``http``/``email``/``ssl`` chain.
 Each case runs in a fresh interpreter, because this process has long
 since loaded numpy. The CLI takes no verdict function from ``metrics``:
@@ -39,12 +41,19 @@ print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 """
 
 
-def loaded_modules(*argv: str, cwd: Path) -> set[str]:
+def probe_modules(*argv: str, cwd: Path, probe: str = PROBE) -> tuple[set[str], str]:
+    """The modules loaded by the end of ``probe`` and the stderr before
+    its last line."""
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
     )
-    return set(json.loads(done.stderr.splitlines()[-1]))
+    *err, last = done.stderr.splitlines(keepends=True)
+    return set(json.loads(last)), "".join(err)
+
+
+def loaded_modules(*argv: str, cwd: Path) -> set[str]:
+    return probe_modules(*argv, cwd=cwd)[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -66,6 +75,28 @@ def test_audit_side_loads_none_of_the_heavy_modules(tmp_path, argv):
 @pytest.mark.parametrize("argv", [("verify", "--n-max", "3")], ids=["verify"])
 def test_kernel_subcommands_load_numpy(tmp_path, argv):
     assert "numpy" in loaded_modules(*argv, cwd=tmp_path)
+
+
+def test_the_stream_route_loads_no_numpy(tmp_path):
+    probe = """\
+import json, sys
+import ofi_audit.exhaustive
+ofi_audit.exhaustive.stream(8)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+    modules, _ = probe_modules(cwd=tmp_path, probe=probe)
+    assert "ofi_audit.exhaustive" in modules and "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--n-max", "501"),
+     "error [verify]: n_max 501 exceeds the enumeration guard 500; full enumeration is O(n^3)\n"),
+    (("--n-min", "0"), "error [verify]: need 1 <= n_min <= n_max, got [0, 40]\n"),
+], ids=["past-the-guard", "n-min-zero"])
+def test_verify_range_errors_load_no_numpy(tmp_path, argv, line):
+    modules, err = probe_modules("verify", *argv, cwd=tmp_path)
+    assert err == line
+    assert "numpy" not in modules
 
 
 def test_cli_takes_no_verdict_route_from_metrics():

@@ -1,9 +1,9 @@
 """The README's Library example runs, the package root exports its names,
 and the README states the report schema that reports carry, the
 enumeration guard that `verify` applies, the bound of its stream
-cross-check, the group count from which `audit` forks its heatmap
-writer and the file size from which it counts an input in two
-processes."""
+cross-check and the size from which it streams in a forked child, the
+group count from which `audit` forks its heatmap writer and the file
+size from which it counts an input in two processes."""
 
 import ast
 import json
@@ -12,7 +12,7 @@ import shutil
 from pathlib import Path
 
 import ofi_audit
-from ofi_audit.cli import FORK_MIN_GROUPS, SPLIT_MIN_BYTES
+from ofi_audit.cli import FORK_MIN_GROUPS, SPLIT_MIN_BYTES, STREAM_CHILD_MIN
 from ofi_audit.verification import ENUMERATION_MAX, STREAM_CHECK_MAX
 
 README = Path(__file__).parent.parent / "README.md"
@@ -73,3 +73,9 @@ def test_stated_fork_threshold_is_the_one_audit_applies():
 def test_stated_split_size_is_the_one_audit_applies():
     stated = set(re.findall(r"file of at least (\d+) bytes", README.read_text(encoding="utf-8")))
     assert stated == {str(SPLIT_MIN_BYTES)}
+
+
+def test_stated_stream_child_size_is_the_one_verify_applies():
+    text = README.read_text(encoding="utf-8")
+    stated = set(re.findall(r"(?:From size|the sizes from|the sizes below) (\d+)", text))
+    assert stated == {str(STREAM_CHILD_MIN)}
