@@ -11,10 +11,10 @@ import os
 import random
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 from . import __version__
 from .audit import (
@@ -108,6 +108,9 @@ FORK_MIN_GROUPS = 200
 #: The write error of a heatmap child that ended without reporting.
 CHILD_DIED = "the heatmap writer process ended unexpectedly"
 
+# the value of a forked child that exited nonzero or sent no value
+_LOST = object()
+
 #: Input file size from which ``audit`` counts the rows in two processes,
 #: the file split at the first LF at or after its middle byte. In A/B runs
 #: of whole invocations on 2 vCPUs (4 sets of 11 pairs per size, cut from
@@ -182,61 +185,81 @@ def _can_fork() -> bool:
         return False
 
 
-def _fork(work: Callable[[BinaryIO], None]) -> tuple[int, int] | None:
-    """Fork a child process that runs ``work`` on the write end of a pipe.
-    Return its pid and the read end of the pipe, or None when no pipe or
-    process can be had. The child leaves by os._exit, with 0 when
-    ``work`` returned and 1 when it raised: no at-exit code runs and no
-    buffer it inherited is flushed, since the parent owns both."""
+@contextmanager
+def _child(work: Callable[[], object]) -> Iterator[Callable[[], object] | None]:
+    """Fork a child process that runs ``work`` and sends its value as one
+    ``marshal`` message. Yield a function that reads the message, waits
+    for the child and returns the value, or _LOST when the child exited
+    nonzero or the message does not decode; or yield None when no pipe or
+    process can be had. A child whose value is not taken in the block is
+    killed and waited for when the block ends. The child leaves by
+    os._exit: no at-exit code runs and no buffer it inherited is flushed,
+    since the parent owns both."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return None
+        yield None
+        return
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        yield None
+        return
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                work(pipe)
+                marshal.dump(work(), pipe)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, read_fd
+    status = None
 
+    def result() -> object:
+        nonlocal status
+        with pipe:
+            message = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        if status:
+            return _LOST
+        try:
+            return marshal.loads(message)
+        except (EOFError, ValueError):
+            return _LOST
 
-def _reap(pid: int, read_fd: int) -> tuple[bytes, int]:
-    """What a forked child wrote to its pipe, and its wait status."""
     with open(read_fd, "rb") as pipe:
-        message = pipe.read()
-    return message, os.waitpid(pid, 0)[1]
+        try:
+            yield result
+        finally:
+            if status is None:
+                # loaded here: building its enums costs every run a ms
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
 
 
-def _write_child(outputs: list[Output], child: list[int], pipe: BinaryIO) -> None:
-    # sends (index, message) of the first output that fails
+def _write_child(outputs: list[Output], child: list[int]) -> tuple[int, str] | None:
+    # (index, message) of the first output that fails
     for index in child:
         try:
             _write_text(*outputs[index])
         except (OSError, ValueError) as exc:
-            pipe.write(f"{index}\n{exc}".encode("utf-8", "surrogatepass"))
-            break
+            return index, str(exc)
 
 
 def _write_outputs(outputs: list[Output], child: list[int]) -> str | None:
     """Write every output, those at the positions ``child`` in a forked
     child process, and return the error text of the first output that
     fails, in output order, or None."""
-    forked = _fork(partial(_write_child, outputs, child)) if child else None
-    if forked is None:
-        child = []
     failures: dict[int, str] = {}
-    try:
+    with _child(partial(_write_child, outputs, child)) if child else nullcontext() as result:
+        if result is None:
+            child = []
         for index, (path, chunks) in enumerate(outputs):
             if index in child:
                 continue
@@ -245,14 +268,12 @@ def _write_outputs(outputs: list[Output], child: list[int]) -> str | None:
             except (OSError, ValueError) as exc:
                 failures[index] = str(exc)
                 break
-    finally:
-        if forked is not None:
-            message, status = _reap(*forked)
-            if message:
-                index, text = message.decode("utf-8", "surrogatepass").split("\n", 1)
-                failures[int(index)] = text
-            elif status:
+        if result is not None:
+            failure = result()
+            if failure is _LOST:
                 failures[child[0]] = CHILD_DIED
+            elif failure is not None:
+                failures[failure[0]] = failure[1]
     return failures[min(failures)] if failures else None
 
 
@@ -301,14 +322,13 @@ def _split_point(fd: int, size: int) -> int:
 
 def _count_tail(
     path: str, split: int, positions: dict[str, int], schema: ColumnSchema,
-    delimiter: str, pipe: BinaryIO,
-) -> None:
+    delimiter: str,
+) -> dict[str, list[int]]:
     # a U+FEFF at the split is data, as it is in one pass over the file
     with open(path, "rb") as raw:
         raw.seek(split)
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
-            counts = count_rows(csv.reader(text, delimiter=delimiter), positions, schema)
-    pipe.write(marshal.dumps(counts))
+            return count_rows(csv.reader(text, delimiter=delimiter), positions, schema)
 
 
 def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable | None:
@@ -332,24 +352,16 @@ def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable 
             # the open field
             reader = csv.reader(head, delimiter=delimiter, strict=True)
             positions = header_positions(reader, schema)
-            forked = _fork(partial(_count_tail, path, split, positions, schema, delimiter))
-            if forked is None:
-                return None
-            counts = None
-            try:
+            with _child(partial(_count_tail, path, split, positions, schema, delimiter)) as result:
+                if result is None:
+                    return None
                 counts = count_rows(reader, positions, schema)
-            finally:
-                if counts is None:
-                    # loaded here: building its enums costs every run a ms
-                    from signal import SIGKILL
-
-                    os.kill(forked[0], SIGKILL)
-                message, status = _reap(*forked)
+                tail = result()
     except (OSError, ValueError, csv.Error):
         return None
-    if counts is None or status:
+    if tail is _LOST:
         return None
-    for name, quad in marshal.loads(message).items():
+    for name, quad in tail.items():
         total = counts.setdefault(name, [0, 0, 0, 0])
         for cell, value in enumerate(quad):
             total[cell] += value
@@ -549,14 +561,19 @@ def _verdict_text(verdict) -> str:
     return verdict.value.replace("_", " ")
 
 
+def _too_long(label: str) -> ValueError:
+    # names a value past the cap Python puts on the digits of an int it
+    # converts to text
+    return ValueError(f"{label} has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _value_text(label: str, num: int, den: int) -> str:
-    # the exact and the rounded text of an OFI or DI: its terms can have
-    # twice the digits of a cell, past the cap Python puts on the digits
-    # of an int it converts to text, and such a value is named
+    # the exact and the rounded text of an OFI or DI, whose terms can have
+    # twice the digits of a cell
     try:
         return f"{ratio_text(num, den)} ({fixed_text(num, den)})"
     except ValueError:
-        raise ValueError(f"{label} has more than {sys.get_int_max_str_digits()} digits") from None
+        raise _too_long(label) from None
 
 
 def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
@@ -564,7 +581,13 @@ def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
     report = build_report(table, config)
     for name, gm in report.group_metrics.items():
         cm = table.groups[name]
-        yield f"group {name}: tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn} n={cm.n}\n"
+        # each cell was read from text, so its text fits the cap, but n may
+        # not; the terms of the rates over n are at most n
+        try:
+            n = str(cm.n)
+        except ValueError:
+            raise _too_long(f"n of group {name}") from None
+        yield f"group {name}: tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn} n={n}\n"
         for label, value in (("benefit", gm.benefit),
                              ("expected benefit", gm.expected_benefit),
                              ("marginal benefit", gm.marginal_benefit)):
@@ -628,27 +651,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stream_sizes(sizes: range, pipe: BinaryIO) -> None:
+def _stream_sizes(sizes: range) -> list[tuple]:
     # runs in the child: each record in the plain form marshal writes
     from .exhaustive import stream
 
-    for n in sizes:
-        marshal.dump(stream(n).plain(), pipe)
-
-
-def _child_streams(forked: tuple[int, int], sizes: range) -> dict[int, Enumeration]:
-    """The records of ``sizes`` that a forked child streamed, by size, or
-    none when it exited nonzero or its message does not decode."""
-    from .exhaustive import Enumeration
-
-    message, status = _reap(*forked)
-    if status:
-        return {}
-    source = io.BytesIO(message)
-    try:
-        return {n: Enumeration.from_plain(marshal.load(source)) for n in sizes}
-    except (EOFError, ValueError, TypeError, ZeroDivisionError):
-        return {}
+    return [stream(n).plain() for n in sizes]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -667,26 +674,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # where this process would have streamed that size, so every check
     # runs in the order, and fails with the lines, of one process
     sizes = range(max(args.n_min, STREAM_CHILD_MIN), min(args.n_max, STREAM_CHECK_MAX) + 1)
-    forked = _fork(partial(_stream_sizes, sizes)) if sizes and _can_fork() else None
     streamed: dict[int, Enumeration] = {}
+    forks = sizes and _can_fork()
+    with _child(partial(_stream_sizes, sizes)) if forks else nullcontext() as child:
 
-    def stream(n: int) -> Enumeration:
-        nonlocal forked
-        if forked is not None and n in sizes:
-            child, forked = forked, None
-            streamed.update(_child_streams(child, sizes))
-        # a size the child did not deliver is streamed here
-        record = streamed.pop(n, None)
-        return exhaustive.stream(n) if record is None else record
+        def stream(n: int) -> Enumeration:
+            nonlocal child, streamed
+            if child is not None and n in sizes:
+                records, child = child(), None
+                try:  # every size the child streamed, or none: _LOST is no list
+                    decoded = map(exhaustive.Enumeration.from_plain, records)
+                    streamed = dict(zip(sizes, decoded, strict=True))
+                except (ValueError, TypeError, ZeroDivisionError):
+                    pass
+            # a size the child did not deliver is streamed here
+            record = streamed.pop(n, None)
+            return exhaustive.stream(n) if record is None else record
 
-    try:
         results = run_identity_checks(args.n_min, args.n_max, stream)
-    finally:
-        if forked is not None:
-            from signal import SIGKILL
-
-            os.kill(forked[0], SIGKILL)
-            _reap(*forked)
     print(f"verifying identities for n in [{args.n_min}, {args.n_max}]")
     for result in results:
         status = "ok  " if result.passed else "FAIL"

@@ -24,9 +24,10 @@ numpy stays inside the kernel and the running totals that
 and each imports it when it runs: importing this module, or running
 :func:`stream`, loads no numpy. So ``verify`` can fork a child that
 streams the largest sizes of the stream span while the parent loads
-numpy and enumerates. Both routes give records of plain values: ints,
-tuples of ints, an int64 ``array("q")`` and exact ``Fraction`` moments;
-:meth:`Enumeration.plain` turns one into what ``marshal`` writes, and
+numpy and enumerates, and sends its records when it is done. Both routes
+give records of plain values: ints, tuples of ints, an int64
+``array("q")`` and exact ``Fraction`` moments; :meth:`Enumeration.plain`
+turns one into what ``marshal`` writes, and
 :meth:`Enumeration.from_plain` turns it back.
 """
 

@@ -12,10 +12,10 @@ Up to n = 40 each size is also walked by the definitional stream, the
 larger part of a run. The ``verify`` command checks its range with
 :func:`check_range` before anything loads numpy, and may then fork a
 child that streams the largest of those sizes while this process
-enumerates: it hands :func:`run_identity_checks` a ``stream`` that
-returns the child's record of such a size, and each record is compared
-at the n where it would have been streamed, so the report is the one a
-single process gives.
+enumerates, and sends its records when it is done: it hands
+:func:`run_identity_checks` a ``stream`` that returns the child's record
+of such a size, and each record is compared at the n where it would have
+been streamed, so the report is the one a single process gives.
 """
 
 from __future__ import annotations

@@ -21,26 +21,34 @@ SRC = Path(__file__).parent.parent / "src"
 # modes, joined by commas: "fork" forks the heatmap writer at any group
 # count, "split" counts any input file in two processes, "one-core" does
 # both on a process that may use one core only, "in-order" has no os.fork
-# (the path every other platform takes), "die" kills a forked heatmap
-# writer while it renders and a forked verify stream child at n = 36,
-# "short" has the stream child send every record but its last and exit 0,
-# "garble" has it send bytes that are no record, "raise" makes verify's
-# enumeration raise RuntimeError, "misscore=N" scores one quadruple of
-# size N wrongly (in parent and child alike), "default" leaves the module
-# as it is. The last stderr line reports the exit code (or the name of
-# the exception main() raised), whether a child is left, the CPU time of
-# the children waited for and whether the two-process count was used
-# (true), fell back to one pass (false) or was not tried (null).
+# (the path every other platform takes), "no-pipe" has an os.pipe that
+# fails with EMFILE, "die" kills a forked heatmap writer while it renders
+# and a forked verify stream child at n = 36, "stall" has a forked child
+# wait for as long as its parent lives when it renders a heatmap or
+# validates a row, "short" has the stream child return every record but
+# its last, "garble" has it return a value that is no record list,
+# "raise" makes verify's enumeration, audit's report rendering and the
+# validation of a row with a field "raise" raise RuntimeError,
+# "misscore=N" scores one quadruple of size N wrongly (in parent and
+# child alike), "default" leaves the module as it is. The last stderr
+# line reports the exit code (or the name of the exception main()
+# raised), whether a child is left, the CPU time of the children waited
+# for and whether the two-process count was used (true), fell back to
+# one pass (false) or was not tried (null).
 PROBE = """\
-import json, os, resource, signal, sys
+import errno, json, os, resource, signal, sys, time
 from fractions import Fraction
-from ofi_audit import cli, exhaustive
+from ofi_audit import cli, exhaustive, ingestion
 modes, *argv = sys.argv[1:]
 modes = set(modes.split(","))
 parent = os.getpid()
 split = None
 if "in-order" in modes:
     del os.fork
+if "no-pipe" in modes:
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+    os.pipe = no_pipe
 if modes & {"fork", "die", "one-core"}:
     cli.FORK_MIN_GROUPS = 2
 if modes & {"split", "one-core"}:
@@ -58,16 +66,36 @@ if "die" in modes:
             os.kill(os.getpid(), signal.SIGKILL)
         return stream(n)
     exhaustive.stream = dying_stream
+if "stall" in modes:
+    heatmap, validate = cli.heatmap_chunks, ingestion._validate
+    def stall():
+        while os.getpid() != parent and os.getppid() == parent:
+            time.sleep(0.01)
+    def stalling_heatmap(grid):
+        stall()
+        yield from heatmap(grid)
+    def stalling_validate(*args):
+        stall()
+        return validate(*args)
+    cli.heatmap_chunks = stalling_heatmap
+    ingestion._validate = stalling_validate
 stream_sizes = cli._stream_sizes
 if "short" in modes:
-    cli._stream_sizes = lambda sizes, pipe: stream_sizes(sizes[:-1], pipe)
+    cli._stream_sizes = lambda sizes: stream_sizes(sizes)[:-1]
 if "garble" in modes:
-    cli._stream_sizes = lambda sizes, pipe: pipe.write(b"?")
+    cli._stream_sizes = lambda sizes: b"?"
 if "raise" in modes:
-    def raising(n_min, n_max):
-        raise RuntimeError("enumeration failed")
+    def raising(*args):
+        raise RuntimeError("raised on purpose")
         yield
     exhaustive.enumerations = raising
+    cli.report_chunks = raising
+    checked = ingestion._validate
+    def raising_validate(row, *args):
+        if "raise" in row:
+            raise RuntimeError("raised on purpose")
+        return checked(row, *args)
+    ingestion._validate = raising_validate
 for mode in modes:
     if mode.startswith("misscore="):
         size = int(mode.split("=")[1])

@@ -156,6 +156,16 @@ DI:  {CONTEXTUAL_DI}  verdict: no bias indicated (band 4/5..5/4)
             1, "", f"error [scenario]: OFI has more than {sys.get_int_max_str_digits()} digits\n"
         )
 
+    def test_n_past_the_digit_limit_is_named(self, capsys):
+        # each cell's text fits the digit limit, group i's n = 2*big + 1
+        # does not
+        big = "9" * sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "scenario", big, "0", "1", big, "1", "0", "0", "1")
+        assert (code, out, err) == (
+            1, "", f"error [scenario]: n of group i has more than "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
+
     def test_di_past_the_digit_limit_is_named(self, capsys):
         # OFI is 0, DI is 10^3000 (10^3000 + 3) / (10^3000 + 1)
         big = 10**3000

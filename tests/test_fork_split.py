@@ -63,14 +63,16 @@ def every_output(out: Path) -> list[str]:
             "--out-grid-csv", str(out / "grid")]
 
 
-def compare(tmp_path: Path, data: bytes, *flags: str) -> tuple[int, str, float, bool | None]:
-    """Audit ``data`` in the "split" mode and with no os.fork; assert that
-    both give the same outputs and streams, and return the split run's
-    exit code, stderr, children's CPU time and two-process count flag."""
+def compare(
+    tmp_path: Path, data: bytes, *flags: str, modes: str = "split"
+) -> tuple[int, str, float, bool | None]:
+    """Audit ``data`` in ``modes`` and with no os.fork; assert that both
+    give the same outputs and streams, and return the first run's exit
+    code, stderr, children's CPU time and two-process count flag."""
     path = tmp_path / "in.csv"
     path.write_bytes(data)
     runs = {}
-    for mode in ("split", "in-order"):
+    for mode in (modes, "in-order"):
         out = tmp_path / mode
         out.mkdir()
         code, child_cpu, stdout, stderr, split = run_probe(
@@ -78,11 +80,11 @@ def compare(tmp_path: Path, data: bytes, *flags: str) -> tuple[int, str, float, 
         )
         written = sorted((p.name, p.read_bytes()) for p in out.iterdir())
         runs[mode] = code, stdout, stderr, written
-        if mode == "split":
+        if mode == modes:
             result = code, stderr, child_cpu, split
         else:
             assert (child_cpu, split) == (0, None)
-    assert runs["split"] == runs["in-order"]
+    assert runs[modes] == runs["in-order"]
     return result
 
 
@@ -156,6 +158,25 @@ def test_a_fault_in_either_half_reads_as_in_one_pass(tmp_path, bad, half):
     code, stderr, _, split = compare(tmp_path, data)
     assert code == 1 and stderr.startswith("error [parse]: ")
     assert split is False
+
+
+def test_no_pipe_counts_in_one_pass(tmp_path):
+    data = split_after(HEADER + b"\n" + rows(b"\n", NAMES), rows(b"\n", NAMES))
+    assert compare(tmp_path, data, modes="split,no-pipe") == (0, "", 0, False)
+
+
+def test_a_parent_count_that_raises_kills_the_child(tmp_path):
+    # the parent's range raises a non-CSV error while the child waits at
+    # its first row for as long as the parent lives; run_probe asserts
+    # that no child is left, and a count that raises records no split flag
+    good = rows(b"\n", NAMES)
+    path = tmp_path / "in.csv"
+    path.write_bytes(split_after(HEADER + b"\n" + good + b"raise,1,0\n" + good, good))
+    for mode in ("split,raise,stall", "in-order,raise,stall"):
+        code, _, stdout, stderr, split = run_probe(
+            mode, "audit", "--input", str(path), "--out-report", os.devnull, cwd=tmp_path
+        )
+        assert (code, stdout, stderr, split) == ("RuntimeError", "", "", None)
 
 
 @pytest.mark.parametrize("flags, stdin", [

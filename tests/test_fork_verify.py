@@ -56,6 +56,14 @@ def test_one_usable_core_or_no_fork_streams_in_one_process(tmp_path, mode):
     assert stdout.endswith("all identities hold for n in [1, 40]\n")
 
 
+def test_no_pipe_streams_in_one_process(tmp_path):
+    argv = ("--n-max", "40")
+    code, child_cpu, stdout, stderr, split = run_probe("no-pipe", "verify", *argv, cwd=tmp_path)
+    assert (child_cpu, split) == (0, None)
+    assert (code, stdout, stderr) == in_order(tmp_path, *argv)
+    assert (code, stderr) == (0, "")
+
+
 @pytest.mark.parametrize("size", [5, STREAM_CHILD_MIN + 2], ids=["parent-size", "child-size"])
 def test_stream_fault_fails_with_the_one_process_line(tmp_path, size):
     assert (size >= STREAM_CHILD_MIN) == (size > 5)

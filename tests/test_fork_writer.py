@@ -68,6 +68,32 @@ def test_one_usable_core_runs_no_child(tmp_path):
     assert written["one-core"] == written["in-order"]
 
 
+def test_no_pipe_writes_every_output_in_the_parent(tmp_path):
+    data = write_input(tmp_path / "in.csv", 12)
+    written = {}
+    for mode in ("fork,no-pipe", "in-order"):
+        out = tmp_path / mode
+        out.mkdir()
+        code, child_cpu, stdout, stderr, split = run_probe(
+            mode, "audit", "--input", str(data), *every_output(out), cwd=tmp_path
+        )
+        assert (code, stdout, stderr, child_cpu, split) == (0, "", "", 0, None)
+        written[mode] = [(out / name).read_bytes() for name in OUTPUTS]
+    assert written["fork,no-pipe"] == written["in-order"]
+
+
+def test_a_parent_that_raises_kills_the_writer(tmp_path):
+    # the report raises in the parent while the forked writer waits in its
+    # heatmap for as long as the parent lives: waited for, not killed, it
+    # would hang the run; run_probe asserts that no child is left
+    data = write_input(tmp_path / "in.csv", 6)
+    for mode in ("fork,raise,stall", "in-order,raise,stall"):
+        code, _, stdout, stderr, _ = run_probe(
+            mode, "audit", "--input", str(data), *every_output(tmp_path), cwd=tmp_path
+        )
+        assert (code, stdout, stderr) == ("RuntimeError", "", "")
+
+
 @pytest.mark.parametrize("groups", [FORK_MIN_GROUPS - 1, FORK_MIN_GROUPS])
 def test_forks_from_the_threshold_group_count(tmp_path, groups):
     data = write_input(tmp_path / "in.csv", groups)

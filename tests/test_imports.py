@@ -136,3 +136,23 @@ def test_only_the_enumeration_kernel_imports_numpy():
         if isinstance(name, ast.Name) and name.id == "np"
     }
     assert users == {"enum_by_sum", "enumerations"}
+
+
+def test_only_the_child_primitive_forks_pipes_waits_kills_or_marshals():
+    # the CLI's three forks share one child-process protocol: one message,
+    # one rule for a failed child, one for killing and waiting
+    tree = ast.parse((SRC / "ofi_audit" / "cli.py").read_text(encoding="utf-8"))
+    calls = {"fork", "pipe", "waitpid", "kill", "_exit"}
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("os", "marshal")
+    ]
+    homes = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "os" and node.attr in calls
+        or isinstance(node, ast.Name) and node.id == "marshal"
+    }
+    assert homes == {"_child"}
