@@ -5,14 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Collection, Iterable, Iterator
 
-from .formatting import format_fraction, ratio_text
+from .formatting import digit_limit_text, format_fraction, ratio_text
 from .ingestion import GroupTable
 from .metrics import (
     DEFAULT_OFI_THRESHOLD,
@@ -122,9 +121,7 @@ def _check_digits(label: str, value: Fraction) -> None:
     try:
         format_fraction(value)
     except ValueError:
-        raise ThresholdError(
-            f"{label} has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise ThresholdError(digit_limit_text(label)) from None
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from . import __version__
 from .audit import (
@@ -32,7 +32,7 @@ from .combinatorics import (
     marginal_benefit_distribution,
     total_combinations,
 )
-from .formatting import fixed_text, format_fixed, format_fraction, ratio_text
+from .formatting import digit_limit_text, fixed_text, format_fixed, format_fraction, ratio_text
 from .heatmap import heatmap_chunks
 from .ingestion import (
     ColumnSchema,
@@ -97,6 +97,7 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 
 
 Output = tuple[str, Iterable[str]]
+T = TypeVar("T")
 
 #: Group count from which ``audit`` renders its heatmaps in a forked child
 #: while it writes the report and grid CSVs itself. In A/B runs on 2 vCPUs
@@ -104,12 +105,6 @@ Output = tuple[str, Iterable[str]]
 #: 150, where a host that lent no second core left only the fork's cost
 #: and the two processes' contention; from 200 on it won every set.
 FORK_MIN_GROUPS = 200
-
-#: The write error of a heatmap child that ended without reporting.
-CHILD_DIED = "the heatmap writer process ended unexpectedly"
-
-# the value of a forked child that exited nonzero or sent no value
-_LOST = object()
 
 #: Input file size from which ``audit`` counts the rows in two processes,
 #: the file split at the first LF at or after its middle byte. In A/B runs
@@ -186,26 +181,26 @@ def _can_fork() -> bool:
 
 
 @contextmanager
-def _child(work: Callable[[], object]) -> Iterator[Callable[[], object] | None]:
+def _child(work: Callable[[], T]) -> Iterator[Callable[[], T]]:
     """Fork a child process that runs ``work`` and sends its value as one
-    ``marshal`` message. Yield a function that reads the message, waits
-    for the child and returns the value, or _LOST when the child exited
-    nonzero or the message does not decode; or yield None when no pipe or
-    process can be had. A child whose value is not taken in the block is
-    killed and waited for when the block ends. The child leaves by
+    ``marshal`` message; yield a function that returns that value. The
+    child is only a speed-up: the function runs ``work`` in this process
+    when no pipe or process can be had, the child exits nonzero or its
+    message does not decode. A child whose value is not taken in the block
+    is killed and waited for when the block ends. The child leaves by
     os._exit: no at-exit code runs and no buffer it inherited is flushed,
     since the parent owns both."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        yield None
+        yield work
         return
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        yield None
+        yield work
         return
     if pid == 0:
         code = 1
@@ -219,17 +214,17 @@ def _child(work: Callable[[], object]) -> Iterator[Callable[[], object] | None]:
     os.close(write_fd)
     status = None
 
-    def result() -> object:
+    def result() -> T:
         nonlocal status
         with pipe:
             message = pipe.read()
         status = os.waitpid(pid, 0)[1]
-        if status:
-            return _LOST
-        try:
-            return marshal.loads(message)
-        except (EOFError, ValueError):
-            return _LOST
+        if not status:
+            try:
+                return marshal.loads(message)
+            except (EOFError, ValueError):
+                pass
+        return work()
 
     with open(read_fd, "rb") as pipe:
         try:
@@ -243,38 +238,25 @@ def _child(work: Callable[[], object]) -> Iterator[Callable[[], object] | None]:
                 os.waitpid(pid, 0)
 
 
-def _write_child(outputs: list[Output], child: list[int]) -> tuple[int, str] | None:
-    # (index, message) of the first output that fails
-    for index in child:
+def _write_first(outputs: list[Output], indices: Iterable[int]) -> tuple[int, str] | None:
+    # writes the outputs at ``indices`` up to the first that fails: its (index, error text)
+    for index in indices:
         try:
             _write_text(*outputs[index])
         except (OSError, ValueError) as exc:
             return index, str(exc)
 
 
-def _write_outputs(outputs: list[Output], child: list[int]) -> str | None:
+def _write_outputs(outputs: list[Output], child: list[int]) -> tuple[int, str] | None:
     """Write every output, those at the positions ``child`` in a forked
-    child process, and return the error text of the first output that
-    fails, in output order, or None."""
-    failures: dict[int, str] = {}
-    with _child(partial(_write_child, outputs, child)) if child else nullcontext() as result:
-        if result is None:
-            child = []
-        for index, (path, chunks) in enumerate(outputs):
-            if index in child:
-                continue
-            try:
-                _write_text(path, chunks)
-            except (OSError, ValueError) as exc:
-                failures[index] = str(exc)
-                break
-        if result is not None:
-            failure = result()
-            if failure is _LOST:
-                failures[child[0]] = CHILD_DIED
-            elif failure is not None:
-                failures[failure[0]] = failure[1]
-    return failures[min(failures)] if failures else None
+    child process, and return the (index, error text) of the first output
+    that fails, in output order, or None."""
+    rest = [index for index in range(len(outputs)) if index not in child]
+    if not child:
+        return _write_first(outputs, rest)
+    with _child(partial(_write_first, outputs, child)) as written:
+        failures = [f for f in (_write_first(outputs, rest), written()) if f]
+    return min(failures, default=None)
 
 
 class _ByteRange:
@@ -323,21 +305,25 @@ def _split_point(fd: int, size: int) -> int:
 def _count_tail(
     path: str, split: int, positions: dict[str, int], schema: ColumnSchema,
     delimiter: str,
-) -> dict[str, list[int]]:
+) -> dict[str, list[int]] | None:
+    # the counts from ``split`` on, or None for a fault, which one pass reports;
     # a U+FEFF at the split is data, as it is in one pass over the file
-    with open(path, "rb") as raw:
-        raw.seek(split)
-        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
-            return count_rows(csv.reader(text, delimiter=delimiter), positions, schema)
+    try:
+        with open(path, "rb") as raw:
+            raw.seek(split)
+            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
+                return count_rows(csv.reader(text, delimiter=delimiter), positions, schema)
+    except (OSError, ValueError, csv.Error):
+        return None
 
 
 def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable | None:
     """Count the rows of an input file in two processes: a forked child
     counts the bytes from the first LF at or after the middle byte on,
     while this process counts those before it. Return None when there is
-    no such LF, when the split is not a record boundary, when either count
-    fails or when no child can be had; a count in one pass then reports
-    any fault as it would have."""
+    no such LF, when the split is not a record boundary or when either
+    count fails; a count in one pass then reports any fault as it would
+    have."""
     try:
         with open(path, "rb") as raw:
             size = os.fstat(raw.fileno()).st_size
@@ -352,14 +338,12 @@ def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable 
             # the open field
             reader = csv.reader(head, delimiter=delimiter, strict=True)
             positions = header_positions(reader, schema)
-            with _child(partial(_count_tail, path, split, positions, schema, delimiter)) as result:
-                if result is None:
-                    return None
+            with _child(partial(_count_tail, path, split, positions, schema, delimiter)) as counted:
                 counts = count_rows(reader, positions, schema)
-                tail = result()
+                tail = counted()
     except (OSError, ValueError, csv.Error):
         return None
-    if tail is _LOST:
+    if tail is None:
         return None
     for name, quad in tail.items():
         total = counts.setdefault(name, [0, 0, 0, 0])
@@ -551,20 +535,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
     child = []
     if heatmaps and len(report.ofi_grid.group_order) >= FORK_MIN_GROUPS and _can_fork():
         child = _child_outputs(outputs, statuses, heatmaps)
-    error = _write_outputs(outputs, child)
-    if error is not None:
-        return _fail("write", error)
+    failure = _write_outputs(outputs, child)
+    if failure is not None:
+        return _fail("write", failure[1])
     return 0
 
 
 def _verdict_text(verdict) -> str:
     return verdict.value.replace("_", " ")
-
-
-def _too_long(label: str) -> ValueError:
-    # names a value past the cap Python puts on the digits of an int it
-    # converts to text
-    return ValueError(f"{label} has more than {sys.get_int_max_str_digits()} digits")
 
 
 def _value_text(label: str, num: int, den: int) -> str:
@@ -573,7 +551,7 @@ def _value_text(label: str, num: int, den: int) -> str:
     try:
         return f"{ratio_text(num, den)} ({fixed_text(num, den)})"
     except ValueError:
-        raise _too_long(label) from None
+        raise ValueError(digit_limit_text(label)) from None
 
 
 def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
@@ -586,7 +564,7 @@ def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
         try:
             n = str(cm.n)
         except ValueError:
-            raise _too_long(f"n of group {name}") from None
+            raise ValueError(digit_limit_text(f"n of group {name}")) from None
         yield f"group {name}: tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn} n={n}\n"
         for label, value in (("benefit", gm.benefit),
                              ("expected benefit", gm.expected_benefit),
@@ -679,17 +657,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _child(partial(_stream_sizes, sizes)) if forks else nullcontext() as child:
 
         def stream(n: int) -> Enumeration:
-            nonlocal child, streamed
-            if child is not None and n in sizes:
-                records, child = child(), None
-                try:  # every size the child streamed, or none: _LOST is no list
-                    decoded = map(exhaustive.Enumeration.from_plain, records)
-                    streamed = dict(zip(sizes, decoded, strict=True))
-                except (ValueError, TypeError, ZeroDivisionError):
-                    pass
-            # a size the child did not deliver is streamed here
-            record = streamed.pop(n, None)
-            return exhaustive.stream(n) if record is None else record
+            if child is None or n not in sizes:
+                return exhaustive.stream(n)
+            if n == sizes[0]:
+                streamed.update(zip(sizes, map(exhaustive.Enumeration.from_plain, child())))
+            return streamed.pop(n)
 
         results = run_identity_checks(args.n_min, args.n_max, stream)
     print(f"verifying identities for n in [{args.n_min}, {args.n_max}]")

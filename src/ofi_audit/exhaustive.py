@@ -24,7 +24,8 @@ numpy stays inside the kernel and the running totals that
 and each imports it when it runs: importing this module, or running
 :func:`stream`, loads no numpy. So ``verify`` can fork a child that
 streams the largest sizes of the stream span while the parent loads
-numpy and enumerates, and sends its records when it is done. Both routes
+numpy and enumerates, and sends its records when it is done (or is
+lost, and the parent streams those sizes itself). Both routes
 give records of plain values: ints, tuples of ints, an int64
 ``array("q")`` and exact ``Fraction`` moments; :meth:`Enumeration.plain`
 turns one into what ``marshal`` writes, and
@@ -76,9 +77,7 @@ class Enumeration:
 
     @classmethod
     def from_plain(cls, plain: tuple) -> Enumeration:
-        """The record that :meth:`plain` gave ``plain`` for. Raises
-        ValueError, TypeError or ZeroDivisionError for a value it cannot
-        have given."""
+        """The record that :meth:`plain` gave ``plain`` for."""
         count, cell_counts, n, raw, mean, variance = plain
         return cls(count, cell_counts, ScoreDistribution(n, array("q", raw)),
                    Fraction(*mean), Fraction(*variance))

@@ -8,8 +8,15 @@ numerator and denominator, which need not be in lowest terms.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
+
+
+def digit_limit_text(label: str) -> str:
+    """The error text for a value whose text would need an int of more
+    digits than Python converts to text."""
+    return f"{label} has more than {sys.get_int_max_str_digits()} digits"
 
 
 def ratio_text(num: int, den: int) -> str:

@@ -15,7 +15,9 @@ child that streams the largest of those sizes while this process
 enumerates, and sends its records when it is done: it hands
 :func:`run_identity_checks` a ``stream`` that returns the child's record
 of such a size, and each record is compared at the n where it would have
-been streamed, so the report is the one a single process gives.
+been streamed, so the report is the one a single process gives. The
+child is only a speed-up: when it is lost, this process streams those
+sizes itself.
 """
 
 from __future__ import annotations

@@ -22,11 +22,12 @@ SRC = Path(__file__).parent.parent / "src"
 # count, "split" counts any input file in two processes, "one-core" does
 # both on a process that may use one core only, "in-order" has no os.fork
 # (the path every other platform takes), "no-pipe" has an os.pipe that
-# fails with EMFILE, "die" kills a forked heatmap writer while it renders
-# and a forked verify stream child at n = 36, "stall" has a forked child
-# wait for as long as its parent lives when it renders a heatmap or
-# validates a row, "short" has the stream child return every record but
-# its last, "garble" has it return a value that is no record list,
+# fails with EMFILE, "die" kills a forked child when it renders a
+# heatmap, validates its first new row or streams n = 36, "stall" has a
+# forked child wait for as long as its parent lives when it renders a
+# heatmap or validates a row, "short" has a child send its message one
+# byte short, "garble" has it send the bytes b"?" for its message (the
+# lost child's work then runs in the parent, as with "die"),
 # "raise" makes verify's enumeration, audit's report rendering and the
 # validation of a row with a field "raise" raise RuntimeError,
 # "misscore=N" scores one quadruple of size N wrongly (in parent and
@@ -36,7 +37,7 @@ SRC = Path(__file__).parent.parent / "src"
 # for and whether the two-process count was used (true), fell back to
 # one pass (false) or was not tried (null).
 PROBE = """\
-import errno, json, os, resource, signal, sys, time
+import errno, json, marshal, os, resource, signal, sys, time
 from fractions import Fraction
 from ofi_audit import cli, exhaustive, ingestion
 modes, *argv = sys.argv[1:]
@@ -49,22 +50,29 @@ if "no-pipe" in modes:
     def no_pipe():
         raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
     os.pipe = no_pipe
-if modes & {"fork", "die", "one-core"}:
+if modes & {"fork", "one-core"}:
     cli.FORK_MIN_GROUPS = 2
 if modes & {"split", "one-core"}:
     cli.SPLIT_MIN_BYTES = 1
 if "one-core" in modes:
     os.sched_getaffinity = lambda pid: {0}
 if "die" in modes:
-    def dying(grid):
-        os.kill(os.getpid(), signal.SIGKILL)
-        yield ""
-    cli.heatmap_chunks = dying
-    stream = exhaustive.stream
-    def dying_stream(n):
-        if os.getpid() != parent and n == 36:
+    heatmap, validate, stream = cli.heatmap_chunks, ingestion._validate, exhaustive.stream
+    def die():
+        if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
+    def dying_heatmap(grid):
+        die()
+        yield from heatmap(grid)
+    def dying_validate(*args):
+        die()
+        return validate(*args)
+    def dying_stream(n):
+        if n == 36:
+            die()
         return stream(n)
+    cli.heatmap_chunks = dying_heatmap
+    ingestion._validate = dying_validate
     exhaustive.stream = dying_stream
 if "stall" in modes:
     heatmap, validate = cli.heatmap_chunks, ingestion._validate
@@ -79,11 +87,11 @@ if "stall" in modes:
         return validate(*args)
     cli.heatmap_chunks = stalling_heatmap
     ingestion._validate = stalling_validate
-stream_sizes = cli._stream_sizes
 if "short" in modes:
-    cli._stream_sizes = lambda sizes: stream_sizes(sizes)[:-1]
+    dumps = marshal.dumps
+    marshal.dump = lambda value, file: file.write(dumps(value)[:-1])
 if "garble" in modes:
-    cli._stream_sizes = lambda sizes: b"?"
+    marshal.dump = lambda value, file: file.write(b"?")
 if "raise" in modes:
     def raising(*args):
         raise RuntimeError("raised on purpose")

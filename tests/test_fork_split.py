@@ -6,10 +6,12 @@ the middle byte: a forked child counts the second range while the parent
 counts the first, with a strict csv reader. When the split is not a
 record boundary, the first range holds text that only a lenient reader
 accepts, or either count fails, the parent counts the whole file in one
-pass, which reports any fault. Each case runs in a fresh ``-X dev``
-interpreter (see probe.py), with ``SPLIT_MIN_BYTES`` patched to 1 in the
-"split" mode, and is compared with the path that has no ``os.fork``: the
-five outputs, the stdout and the stderr must be the same bytes.
+pass, which reports any fault. The child is only a speed-up: when it
+cannot be had, or is lost, the parent counts the second range too. Each
+case runs in a fresh ``-X dev`` interpreter (see probe.py), with
+``SPLIT_MIN_BYTES`` patched to 1 in the "split" mode, and is compared
+with the path that has no ``os.fork``: the five outputs, the stdout and
+the stderr must be the same bytes.
 """
 
 import os
@@ -160,9 +162,19 @@ def test_a_fault_in_either_half_reads_as_in_one_pass(tmp_path, bad, half):
     assert split is False
 
 
-def test_no_pipe_counts_in_one_pass(tmp_path):
+def test_no_pipe_counts_both_ranges_in_the_parent(tmp_path):
     data = split_after(HEADER + b"\n" + rows(b"\n", NAMES), rows(b"\n", NAMES))
-    assert compare(tmp_path, data, modes="split,no-pipe") == (0, "", 0, False)
+    assert compare(tmp_path, data, modes="split,no-pipe") == (0, "", 0, True)
+
+
+@pytest.mark.parametrize("fault", ["die", "short", "garble"], ids=[
+    "killed-at-its-first-row", "message-short", "message-garbled",
+])
+def test_a_lost_child_leaves_its_range_to_the_parent(tmp_path, fault):
+    data = split_after(HEADER + b"\n" + rows(b"\n", NAMES), rows(b"\n", NAMES))
+    code, stderr, child_cpu, split = compare(tmp_path, data, modes=f"split,{fault}")
+    assert (code, stderr, split) == (0, "", True)
+    assert child_cpu > 0
 
 
 def test_a_parent_count_that_raises_kills_the_child(tmp_path):

@@ -5,10 +5,11 @@ On Linux, in a process with one thread that may use two or more cores,
 sizes from ``STREAM_CHILD_MIN`` to the top of the stream span, while the
 parent enumerates, runs the other checks and streams the smaller sizes.
 The parent compares each of the child's records where it would have
-streamed that size, and streams the sizes itself when the child exits
-nonzero or its message does not decode. Each case runs in a fresh
-``-X dev`` interpreter (see probe.py) and is compared with the path that
-has no ``os.fork``: stdout, stderr and exit code must be the same.
+streamed that size. The child is only a speed-up: when it cannot be had,
+exits nonzero or sends a message that does not decode, the parent
+streams its sizes itself. Each case runs in a fresh ``-X dev``
+interpreter (see probe.py) and is compared with the path that has no
+``os.fork``: stdout, stderr and exit code must be the same.
 """
 
 import pytest
