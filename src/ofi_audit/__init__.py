@@ -8,34 +8,50 @@ of the marginal-benefit score over all confusion matrices of a given
 size, verified against brute-force enumeration.
 
 The package root exports what the README's Library example imports, plus
-``parse_report``; everything else is imported from its submodule.
+``parse_report``; everything else is imported from its submodule. Each
+root name loads its submodule when it is first used, so ``import
+ofi_audit``, and every CLI run, loads only the submodules it needs.
 """
 
 __version__ = "0.1.0"
 
-from .audit import build_report, parse_report, serialize_report
-from .combinatorics import b_stats, marginal_benefit_distribution
-from .ingestion import aggregate, flip_polarity, iter_records
-from .metrics import (
-    BinaryConfusion,
-    disparate_impact,
-    four_fifths_verdict,
-    ofi,
-    ofi_verdict,
-)
+#: Largest n for :func:`marginal_benefit_distribution`: the largest n whose
+#: total count (n+1)(n+2)(n+3)/6 still fits in the int64 multiplicities.
+#: Here, not in :mod:`ofi_audit.combinatorics`, so that the CLI's help
+#: text can state it without loading that module.
+DIST_MAX = 3_810_776
 
-__all__ = [
-    "BinaryConfusion",
-    "aggregate",
-    "b_stats",
-    "build_report",
-    "disparate_impact",
-    "flip_polarity",
-    "four_fifths_verdict",
-    "iter_records",
-    "marginal_benefit_distribution",
-    "ofi",
-    "ofi_verdict",
-    "parse_report",
-    "serialize_report",
-]
+# each root name and the submodule that defines it
+_HOMES = {
+    "BinaryConfusion": "metrics",
+    "aggregate": "ingestion",
+    "b_stats": "combinatorics",
+    "build_report": "audit",
+    "disparate_impact": "metrics",
+    "flip_polarity": "ingestion",
+    "four_fifths_verdict": "metrics",
+    "iter_records": "ingestion",
+    "marginal_benefit_distribution": "combinatorics",
+    "ofi": "metrics",
+    "ofi_verdict": "metrics",
+    "parse_report": "audit",
+    "serialize_report": "audit",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    # any other name raises, a submodule's too: ``from ofi_audit import
+    # cli`` then imports the submodule
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,56 +1,39 @@
-"""Command-line interface: audit, scenario, dist and verify subcommands."""
+"""Command-line interface: audit, scenario, dist and verify subcommands.
+
+Each command imports the package modules it runs when it starts, so
+``--version``, ``--help`` and a usage error load none of them, ``dist``
+loads no audit-side module and ``verify`` no module of ``audit``'s input
+or output. ``io`` and ``marshal`` are imported here because the
+interpreter has loaded both before any module of the package runs.
+"""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
 import marshal
 import os
-import random
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
-from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO, TypeVar
 
-from . import __version__
-from .audit import (
-    AuditConfig,
-    InsufficientGroupsError,
-    _verdict_rows,
-    build_report,
-    grid_csv_chunks,
-    report_chunks,
-)
-from .combinatorics import (
-    DIST_MAX,
-    TRIANGULAR_STD,
-    b_stats,
-    marginal_benefit_distribution,
-    total_combinations,
-)
-from .formatting import digit_limit_text, fixed_text, format_fixed, format_fraction, ratio_text
-from .heatmap import heatmap_chunks
-from .ingestion import (
-    ColumnSchema,
-    GroupTable,
-    aggregate,
-    count_rows,
-    flip_polarity,
-    header_positions,
-    iter_records,
-)
-from .metrics import BinaryConfusion, ThresholdError
+from . import DIST_MAX, __version__
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .audit import AuditConfig
     from .exhaustive import Enumeration
+    from .ingestion import ColumnSchema, GroupTable
 
 
 def _fraction_arg(text: str) -> Fraction:
     # accepts "3/10" as well as exact decimal text like "0.3"
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -308,6 +291,10 @@ def _count_tail(
 ) -> dict[str, list[int]] | None:
     # the counts from ``split`` on, or None for a fault, which one pass reports;
     # a U+FEFF at the split is data, as it is in one pass over the file
+    import csv
+
+    from .ingestion import count_rows
+
     try:
         with open(path, "rb") as raw:
             raw.seek(split)
@@ -324,6 +311,10 @@ def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable 
     no such LF, when the split is not a record boundary or when either
     count fails; a count in one pass then reports any fault as it would
     have."""
+    import csv
+
+    from .ingestion import GroupTable, count_rows, header_positions
+
     try:
         with open(path, "rb") as raw:
             size = os.fstat(raw.fileno()).st_size
@@ -394,16 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit a uniform sample (without replacement) of this many records; needs --seed",
     )
     p_audit.add_argument("--seed", type=int, default=None, help="RNG seed for --sample")
+    # a threshold left out takes AuditConfig's default (see _thresholds)
     p_audit.add_argument(
-        "--ofi-threshold", type=_fraction_arg, default=Fraction(3, 10),
+        "--ofi-threshold", type=_fraction_arg,
         help="no-bias band half-width for OFI verdicts (default 3/10)",
     )
     p_audit.add_argument(
-        "--di-low", type=_fraction_arg, default=Fraction(4, 5),
+        "--di-low", type=_fraction_arg,
         help="lower edge of the DI no-bias band (default 4/5)",
     )
     p_audit.add_argument(
-        "--di-high", type=_fraction_arg, default=Fraction(5, 4),
+        "--di-high", type=_fraction_arg,
         help="upper edge of the DI no-bias band (default 5/4)",
     )
     p_audit.add_argument(
@@ -424,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("TP_I", "FN_I", "FP_I", "TN_I", "TP_J", "FN_J", "FP_J", "TN_J"),
         help="eight cell counts: tp fn fp tn for group i, then for group j",
     )
-    p_scenario.add_argument("--ofi-threshold", type=_fraction_arg, default=Fraction(3, 10))
-    p_scenario.add_argument("--di-low", type=_fraction_arg, default=Fraction(4, 5))
-    p_scenario.add_argument("--di-high", type=_fraction_arg, default=Fraction(5, 4))
+    p_scenario.add_argument("--ofi-threshold", type=_fraction_arg)
+    p_scenario.add_argument("--di-low", type=_fraction_arg)
+    p_scenario.add_argument("--di-high", type=_fraction_arg)
 
     p_dist = sub.add_parser(
         "dist", help="marginal-benefit score distribution over all confusion matrices of size n"
@@ -442,7 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _thresholds(args: argparse.Namespace) -> dict[str, Fraction]:
+    # the threshold options given; AuditConfig holds the defaults of the rest
+    return {
+        name: value for name in ("ofi_threshold", "di_low", "di_high")
+        if (value := getattr(args, name)) is not None
+    }
+
+
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .audit import (
+        AuditConfig,
+        InsufficientGroupsError,
+        build_report,
+        grid_csv_chunks,
+        report_chunks,
+    )
+    from .ingestion import ColumnSchema, aggregate, flip_polarity, iter_records
+    from .metrics import ThresholdError
+
     if args.sample is not None:
         if args.seed is None:
             return _fail("config", "--sample requires --seed for reproducibility")
@@ -459,12 +469,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.group_order:
         group_order = tuple(name.strip() for name in args.group_order.split(","))
     try:
-        config = AuditConfig(
-            ofi_threshold=args.ofi_threshold,
-            di_low=args.di_low,
-            di_high=args.di_high,
-            group_order=group_order,
-        )
+        config = AuditConfig(**_thresholds(args), group_order=group_order)
     except ThresholdError as exc:
         return _fail("config", str(exc))
 
@@ -497,6 +502,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 "sample",
                 f"sample size {args.sample} exceeds record count {len(records)}",
             )
+        import random
+
         # sampling picks positions only, so it commutes with --flip
         table = aggregate(random.Random(args.seed).sample(records, args.sample))
 
@@ -521,6 +528,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         for path, grid in ((args.out_heatmap_ofi, report.ofi_grid),
                            (args.out_heatmap_di, report.di_grid)):
             if path:
+                from .heatmap import heatmap_chunks
+
                 heatmaps.append(len(outputs))
                 outputs.append((path, heatmap_chunks(grid)))
         if args.out_grid_csv:
@@ -548,6 +557,8 @@ def _verdict_text(verdict) -> str:
 def _value_text(label: str, num: int, den: int) -> str:
     # the exact and the rounded text of an OFI or DI, whose terms can have
     # twice the digits of a cell
+    from .formatting import digit_limit_text, fixed_text, ratio_text
+
     try:
         return f"{ratio_text(num, den)} ({fixed_text(num, den)})"
     except ValueError:
@@ -556,6 +567,9 @@ def _value_text(label: str, num: int, den: int) -> str:
 
 def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
     # a two-group audit, judged by the rules that judge audit's pairs
+    from .audit import _verdict_rows, build_report
+    from .formatting import digit_limit_text, format_fixed, format_fraction
+
     report = build_report(table, config)
     for name, gm in report.group_metrics.items():
         cm = table.groups[name]
@@ -595,12 +609,16 @@ def _scenario_lines(table: GroupTable, config: AuditConfig) -> Iterator[str]:
 def cmd_scenario(args: argparse.Namespace) -> int:
     # every line is rendered before any is printed, so a fault, a value
     # past the int-to-text digit limit included, leaves stdout empty
+    from .audit import AuditConfig
+    from .ingestion import GroupTable
+    from .metrics import BinaryConfusion
+
     try:
         table = GroupTable({
             "i": BinaryConfusion(*args.cells[:4]),
             "j": BinaryConfusion(*args.cells[4:]),
         })
-        config = AuditConfig(args.ofi_threshold, args.di_low, args.di_high)
+        config = AuditConfig(**_thresholds(args))
         text = "".join(_scenario_lines(table, config))
     except ValueError as exc:
         return _fail("scenario", str(exc))
@@ -609,6 +627,14 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
+    from .combinatorics import (
+        TRIANGULAR_STD,
+        b_stats,
+        marginal_benefit_distribution,
+        total_combinations,
+    )
+    from .formatting import format_fraction
+
     try:
         dist = marginal_benefit_distribution(args.n)
     except ValueError as exc:

@@ -33,12 +33,10 @@ from itertools import chain, islice, repeat
 from operator import floordiv, mul
 from typing import Iterator
 
+from . import DIST_MAX
+
 #: Standard deviation of a symmetric triangular distribution on [-1, 1].
 TRIANGULAR_STD = 1 / math.sqrt(6)
-
-#: Largest n for :func:`marginal_benefit_distribution`: the largest n whose
-#: total count (n+1)(n+2)(n+3)/6 still fits in the int64 multiplicities.
-DIST_MAX = 3_810_776
 
 #: Rows per piece of :meth:`ScoreDistribution.csv_chunks` text. All 2n + 1
 #: rows at once would grow the peak memory with n; a piece this size and

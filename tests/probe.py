@@ -36,10 +36,12 @@ SRC = Path(__file__).parent.parent / "src"
 # raised), whether a child is left, the CPU time of the children waited
 # for and whether the two-process count was used (true), fell back to
 # one pass (false) or was not tried (null).
+# Each function is patched in the module that defines it: a command
+# imports what it runs from there when it starts.
 PROBE = """\
 import errno, json, marshal, os, resource, signal, sys, time
 from fractions import Fraction
-from ofi_audit import cli, exhaustive, ingestion
+from ofi_audit import audit, cli, exhaustive, heatmap, ingestion
 modes, *argv = sys.argv[1:]
 modes = set(modes.split(","))
 parent = os.getpid()
@@ -57,13 +59,13 @@ if modes & {"split", "one-core"}:
 if "one-core" in modes:
     os.sched_getaffinity = lambda pid: {0}
 if "die" in modes:
-    heatmap, validate, stream = cli.heatmap_chunks, ingestion._validate, exhaustive.stream
+    chunks, validate, stream = heatmap.heatmap_chunks, ingestion._validate, exhaustive.stream
     def die():
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
     def dying_heatmap(grid):
         die()
-        yield from heatmap(grid)
+        yield from chunks(grid)
     def dying_validate(*args):
         die()
         return validate(*args)
@@ -71,21 +73,21 @@ if "die" in modes:
         if n == 36:
             die()
         return stream(n)
-    cli.heatmap_chunks = dying_heatmap
+    heatmap.heatmap_chunks = dying_heatmap
     ingestion._validate = dying_validate
     exhaustive.stream = dying_stream
 if "stall" in modes:
-    heatmap, validate = cli.heatmap_chunks, ingestion._validate
+    chunks, validate = heatmap.heatmap_chunks, ingestion._validate
     def stall():
         while os.getpid() != parent and os.getppid() == parent:
             time.sleep(0.01)
     def stalling_heatmap(grid):
         stall()
-        yield from heatmap(grid)
+        yield from chunks(grid)
     def stalling_validate(*args):
         stall()
         return validate(*args)
-    cli.heatmap_chunks = stalling_heatmap
+    heatmap.heatmap_chunks = stalling_heatmap
     ingestion._validate = stalling_validate
 if "short" in modes:
     dumps = marshal.dumps
@@ -97,7 +99,7 @@ if "raise" in modes:
         raise RuntimeError("raised on purpose")
         yield
     exhaustive.enumerations = raising
-    cli.report_chunks = raising
+    audit.report_chunks = raising
     checked = ingestion._validate
     def raising_validate(row, *args):
         if "raise" in row:

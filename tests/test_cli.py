@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, exit codes and output determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofi_audit import combinatorics, exhaustive
-from ofi_audit.audit import build_report, parse_report, serialize_report
-from ofi_audit.cli import main
+from ofi_audit.audit import AuditConfig, build_report, parse_report, serialize_report
+from ofi_audit.cli import build_parser, main
 from ofi_audit.combinatorics import DIST_MAX
+from ofi_audit.formatting import format_fraction
 from ofi_audit.ingestion import RowValueError, aggregate, flip_polarity, iter_records
 
 
@@ -405,6 +407,14 @@ class TestAudit:
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["config"]["ofi_threshold"] == "1" + "0" * 400
+
+    def test_stated_threshold_defaults_are_audit_configs(self):
+        # a threshold left out takes AuditConfig's default, which --help states
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        helps = {action.dest: action.help for action in commands.choices["audit"]._actions}
+        for name in ("ofi_threshold", "di_low", "di_high"):
+            default = format_fraction(getattr(AuditConfig(), name))
+            assert helps[name].endswith(f" (default {default})")
 
 
 BOM = "\ufeff"

@@ -1,5 +1,12 @@
 """Each subcommand loads only what it runs.
 
+``import ofi_audit`` loads no submodule: each root name loads its own
+when it is first used. The CLI imports each module where a command runs
+it, so ``--version``, ``--help`` and a usage error load no module of the
+package but the CLI, nor ``dataclasses`` or ``fractions``; ``dist``
+loads no audit-side module, ``verify`` none of ``audit``'s input or
+output, and ``audit`` loads ``heatmap`` only for a heatmap output.
+
 numpy serves only ``verify``: ``dist`` computes its closed form and CSV
 rows with the standard library, and within the package only
 ``exhaustive``, home of the enumeration kernel, imports numpy, when the
@@ -12,6 +19,7 @@ it reads every verdict off ``build_report``.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -20,16 +28,22 @@ from pathlib import Path
 
 import pytest
 
+import ofi_audit
+
 SRC = Path(__file__).parent.parent / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Modules that no invocation other than ``verify`` may load.
 HEAVY = ("numpy", "xml.sax", "urllib.request", "http.client", "email", "ssl")
 
+# the probes' preamble, run alone by BARE: the modules it loads, those
+# of ``site`` included, are loaded before any invocation starts
+PREAMBLE = "import json, sys\n"
+BARE = PREAMBLE + "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+
 # runs the CLI (or nothing, for a bare import) and prints the loaded
 # module names; --version exits through SystemExit
-PROBE = """\
-import json, sys
+PROBE = PREAMBLE + """\
 import ofi_audit
 if len(sys.argv) > 1:
     from ofi_audit.cli import main
@@ -54,6 +68,55 @@ def probe_modules(*argv: str, cwd: Path, probe: str = PROBE) -> tuple[set[str], 
 
 def loaded_modules(*argv: str, cwd: Path) -> set[str]:
     return probe_modules(*argv, cwd=cwd)[0]
+
+
+@pytest.fixture(scope="module")
+def bare(tmp_path_factory) -> set[str]:
+    return probe_modules(cwd=tmp_path_factory.mktemp("bare"), probe=BARE)[0]
+
+
+def added_modules(*argv: str, cwd: Path, bare: set[str]) -> set[str]:
+    """The modules an invocation loads beyond the probe preamble's."""
+    return loaded_modules(*argv, cwd=cwd) - bare
+
+
+def package(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.split(".")[0] == "ofi_audit"}
+
+
+#: The package modules that the audit side's commands run.
+AUDIT_SIDE = {"ofi_audit", "ofi_audit.cli", "ofi_audit.audit", "ofi_audit.formatting",
+              "ofi_audit.ingestion", "ofi_audit.metrics"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ((), {"ofi_audit"}),
+    (("--version",), {"ofi_audit", "ofi_audit.cli"}),
+    (("--help",), {"ofi_audit", "ofi_audit.cli"}),
+    (("dist", "--help"), {"ofi_audit", "ofi_audit.cli"}),
+    (("dist",), {"ofi_audit", "ofi_audit.cli"}),
+    (("audit", "--input", "in.csv", "--sample", "x"), {"ofi_audit", "ofi_audit.cli"}),
+    (("dist", "--n", "3"),
+     {"ofi_audit", "ofi_audit.cli", "ofi_audit.combinatorics", "ofi_audit.formatting"}),
+    (("verify", "--n-max", "3"),
+     {"ofi_audit", "ofi_audit.cli", "ofi_audit.combinatorics", "ofi_audit.exhaustive",
+      "ofi_audit.metrics", "ofi_audit.verification"}),
+    (("scenario", "1", "0", "0", "5", "7", "0", "1", "10"), AUDIT_SIDE),
+    (("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "report.json",
+      "--out-grid-csv", "grid"), AUDIT_SIDE),
+    (("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "report.json",
+      "--out-heatmap-di", "di.svg"), AUDIT_SIDE | {"ofi_audit.heatmap"}),
+], ids=["import", "version", "help", "dist-help", "usage-error", "bad-argument", "dist",
+        "verify", "scenario", "audit", "audit-heatmap"])
+def test_each_invocation_loads_only_the_package_modules_it_runs(tmp_path, bare, argv, expected):
+    added = added_modules(*argv, cwd=tmp_path, bare=bare)
+    assert package(added) == expected
+    if package(added) <= {"ofi_audit", "ofi_audit.cli"}:
+        # nor the dataclasses -> inspect/ast/dis chain, nor Fraction's decimal
+        assert added.isdisjoint({"dataclasses", "fractions"})
+    if argv[:1] == ("audit",):
+        # without --sample, no random
+        assert "random" not in added
 
 
 @pytest.mark.parametrize("argv", [
@@ -97,6 +160,41 @@ def test_verify_range_errors_load_no_numpy(tmp_path, argv, line):
     modules, err = probe_modules("verify", *argv, cwd=tmp_path)
     assert err == line
     assert "numpy" not in modules
+
+
+#: Each root name and the submodule that defines it.
+HOMES = {
+    "BinaryConfusion": "metrics",
+    "aggregate": "ingestion",
+    "b_stats": "combinatorics",
+    "build_report": "audit",
+    "disparate_impact": "metrics",
+    "flip_polarity": "ingestion",
+    "four_fifths_verdict": "metrics",
+    "iter_records": "ingestion",
+    "marginal_benefit_distribution": "combinatorics",
+    "ofi": "metrics",
+    "ofi_verdict": "metrics",
+    "parse_report": "audit",
+    "serialize_report": "audit",
+}
+
+
+def test_each_root_name_is_its_defining_modules_object():
+    assert set(ofi_audit.__all__) == set(HOMES)
+    for name, home in HOMES.items():
+        assert getattr(ofi_audit, name) is getattr(importlib.import_module(f"ofi_audit.{home}"), name)
+    assert set(ofi_audit.__all__) <= set(dir(ofi_audit))
+
+
+def test_the_root_resolves_no_other_name():
+    from ofi_audit import cli
+
+    assert cli is sys.modules["ofi_audit.cli"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ofi_audit.no_such_name
+    with pytest.raises(ImportError):
+        from ofi_audit import no_such_name  # noqa: F401
 
 
 def test_cli_takes_no_verdict_route_from_metrics():

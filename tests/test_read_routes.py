@@ -1,15 +1,21 @@
-"""The two read routes of ``audit`` agree on generated inputs.
+"""The read routes of ``audit`` agree on generated inputs.
 
 ``audit`` counts a large regular file in two processes (``_count_split``)
-and falls back to one pass over the file, which reports any fault. A
-seeded generator writes small CSV files with byte order marks, CRLF, LF
-and CR endings, quoted names that hold the delimiter, quotes, CR, LF,
-U+2028 or U+FEFF, blank lines, short rows and bad labels. Most files get
+and falls back to one pass over the file, which reports any fault; with
+``--sample`` it reads the records into a list and aggregates a sample of
+them. A seeded generator writes small CSV files with byte order marks,
+CRLF, LF and CR endings, quoted names that hold the delimiter, quotes, CR,
+LF, U+2028 or U+FEFF, blank lines, short rows and bad labels. Most files get
 a plain row around their middle byte, so that the split lands on a
 record boundary and is taken; some get a quoted name there whose text
 after its first LF reads as rows. On each file ``_count_split`` must give
 None or the table of ``aggregate(iter_records(...))``, and None for a
-file that one pass refuses.
+file that one pass refuses. And ``audit`` run on each file by one pass,
+by the split (its size gate lowered) and with ``--sample`` of every
+record must exit with the same code and stderr; the report's
+``dataset.confusion`` must be the library's ``aggregate(iter_records(...))``
+table, and a file the library refuses must fail at the ``parse`` stage
+with the library's message.
 
 The whole loop runs in one fresh ``-X dev`` interpreter: this process
 has loaded numpy, whose thread pool a forked child must not inherit.
@@ -27,7 +33,8 @@ SRC = Path(__file__).parent.parent / "src"
 FILES = 600
 
 PROBE = """\
-import json, random, sys
+import io, json, random, sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from ofi_audit import cli
 from ofi_audit.ingestion import ColumnSchema, aggregate, iter_records
@@ -109,21 +116,43 @@ def generate():
     return middle_row(head, tail, make), sep
 
 
-schema, taken = ColumnSchema(), 0
+def audit(path, sep, split_min, *argv):
+    # the exit code, stderr and report confusion table of one audit run
+    cli.SPLIT_MIN_BYTES = split_min
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["audit", "--input", str(path), "--delimiter", sep, *argv])
+    confusion = json.loads(out.getvalue())["dataset"]["confusion"] if code == 0 else None
+    return code, err.getvalue(), confusion
+
+
+schema, taken, split_min = ColumnSchema(), 0, cli.SPLIT_MIN_BYTES
 for i in range(count):
     data, sep = generate()
     path = out / f"{i}.csv"
     path.write_bytes(data)
     try:
-        with cli._open_input(str(path)) as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             expected = aggregate(iter_records(handle, schema, sep))
-    except ValueError:
-        expected = None
+    except ValueError as exc:
+        expected, refusal = None, f"error [parse]: {exc}\\n"
     table = cli._count_split(str(path), schema, sep)
     if table is not None:
         taken += 1
         if expected is None or list(table.groups.items()) != list(expected.groups.items()):
             raise AssertionError(f"the split count of {path.name} differs from one pass: {data!r}")
+    records = str(expected.total.n if expected is not None else 1)
+    routes = [audit(path, sep, split_min), audit(path, sep, 1),
+              audit(path, sep, split_min, "--sample", records, "--seed", "1")]
+    if routes[1:] != routes[:-1]:
+        raise AssertionError(f"the audit routes of {path.name} differ: {routes!r}: {data!r}")
+    code, err, confusion = routes[0]
+    if expected is None and (code, err) != (1, refusal):
+        raise AssertionError(f"audit of {path.name} fails otherwise than the library: {err!r}")
+    if confusion is not None and confusion != {
+        name: [cm.tp, cm.fn, cm.fp, cm.tn] for name, cm in expected.groups.items()
+    }:
+        raise AssertionError(f"the report of {path.name} is not the library's table: {data!r}")
     path.unlink()
 print(json.dumps(taken / count), file=sys.stderr)
 """
