@@ -243,15 +243,15 @@ def _write_outputs(outputs: list[Output], child: list[int]) -> tuple[int, str] |
 
 
 class _ByteRange:
-    """The bytes [0, stop) of an open file as the buffer of a
-    TextIOWrapper, read with os.pread, which moves no file offset. Not an
-    io.RawIOBase under a BufferedReader: the wrapper then checks
-    ``closed`` through both layers for every line it yields."""
+    """The bytes [start, stop) of an open file, or to its end for a stop of
+    None, as the buffer of a TextIOWrapper, read with os.pread, which moves
+    no file offset. Not an io.RawIOBase under a BufferedReader: the wrapper
+    then checks ``closed`` through both layers for every line it yields."""
 
     closed = False
 
-    def __init__(self, fd: int, stop: int):
-        self.fd, self.pos, self.stop = fd, 0, stop
+    def __init__(self, fd: int, start: int, stop: int | None):
+        self.fd, self.pos, self.stop = fd, start, stop
 
     def readable(self) -> bool:
         return True
@@ -269,9 +269,22 @@ class _ByteRange:
         pass
 
     def read1(self, size: int) -> bytes:
-        data = os.pread(self.fd, min(size, self.stop - self.pos), self.pos)
+        if self.stop is not None:
+            size = min(size, self.stop - self.pos)
+        data = os.pread(self.fd, size, self.pos)
         self.pos += len(data)
         return data
+
+
+def _range_rows(fd: int, start: int, stop: int | None, delimiter: str) -> Iterator[list[str]]:
+    # strict: a range that ends inside a quoted field, off a record
+    # boundary, raises "unexpected end of data" instead of yielding the
+    # open field; a U+FEFF past offset 0 is data, as it is in one pass
+    import csv
+
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    text = io.TextIOWrapper(_ByteRange(fd, start, stop), encoding=encoding, newline="")
+    return csv.reader(text, delimiter=delimiter, strict=True)
 
 
 def _split_point(fd: int, size: int) -> int:
@@ -286,52 +299,41 @@ def _split_point(fd: int, size: int) -> int:
 
 
 def _count_tail(
-    path: str, split: int, positions: dict[str, int], schema: ColumnSchema,
+    fd: int, split: int, positions: dict[str, int], schema: ColumnSchema,
     delimiter: str,
 ) -> dict[str, list[int]] | None:
-    # the counts from ``split`` on, or None for a fault, which one pass reports;
-    # a U+FEFF at the split is data, as it is in one pass over the file
+    # the counts from ``split`` to the end of the file, or None for a fault,
+    # which one pass reports
     import csv
 
     from .ingestion import count_rows
 
     try:
-        with open(path, "rb") as raw:
-            raw.seek(split)
-            with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
-                return count_rows(csv.reader(text, delimiter=delimiter), positions, schema)
+        return count_rows(_range_rows(fd, split, None, delimiter), positions, schema)
     except (OSError, ValueError, csv.Error):
         return None
 
 
-def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable | None:
-    """Count the rows of an input file in two processes: a forked child
-    counts the bytes from the first LF at or after the middle byte on,
-    while this process counts those before it. Return None when there is
-    no such LF, when the split is not a record boundary or when either
-    count fails; a count in one pass then reports any fault as it would
-    have."""
+def _count_split(fd: int, size: int, schema: ColumnSchema, delimiter: str) -> GroupTable | None:
+    """Count the rows of the open file ``fd``, ``size`` bytes long, in two
+    processes that read it by offset: a forked child counts the bytes from
+    the first LF at or after the middle byte on, this process those before
+    it. Return None when there is no such LF, the split is not a record
+    boundary, either range holds text that only one pass's lenient reader
+    takes (``"x"y``) or either count fails; one pass then reads the file."""
     import csv
 
     from .ingestion import GroupTable, count_rows, header_positions
 
     try:
-        with open(path, "rb") as raw:
-            size = os.fstat(raw.fileno()).st_size
-            split = _split_point(raw.fileno(), size)
-            if split >= size:
-                return None
-            head = io.TextIOWrapper(
-                _ByteRange(raw.fileno(), split), encoding="utf-8-sig", newline=""
-            )
-            # strict: a range that ends inside a quoted field, off a record
-            # boundary, raises "unexpected end of data" instead of yielding
-            # the open field
-            reader = csv.reader(head, delimiter=delimiter, strict=True)
-            positions = header_positions(reader, schema)
-            with _child(partial(_count_tail, path, split, positions, schema, delimiter)) as counted:
-                counts = count_rows(reader, positions, schema)
-                tail = counted()
+        split = _split_point(fd, size)
+        if split >= size:
+            return None
+        head = _range_rows(fd, 0, split, delimiter)
+        positions = header_positions(head, schema)
+        with _child(partial(_count_tail, fd, split, positions, schema, delimiter)) as counted:
+            counts = count_rows(head, positions, schema)
+            tail = counted()
     except (OSError, ValueError, csv.Error):
         return None
     if tail is None:
@@ -343,15 +345,20 @@ def _count_split(path: str, schema: ColumnSchema, delimiter: str) -> GroupTable 
     return GroupTable.from_counts(counts)
 
 
-def _splits(path: str) -> bool:
-    # a regular file large enough that a second process pays for itself
-    if path == "-":
-        return False
-    try:
-        status = os.stat(path)
-    except (OSError, ValueError):
-        return False
-    return stat.S_ISREG(status.st_mode) and status.st_size >= SPLIT_MIN_BYTES and _can_fork()
+def _add_thresholds(parser: argparse.ArgumentParser) -> None:
+    # a threshold left out takes AuditConfig's default (see _thresholds)
+    parser.add_argument(
+        "--ofi-threshold", type=_fraction_arg,
+        help="no-bias band half-width for OFI verdicts (default 3/10)",
+    )
+    parser.add_argument(
+        "--di-low", type=_fraction_arg,
+        help="lower edge of the DI no-bias band (default 4/5)",
+    )
+    parser.add_argument(
+        "--di-high", type=_fraction_arg,
+        help="upper edge of the DI no-bias band (default 5/4)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,19 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit a uniform sample (without replacement) of this many records; needs --seed",
     )
     p_audit.add_argument("--seed", type=int, default=None, help="RNG seed for --sample")
-    # a threshold left out takes AuditConfig's default (see _thresholds)
-    p_audit.add_argument(
-        "--ofi-threshold", type=_fraction_arg,
-        help="no-bias band half-width for OFI verdicts (default 3/10)",
-    )
-    p_audit.add_argument(
-        "--di-low", type=_fraction_arg,
-        help="lower edge of the DI no-bias band (default 4/5)",
-    )
-    p_audit.add_argument(
-        "--di-high", type=_fraction_arg,
-        help="upper edge of the DI no-bias band (default 5/4)",
-    )
+    _add_thresholds(p_audit)
     p_audit.add_argument(
         "--out-report", default="-", help="report JSON path, or - for stdout (default)"
     )
@@ -411,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario = sub.add_parser(
         "scenario", help="score two inline confusion matrices against each other"
     )
-    p_scenario.add_argument(
-        "cells", type=int, nargs=8,
-        metavar=("TP_I", "FN_I", "FP_I", "TN_I", "TP_J", "FN_J", "FP_J", "TN_J"),
-        help="eight cell counts: tp fn fp tn for group i, then for group j",
-    )
-    p_scenario.add_argument("--ofi-threshold", type=_fraction_arg)
-    p_scenario.add_argument("--di-low", type=_fraction_arg)
-    p_scenario.add_argument("--di-high", type=_fraction_arg)
+    # one positional per cell: argparse cannot write a tuple metavar
+    for group in "ij":
+        for cell in ("tp", "fn", "fp", "tn"):
+            p_scenario.add_argument(
+                f"{cell}_{group}", metavar=f"{cell}_{group}".upper(), type=int,
+                help=f"{cell} count of group {group}",
+            )
+    _add_thresholds(p_scenario)
 
     p_dist = sub.add_parser(
         "dist", help="marginal-benefit score distribution over all confusion matrices of size n"
@@ -428,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="check every counting/distribution identity against full enumeration"
     )
-    p_verify.add_argument("--n-min", type=int, default=1)
-    p_verify.add_argument("--n-max", type=int, default=40)
+    p_verify.add_argument("--n-min", type=int, default=1, help="smallest n (default %(default)s)")
+    p_verify.add_argument("--n-max", type=int, default=40, help="largest n (default %(default)s)")
 
     return parser
 
@@ -476,25 +471,28 @@ def cmd_audit(args: argparse.Namespace) -> int:
     schema = ColumnSchema(
         group=args.group_col, label=args.label_col, prediction=args.pred_col
     )
-    # a large file is counted in two processes; the count in one pass
-    # below is the fallback, and it reports every fault
     table = None
-    if args.sample is None and _splits(args.input):
-        table = _count_split(args.input, schema, args.delimiter)
-    if table is None:
-        try:
-            with _open_input(args.input) as handle:
-                try:
-                    if args.sample is None:
-                        table = aggregate(iter_records(handle, schema, args.delimiter))
-                    else:
-                        records = list(iter_records(handle, schema, args.delimiter))
-                except UnicodeDecodeError as exc:
-                    return _fail("parse", _decode_error_text(exc, handle))
-                except ValueError as exc:
-                    return _fail("parse", str(exc))
-        except OSError as exc:
-            return _fail("input", str(exc))
+    try:
+        with _open_input(args.input) as handle:
+            # a large regular file is counted in two processes that read
+            # this open file by offset; one pass over ``handle``, still
+            # unread, is the fallback, and it reports every fault
+            if args.sample is None and args.input != "-":
+                status = os.fstat(handle.fileno())
+                if (stat.S_ISREG(status.st_mode) and status.st_size >= SPLIT_MIN_BYTES
+                        and _can_fork()):
+                    table = _count_split(handle.fileno(), status.st_size, schema, args.delimiter)
+            try:
+                if args.sample is not None:
+                    records = list(iter_records(handle, schema, args.delimiter))
+                elif table is None:
+                    table = aggregate(iter_records(handle, schema, args.delimiter))
+            except UnicodeDecodeError as exc:
+                return _fail("parse", _decode_error_text(exc, handle))
+            except ValueError as exc:
+                return _fail("parse", str(exc))
+    except OSError as exc:
+        return _fail("input", str(exc))
 
     if args.sample is not None:
         if args.sample > len(records):
@@ -615,8 +613,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     try:
         table = GroupTable({
-            "i": BinaryConfusion(*args.cells[:4]),
-            "j": BinaryConfusion(*args.cells[4:]),
+            "i": BinaryConfusion(args.tp_i, args.fn_i, args.fp_i, args.tn_i),
+            "j": BinaryConfusion(args.tp_j, args.fn_j, args.fp_j, args.tn_j),
         })
         config = AuditConfig(**_thresholds(args))
         text = "".join(_scenario_lines(table, config))

@@ -29,7 +29,9 @@ SRC = Path(__file__).parent.parent / "src"
 # byte short, "garble" has it send the bytes b"?" for its message (the
 # lost child's work then runs in the parent, as with "die"),
 # "raise" makes verify's enumeration, audit's report rendering and the
-# validation of a row with a field "raise" raise RuntimeError,
+# validation of a row with a field "raise" raise RuntimeError, "replace"
+# renames other.csv in the working directory over the --input path when
+# a child is started, before it forks,
 # "misscore=N" scores one quadruple of size N wrongly (in parent and
 # child alike), "default" leaves the module as it is. The last stderr
 # line reports the exit code (or the name of the exception main()
@@ -106,6 +108,12 @@ if "raise" in modes:
             raise RuntimeError("raised on purpose")
         return checked(row, *args)
     ingestion._validate = raising_validate
+if "replace" in modes:
+    child = cli._child
+    def replacing(work):
+        os.replace("other.csv", argv[argv.index("--input") + 1])
+        return child(work)
+    cli._child = replacing
 for mode in modes:
     if mode.startswith("misscore="):
         size = int(mode.split("=")[1])

@@ -29,6 +29,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def exits(capsys, *argv):
+    # the exit code and streams of an invocation that argparse ends
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 SCENARIO_A_GROUPS = """\
 group i: tp=1 fn=0 fp=0 tn=5 n=6
   benefit           1/6 (0.17)
@@ -122,6 +130,22 @@ DI:  {CONTEXTUAL_DI}  verdict: no bias indicated (band 4/5..5/4)
             "negative-cell-and-bad-threshold"])
     def test_failure_writes_one_stderr_line_and_no_stdout(self, capsys, argv, message):
         assert run(capsys, "scenario", *argv) == (1, "", f"error [scenario]: {message}\n")
+
+    def test_help_lists_the_eight_cells(self, capsys):
+        code, out, err = exits(capsys, "scenario", "--help")
+        assert (code, err) == (0, "")
+        assert "TP_I FN_I FP_I TN_I TP_J FN_J FP_J TN_J\n" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["1", "2"], "the following arguments are required: FP_I, TN_I, TP_J, FN_J, FP_J, TN_J"),
+        (["1", "2", "x", "0", "0", "0", "0", "0"], "argument FP_I: invalid int value: 'x'"),
+    ], ids=["short", "not-an-int"])
+    def test_bad_cells_are_one_usage_error(self, capsys, argv, message):
+        code, out, err = exits(capsys, "scenario", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ofi-audit scenario ")
+        assert err.endswith(f"\nofi-audit scenario: error: {message}\n")
+        assert err.count("error:") == 1
 
     @pytest.mark.parametrize("cells", [
         ("0", "1", "0", "5", "0", "7", "0", "11"),  # contextual: both rates zero
@@ -411,10 +435,11 @@ class TestAudit:
     def test_stated_threshold_defaults_are_audit_configs(self):
         # a threshold left out takes AuditConfig's default, which --help states
         [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        helps = {action.dest: action.help for action in commands.choices["audit"]._actions}
-        for name in ("ofi_threshold", "di_low", "di_high"):
-            default = format_fraction(getattr(AuditConfig(), name))
-            assert helps[name].endswith(f" (default {default})")
+        for command in ("audit", "scenario"):
+            helps = {action.dest: action.help for action in commands.choices[command]._actions}
+            for name in ("ofi_threshold", "di_low", "di_high"):
+                default = format_fraction(getattr(AuditConfig(), name))
+                assert helps[name].endswith(f" (default {default})")
 
 
 BOM = "\ufeff"
@@ -673,6 +698,12 @@ class TestDist:
 
 
 class TestVerify:
+    def test_help_states_each_default(self, capsys):
+        code, out, _ = exits(capsys, "verify", "--help")
+        assert code == 0
+        assert "  --n-min N_MIN  smallest n (default 1)\n" in out
+        assert "  --n-max N_MAX  largest n (default 40)\n" in out
+
     def test_small_range_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-min", "1", "--n-max", "12")
         assert code == 0

@@ -3,15 +3,16 @@
 From ``SPLIT_MIN_BYTES`` on, ``audit`` without ``--sample`` counts a
 regular input file in two byte ranges split at the first LF at or after
 the middle byte: a forked child counts the second range while the parent
-counts the first, with a strict csv reader. When the split is not a
-record boundary, the first range holds text that only a lenient reader
-accepts, or either count fails, the parent counts the whole file in one
-pass, which reports any fault. The child is only a speed-up: when it
-cannot be had, or is lost, the parent counts the second range too. Each
-case runs in a fresh ``-X dev`` interpreter (see probe.py), with
-``SPLIT_MIN_BYTES`` patched to 1 in the "split" mode, and is compared
-with the path that has no ``os.fork``: the five outputs, the stdout and
-the stderr must be the same bytes.
+counts the first, each with a strict csv reader. Both read the file the
+parent opened, by offset, so a file renamed over the input path is not
+read. When the split is not a record boundary, either range holds text
+that only a lenient reader accepts, or either count fails, the parent
+counts the same open file in one pass, which reports any fault. The
+child is only a speed-up: when it cannot be had, or is lost, the parent
+counts the second range too. Each case runs in a fresh ``-X dev``
+interpreter (see probe.py), with ``SPLIT_MIN_BYTES`` patched to 1 in the
+"split" mode, and is compared with the path that has no ``os.fork``: the
+five outputs, the stdout and the stderr must be the same bytes.
 """
 
 import os
@@ -139,6 +140,43 @@ def test_text_after_a_closing_quote_in_the_first_range_is_counted_in_one_pass(tm
     data = split_after(head, rows(b"\n", NAMES + ["xy"]))
     code, stderr, _, split = compare(tmp_path, data)
     assert (code, stderr, split) == (0, "", False)
+
+
+def test_text_after_a_closing_quote_in_the_second_range_is_counted_in_one_pass(tmp_path):
+    # the second range is read as strictly as the first
+    tail = b'"x"y,1,0\n' + rows(b"\n", NAMES + ["xy"])
+    data = split_after(HEADER + b"\n" + rows(b"\n", NAMES), tail)
+    code, stderr, _, split = compare(tmp_path, data)
+    assert (code, stderr, split) == (0, "", False)
+
+
+@pytest.mark.parametrize("bad", [b"", b"g1,2,1\n"], ids=["counted", "bad-value-in-tail"])
+def test_a_file_renamed_over_the_input_is_not_read(tmp_path, bad):
+    # just before the child forks, the input path is made to name another
+    # file: both ranges, and the one pass after a split that fails, read
+    # the file that was opened, as one pass over that file alone does
+    good, other = (rows(b"\n", [f"{c}0", f"{c}1", f"{c}2"]) for c in "gh")
+    opened = split_after(HEADER + b"\n" + good, good + bad + good)
+    other = split_after(HEADER + b"\n" + other, other + other)
+    runs = {}
+    for mode in ("split,replace", "default"):
+        out = tmp_path / mode.replace(",", "-")
+        out.mkdir()
+        (out / "in.csv").write_bytes(opened)
+        (out / "other.csv").write_bytes(other)
+        code, _, stdout, stderr, split = run_probe(
+            mode, "audit", "--input", "in.csv", "--out-report", "report.json", cwd=out
+        )
+        report = (out / "report.json").read_bytes() if code == 0 else None
+        runs[mode] = code, stdout, stderr, report
+        if mode == "default":
+            assert split is None
+        else:
+            assert split is (bad == b"") and (out / "in.csv").read_bytes() == other
+    assert runs["split,replace"] == runs["default"]
+    # the opened file's fault, at its row
+    error = "error [parse]: row 26, column 'label': expected 0 or 1, got '2'\n"
+    assert runs["default"][:3] == ((1, "", error) if bad else (0, "", ""))
 
 
 BAD_ROWS = {

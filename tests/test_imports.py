@@ -94,6 +94,8 @@ AUDIT_SIDE = {"ofi_audit", "ofi_audit.cli", "ofi_audit.audit", "ofi_audit.format
     (("--version",), {"ofi_audit", "ofi_audit.cli"}),
     (("--help",), {"ofi_audit", "ofi_audit.cli"}),
     (("dist", "--help"), {"ofi_audit", "ofi_audit.cli"}),
+    (("scenario", "--help"), {"ofi_audit", "ofi_audit.cli"}),
+    (("verify", "--help"), {"ofi_audit", "ofi_audit.cli"}),
     (("dist",), {"ofi_audit", "ofi_audit.cli"}),
     (("audit", "--input", "in.csv", "--sample", "x"), {"ofi_audit", "ofi_audit.cli"}),
     (("dist", "--n", "3"),
@@ -106,8 +108,8 @@ AUDIT_SIDE = {"ofi_audit", "ofi_audit.cli", "ofi_audit.audit", "ofi_audit.format
       "--out-grid-csv", "grid"), AUDIT_SIDE),
     (("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "report.json",
       "--out-heatmap-di", "di.svg"), AUDIT_SIDE | {"ofi_audit.heatmap"}),
-], ids=["import", "version", "help", "dist-help", "usage-error", "bad-argument", "dist",
-        "verify", "scenario", "audit", "audit-heatmap"])
+], ids=["import", "version", "help", "dist-help", "scenario-help", "verify-help",
+        "usage-error", "bad-argument", "dist", "verify", "scenario", "audit", "audit-heatmap"])
 def test_each_invocation_loads_only_the_package_modules_it_runs(tmp_path, bare, argv, expected):
     added = added_modules(*argv, cwd=tmp_path, bare=bare)
     assert package(added) == expected
@@ -254,3 +256,29 @@ def test_only_the_child_primitive_forks_pipes_waits_kills_or_marshals():
         or isinstance(node, ast.Name) and node.id == "marshal"
     }
     assert homes == {"_child"}
+
+
+def test_audit_opens_its_input_path_once():
+    # the split's two ranges and the one pass all read the file that
+    # _open_input opened, so a file renamed over the path is not read
+    tree = ast.parse((SRC / "ofi_audit" / "cli.py").read_text(encoding="utf-8"))
+    opens = {
+        (getattr(top, "name", None), ast.unparse(node.args[0]))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+    }
+    assert opens == {("_open_input", "path"), ("_write_text", "path"),
+                     ("_child", "read_fd"), ("_child", "write_fd")}
+    # nor is a path opened or stat'ed through os or io but an output's
+    homes = {
+        (getattr(top, "name", None), node.value.id, node.attr)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("os", "io") and node.attr in ("open", "stat", "lstat", "FileIO")
+    }
+    assert homes == {("_check_output", "os", "stat")}
+    counters = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("_count_split", "_count_tail"):
+        assert counters[name].args.args[0].arg == "fd"

@@ -136,7 +136,8 @@ for i in range(count):
             expected = aggregate(iter_records(handle, schema, sep))
     except ValueError as exc:
         expected, refusal = None, f"error [parse]: {exc}\\n"
-    table = cli._count_split(str(path), schema, sep)
+    with open(path, "rb") as raw:
+        table = cli._count_split(raw.fileno(), len(data), schema, sep)
     if table is not None:
         taken += 1
         if expected is None or list(table.groups.items()) != list(expected.groups.items()):
