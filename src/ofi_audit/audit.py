@@ -406,18 +406,17 @@ def grid_csv_chunks(matrix: PairwiseMatrix) -> Iterator[str]:
     and contextual DI as "1 (contextual)".
     """
     buffer = io.StringIO()
-    # the writer quotes a field that holds a character of its line
-    # terminator, so a CR in a group name is quoted only under "\r\n";
-    # each line then ends in "\n" alone
+    # the writer quotes a name that holds a character of its line
+    # terminator, so a CR is quoted only under "\r\n"; each name is written
+    # beside an empty field, as a row of one empty field is written '""'
     writer = csv.writer(buffer, lineterminator="\r\n")
-
-    def line(cells: list[str]) -> str:
-        writer.writerow(cells)
-        text = buffer.getvalue()
+    names = []
+    for name in matrix.group_order:
+        writer.writerow([name, ""])
+        names.append(buffer.getvalue()[:-3])
         buffer.seek(0)
         buffer.truncate()
-        return text[:-2] + "\n"
-
-    yield line(["group", *matrix.group_order])
-    for name, row in zip(matrix.group_order, matrix._text_rows()):
-        yield line([name, *row])
+    # no cell text holds a delimiter, a quote or a line separator
+    yield ",".join(["group", *names]) + "\n"
+    for name, row in zip(names, matrix._text_rows()):
+        yield ",".join([name, *row]) + "\n"

@@ -16,7 +16,7 @@ import marshal
 import os
 import stat
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -45,6 +45,15 @@ def _fail(stage: str, message: str) -> int:
     return 1
 
 
+def _std_stream(name: str) -> TextIO:
+    # sys.stdin or sys.stdout, which is None when the process started
+    # with that descriptor closed
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), f"<{name}>")
+    return stream
+
+
 @contextmanager
 def _open_input(path: str) -> Iterator[TextIO]:
     # newline="" keeps line separators inside quoted fields as data, and
@@ -53,7 +62,7 @@ def _open_input(path: str) -> Iterator[TextIO]:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             yield handle
         return
-    handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="")
+    handle = io.TextIOWrapper(_std_stream("stdin").buffer, encoding="utf-8-sig", newline="")
     try:
         yield handle
     finally:
@@ -73,7 +82,16 @@ def _decode_error_text(exc: UnicodeDecodeError, handle: TextIO) -> str:
 def _write_text(path: str, chunks: Iterable[str]) -> None:
     # written as rendered, so no whole output is held in memory
     if path == "-":
-        sys.stdout.writelines(chunks)
+        stdout = _std_stream("stdout")
+        try:
+            stdout.writelines(chunks)
+            stdout.flush()
+        except OSError:
+            # closing drops the bytes still buffered, which the interpreter
+            # would write again, and fail on again, when it exits
+            with suppress(OSError):
+                stdout.close()
+            raise
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(chunks)
@@ -129,7 +147,7 @@ def _file_key(path: str, status: os.stat_result | None) -> object:
     # one key per file, whatever path names it
     if path == "-":
         try:
-            status = os.fstat(sys.stdout.fileno())
+            status = os.fstat(_std_stream("stdout").fileno())
         except (OSError, ValueError):  # a stdout with no file behind it
             return path
     elif status is None:
@@ -228,6 +246,12 @@ def _write_first(outputs: list[Output], indices: Iterable[int]) -> tuple[int, st
             _write_text(*outputs[index])
         except (OSError, ValueError) as exc:
             return index, str(exc)
+
+
+def _write_stdout(chunks: Iterable[str]) -> int:
+    # a command's whole stdout: exit code 0, or 1 with its write error
+    failure = _write_first([("-", chunks)], [0])
+    return 0 if failure is None else _fail("write", failure[1])
 
 
 def _write_outputs(outputs: list[Output], child: list[int]) -> tuple[int, str] | None:
@@ -620,8 +644,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         text = "".join(_scenario_lines(table, config))
     except ValueError as exc:
         return _fail("scenario", str(exc))
-    sys.stdout.write(text)
-    return 0
+    return _write_stdout([text])
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
@@ -638,7 +661,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail("dist", str(exc))
     stats = b_stats(args.n)
-    sys.stdout.writelines(dist.csv_chunks())
+    if _write_stdout(dist.csv_chunks()):
+        return 1
 
     # the total and the mode (0: the counts are symmetric and peak at the
     # middle) are closed forms, so the 2n + 1 counts are not walked again
@@ -661,6 +685,8 @@ def _stream_sizes(sizes: range) -> list[tuple]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    import importlib.util
+
     # neither module loads numpy: the enumeration kernel, which no other
     # subcommand runs, imports it when it starts
     from . import exhaustive
@@ -670,6 +696,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check_range(args.n_min, args.n_max)
     except ValueError as exc:
         return _fail("verify", str(exc))
+    # numpy is the verify extra's, not a dependency of the package; its
+    # absence fails here, before a child is forked
+    if importlib.util.find_spec("numpy") is None:
+        return _fail("verify", "numpy is not installed; verify needs ofi-audit[verify]")
 
     # the largest stream sizes are walked in a forked child, started while
     # this process has no numpy thread pool; each of its records is taken
@@ -688,15 +718,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return streamed.pop(n)
 
         results = run_identity_checks(args.n_min, args.n_max, stream)
-    print(f"verifying identities for n in [{args.n_min}, {args.n_max}]")
+    passed = all(r.passed for r in results)
+    lines = [f"verifying identities for n in [{args.n_min}, {args.n_max}]\n"]
     for result in results:
         status = "ok  " if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.description}  [{result.detail}]")
-    if all(r.passed for r in results):
-        print(f"all identities hold for n in [{args.n_min}, {args.n_max}]")
-        return 0
-    print("identity check failed", file=sys.stderr)
-    return 1
+        lines.append(f"{status} {result.name}: {result.description}  [{result.detail}]\n")
+    if passed:
+        lines.append(f"all identities hold for n in [{args.n_min}, {args.n_max}]\n")
+    if _write_stdout(lines):
+        return 1
+    if not passed:
+        print("identity check failed", file=sys.stderr)
+    return 0 if passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,9 +3,10 @@ with the CLI's fork settings patched by mode, and reports what became of
 its child processes.
 
 A fresh interpreter is needed because the test process has loaded
-numpy, whose thread pool keeps the CLI on its one-process paths. Under
-``-X dev`` a file or pipe left unclosed prints a ResourceWarning into
-the stderr that the tests compare whole.
+numpy, which the ``test`` extra installs, and numpy's thread pool keeps
+the CLI on its one-process paths. Under ``-X dev`` a file or pipe left
+unclosed prints a ResourceWarning into the stderr that the tests compare
+whole.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ SRC = Path(__file__).parent.parent / "src"
 # "raise" makes verify's enumeration, audit's report rendering and the
 # validation of a row with a field "raise" raise RuntimeError, "replace"
 # renames other.csv in the working directory over the --input path when
-# a child is started, before it forks,
+# a child is started, before it forks, "no-numpy" makes numpy
+# unimportable, as in an install without the verify extra,
 # "misscore=N" scores one quadruple of size N wrongly (in parent and
 # child alike), "default" leaves the module as it is. The last stderr
 # line reports the exit code (or the name of the exception main()
@@ -43,9 +45,11 @@ SRC = Path(__file__).parent.parent / "src"
 PROBE = """\
 import errno, json, marshal, os, resource, signal, sys, time
 from fractions import Fraction
-from ofi_audit import audit, cli, exhaustive, heatmap, ingestion
 modes, *argv = sys.argv[1:]
 modes = set(modes.split(","))
+if "no-numpy" in modes:
+    sys.modules["numpy"] = None
+from ofi_audit import audit, cli, exhaustive, heatmap, ingestion
 parent = os.getpid()
 split = None
 if "in-order" in modes:

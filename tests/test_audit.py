@@ -653,3 +653,19 @@ class TestGridCsv:
         di_csv = "".join(grid_csv_chunks(build_report(table).di_grid))
         assert "undef" in di_csv
         assert "1 (contextual)" in di_csv
+
+    def test_names_are_quoted_as_a_csv_writer_quotes_each_row(self):
+        # the reference writes whole rows; an empty name is written empty,
+        # a CR only in quotes, and every line ends in LF alone
+        names = ["", " sp ", 'q"uote', "a,b", "cr\rx", "lf\nx", "crlf\r\nx", "\u00e9"]
+        report = build_report(
+            GroupTable({name: BinaryConfusion(k + 1, k, 1, 2) for k, name in enumerate(names)})
+        )
+        for grid in (report.ofi_grid, report.di_grid):
+            lines = []
+            for row in [["group", *grid.group_order],
+                        *([name, *cells] for name, cells in zip(grid.group_order, grid._text_rows()))]:
+                buffer = io.StringIO()
+                csv.writer(buffer, lineterminator="\r\n").writerow(row)
+                lines.append(buffer.getvalue()[:-2] + "\n")
+            assert "".join(grid_csv_chunks(grid)) == "".join(lines)

@@ -193,7 +193,7 @@ class TestDistribution:
     @pytest.mark.parametrize("n", [2049, 4096, 5000, 5040, 7919])
     def test_csv_rows_match_reduced_fractions_across_chunks(self, n):
         # d = 0 falls inside a chunk at 2049, 5000, 5040 and 7919, and
-        # opens the second chunk at 4096; 5040 has 60 divisors, 7919 two
+        # opens a chunk at 4096; 5040 has 60 divisors, 7919 two
         assert 2 * n + 1 > CSV_CHUNK_ROWS
         assert csv_rows(marginal_benefit_distribution(n)) == oracle_rows(n)
 

@@ -99,10 +99,24 @@ def test_a_parent_that_raises_reaps_its_child(tmp_path):
     assert (code, stdout, stderr) == ("RuntimeError", "", "")
 
 
-@pytest.mark.parametrize("argv, line", [
+RANGE_ERRORS = pytest.mark.parametrize("argv, line", [
     (("--n-max", "501"),
      "error [verify]: n_max 501 exceeds the enumeration guard 500; full enumeration is O(n^3)\n"),
     (("--n-min", "0"), "error [verify]: need 1 <= n_min <= n_max, got [0, 40]\n"),
 ], ids=["past-the-guard", "n-min-zero"])
+
+
+@RANGE_ERRORS
 def test_range_error_forks_no_child(tmp_path, argv, line):
     assert run_probe("default", "verify", *argv, cwd=tmp_path) == (1, 0, "", line, None)
+
+
+@RANGE_ERRORS
+def test_without_numpy_a_range_error_keeps_its_line(tmp_path, argv, line):
+    assert run_probe("no-numpy", "verify", *argv, cwd=tmp_path) == (1, 0, "", line, None)
+
+
+def test_without_numpy_verify_fails_before_any_fork(tmp_path):
+    # numpy is the verify extra's: an install without it gets one line
+    line = "error [verify]: numpy is not installed; verify needs ofi-audit[verify]\n"
+    assert run_probe("no-numpy", "verify", "--n-max", "40", cwd=tmp_path) == (1, 0, "", line, None)

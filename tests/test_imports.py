@@ -11,7 +11,8 @@ numpy serves only ``verify``: ``dist`` computes its closed form and CSV
 rows with the standard library, and within the package only
 ``exhaustive``, home of the enumeration kernel, imports numpy, when the
 kernel runs. So ``verify`` checks its range, and forks its stream child,
-before numpy loads. No output
+before numpy loads. Without numpy, as in an install without the
+``verify`` extra, every other command gives the same bytes. No output
 needs the ``xml.sax`` -> ``urllib`` -> ``http``/``email``/``ssl`` chain.
 Each case runs in a fresh interpreter, because this process has long
 since loaded numpy. The CLI takes no verdict function from ``metrics``:
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from probe import run_probe
 
 import ofi_audit
 
@@ -282,3 +284,43 @@ def test_audit_opens_its_input_path_once():
     counters = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
     for name in ("_count_split", "_count_tail"):
         assert counters[name].args.args[0].arg == "fd"
+
+
+AUDIT = ("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "report.json",
+         "--out-heatmap-ofi", "ofi.svg", "--out-grid-csv", "grid")
+
+
+@pytest.mark.parametrize("mode, argv", [
+    ("default", AUDIT),
+    ("split", AUDIT),
+    ("fork", AUDIT),
+    ("default", (*AUDIT, "--sample", "20", "--seed", "3")),
+    ("default", ("scenario", "1", "0", "0", "5", "7", "0", "1", "10")),
+    ("default", ("dist", "--n", "40")),
+], ids=["audit", "audit-split", "audit-fork", "audit-sample", "scenario", "dist"])
+def test_without_numpy_every_other_command_is_unchanged(tmp_path, mode, argv):
+    # numpy is the verify extra's; the split and the forked heatmap writer
+    # still run in two processes without it
+    runs = []
+    for modes in (mode, mode + ",no-numpy"):
+        cwd = tmp_path / modes
+        cwd.mkdir()
+        code, child_cpu, stdout, stderr, split = run_probe(modes, *argv, cwd=cwd)
+        files = {path.name: path.read_bytes() for path in cwd.iterdir()}
+        runs.append((code, stdout, stderr, split, child_cpu > 0, files))
+    assert runs[1] == runs[0]
+    code, _, _, split, forked, _ = runs[0]
+    assert (code, split, forked) == (0, mode == "split" or None, mode != "default")
+
+
+def test_without_numpy_every_root_name_loads(tmp_path):
+    probe = PREAMBLE + """\
+sys.modules["numpy"] = None
+import ofi_audit
+for name in ofi_audit.__all__:
+    getattr(ofi_audit, name)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
+"""
+    modules, err = probe_modules(cwd=tmp_path, probe=probe)
+    assert err == ""
+    assert {f"ofi_audit.{home}" for home in HOMES.values()} <= modules
