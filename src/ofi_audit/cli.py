@@ -651,21 +651,21 @@ def cmd_dist(args: argparse.Namespace) -> int:
     from .combinatorics import (
         TRIANGULAR_STD,
         b_stats,
-        marginal_benefit_distribution,
+        distribution_csv_chunks,
         total_combinations,
     )
     from .formatting import format_fraction
 
     try:
-        dist = marginal_benefit_distribution(args.n)
+        chunks = distribution_csv_chunks(args.n)
     except ValueError as exc:
         return _fail("dist", str(exc))
     stats = b_stats(args.n)
-    if _write_stdout(dist.csv_chunks()):
+    if _write_stdout(chunks):
         return 1
 
     # the total and the mode (0: the counts are symmetric and peak at the
-    # middle) are closed forms, so the 2n + 1 counts are not walked again
+    # middle) are closed forms, so no count is walked again
     print(
         f"dist n={args.n}: total={total_combinations(args.n)} "
         f"mean={format_fraction(stats.mean)} "

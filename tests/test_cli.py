@@ -686,9 +686,10 @@ class TestDist:
         assert abs(std - 0.31623) < 0.001
 
     def test_rejects_zero(self, capsys):
-        code, _, err = run(capsys, "dist", "--n", "0")
+        code, out, err = run(capsys, "dist", "--n", "0")
         assert code == 1
-        assert "[dist]" in err
+        assert out == ""
+        assert err == "error [dist]: n must be >= 1, got 0\n"
 
     def test_rejects_n_past_the_int64_limit(self, capsys):
         code, out, err = run(capsys, "dist", "--n", str(DIST_MAX + 1))
@@ -868,3 +869,28 @@ class TestVerifyFails:
         for line in lines:
             identity = line.split(":")[0]
             assert [x for x in out.splitlines() if x.startswith(identity + ":")] == [line]
+
+
+SCORE_COUNTS = combinatorics.score_counts
+
+
+def _score_counts_off_at_zero(n, start, stop):
+    # the multiplicity of d = 0 one too high, in whatever range holds it
+    counts = SCORE_COUNTS(n, start, stop)
+    if start <= 0 < stop:
+        counts[-start] += 1
+    return counts
+
+
+def test_dist_and_verify_share_one_closed_form(capsys, monkeypatch):
+    # a fault in the per-range closed form reaches dist's CSV and fails
+    # verify's distribution identity: neither has a route of its own
+    _, before, _ = run(capsys, "dist", "--n", "5")
+    monkeypatch.setattr(combinatorics, "score_counts", _score_counts_off_at_zero)
+    code, after, _ = run(capsys, "dist", "--n", "5")
+    assert code == 0
+    assert after != before
+    assert after.replace("\n0,1,13\n", "\n0,1,12\n") == before
+    code, out, _ = run(capsys, "verify", "--n-max", "6")
+    assert code == 1
+    assert "FAIL distribution: " in out

@@ -1,6 +1,7 @@
 """Closed forms against enumeration oracles, plus the stated examples."""
 
 import math
+import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -16,9 +17,11 @@ from ofi_audit.combinatorics import (
     ScoreDistribution,
     b_stats,
     count_value,
+    distribution_csv_chunks,
     enumerate_cms,
-    gcd_table,
     marginal_benefit_distribution,
+    prime_powers,
+    score_gcds,
     termial,
     total_combinations,
 )
@@ -26,9 +29,9 @@ from ofi_audit.verification import STREAM_CHECK_MAX
 from reference import pair_score_counts_loops
 
 
-def csv_rows(dist: ScoreDistribution) -> list[tuple[int, int, int]]:
-    """The rows of the distribution's CSV text, header checked and dropped."""
-    header, *lines = "".join(dist.csv_chunks()).splitlines()
+def csv_rows(n: int) -> list[tuple[int, int, int]]:
+    """The rows of the CSV text of size n, header checked and dropped."""
+    header, *lines = "".join(distribution_csv_chunks(n)).splitlines()
     assert header == "score_numerator,score_denominator,multiplicity"
     return [tuple(int(field) for field in line.split(",")) for line in lines]
 
@@ -173,7 +176,7 @@ class TestDistribution:
         assert max(counts[:n] + counts[n + 1 :]) < counts[n]
 
     def test_scores_are_reduced_with_denominator_dividing_n(self):
-        rows = csv_rows(marginal_benefit_distribution(12))
+        rows = csv_rows(12)
         assert len(rows) == 25
         for num, den, _ in rows:
             assert math.gcd(num, den) == 1
@@ -181,32 +184,84 @@ class TestDistribution:
             assert -1 <= Fraction(num, den) <= 1
 
     def test_csv_rows_ascending(self):
-        rows = csv_rows(marginal_benefit_distribution(3))
+        rows = csv_rows(3)
         scores = [Fraction(num, den) for num, den, _ in rows]
         assert scores == sorted(scores)
         assert sum(mult for _, _, mult in rows) == total_combinations(3)
 
     def test_csv_rows_match_reduced_fractions(self):
         for n in range(1, 61):
-            assert csv_rows(marginal_benefit_distribution(n)) == oracle_rows(n)
+            assert csv_rows(n) == oracle_rows(n)
 
-    @pytest.mark.parametrize("n", [2049, 4096, 5000, 5040, 7919])
+    def test_csv_multiplicities_are_the_distributions(self):
+        # dist writes from the closed form that verify checks
+        for n in range(1, 301):
+            mults = [mult for _, _, mult in csv_rows(n)]
+            assert mults == marginal_benefit_distribution(n).counts.tolist(), n
+            assert mults == pair_score_counts_loops(n), n
+
+    @pytest.mark.parametrize("n", [2049, 3071, 4096, 5000, 5040, 7919])
     def test_csv_rows_match_reduced_fractions_across_chunks(self, n):
-        # d = 0 falls inside a chunk at 2049, 5000, 5040 and 7919, and
-        # opens a chunk at 4096; 5040 has 60 divisors, 7919 two
+        # d = 0 falls inside a chunk at 2049, 5000, 5040 and 7919, closes
+        # one at 3071 and opens one at 4096; 5040 has 60 divisors, 7919 two
         assert 2 * n + 1 > CSV_CHUNK_ROWS
-        assert csv_rows(marginal_benefit_distribution(n)) == oracle_rows(n)
+        assert csv_rows(n) == oracle_rows(n)
 
-    def test_gcd_table_matches_math_gcd(self):
+    def test_piece_gcds_match_math_gcd(self):
         for n in range(1, 2001):
-            assert gcd_table(n).tolist() == [math.gcd(a, n) for a in range(n + 1)], n
+            powers = prime_powers(n)
+            for start in range(-n, n + 1, CSV_CHUNK_ROWS):
+                stop = min(start + CSV_CHUNK_ROWS, n + 1)
+                expected = [math.gcd(d, n) for d in range(start, stop)]
+                assert score_gcds(powers, start, stop) == expected, (n, start)
+
+    def test_prime_powers(self):
+        assert prime_powers(1) == []
+        assert prime_powers(720720) == [
+            (2, 2), (4, 2), (8, 2), (16, 2), (3, 3), (9, 3), (5, 5), (7, 7), (11, 11), (13, 13),
+        ]
+        assert prime_powers(2 * 7919) == [(2, 2), (7919, 7919)]
+        assert prime_powers(DIST_MAX) == [(2, 2), (4, 2), (8, 2), (476347, 476347)]
 
     def test_csv_text_comes_in_bounded_pieces(self):
         # 2n + 1 = CSV_CHUNK_ROWS + 1 rows: one full piece and one single row
         n = (CSV_CHUNK_ROWS + 1) // 2
-        header, *pieces = marginal_benefit_distribution(n).csv_chunks()
+        header, *pieces = distribution_csv_chunks(n)
         assert header.count("\n") == 1
         assert [piece.count("\n") for piece in pieces] == [CSV_CHUNK_ROWS, 1]
+
+    def test_csv_rejects_sizes_before_any_text(self):
+        for n in (0, DIST_MAX + 1):
+            with pytest.raises(ValueError):
+                distribution_csv_chunks(n)
+
+    def test_first_csv_piece_at_the_limit_allocates_no_array(self):
+        # an array over the 2n + 1 scores at DIST_MAX is 61 MB of int64
+        # counts and 15 MB of int32 gcds; the header and one piece are not
+        tracemalloc.start()
+        try:
+            chunks = distribution_csv_chunks(DIST_MAX)
+            next(chunks), next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_csv_memory_does_not_grow_with_n(self):
+        # the traced peak while every piece is made and dropped: a few
+        # pieces' worth, well under 512 KB and within 64 KB at both sizes,
+        # where the counts and gcds of 10^5 alone would take 2 MB
+        peaks = []
+        for n in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                for _ in distribution_csv_chunks(n):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 512 << 10
+        assert abs(peaks[1] - peaks[0]) < 64 << 10
 
     def test_equality_compares_every_multiplicity(self):
         dist = marginal_benefit_distribution(7)

@@ -272,7 +272,8 @@ def test_huge_counts_match_pinned_digests():
 
 
 # n -> (stdout, stderr); 2047 and 2048 give 4095 and 4097 rows, one
-# either side of the 4096-row chunk that `dist` writes its rows in
+# either side of 4096, a whole number of the pieces of CSV_CHUNK_ROWS
+# rows that `dist` writes its rows in
 DIST_DIGESTS = {
     1: ("ec854d7a0f786935c557d86008c94f9c4f3c0226a555578fbf2871e5fb2075a3",
         "b6914a84d44a470208ed026e6924faf8ef313f75ca084f7b75ce10a17290f499"),
