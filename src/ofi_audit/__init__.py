@@ -15,12 +15,6 @@ ofi_audit``, and every CLI run, loads only the submodules it needs.
 
 __version__ = "0.1.0"
 
-#: Largest n for :func:`marginal_benefit_distribution`: the largest n whose
-#: total count (n+1)(n+2)(n+3)/6 still fits in the int64 multiplicities.
-#: Here, not in :mod:`ofi_audit.combinatorics`, so that the CLI's help
-#: text can state it without loading that module.
-DIST_MAX = 3_810_776
-
 # each root name and the submodule that defines it
 _HOMES = {
     "BinaryConfusion": "metrics",

@@ -20,7 +20,7 @@ from contextlib import contextmanager, nullcontext, suppress
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO, TypeVar
 
-from . import DIST_MAX, __version__
+from . import __version__
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -301,14 +301,15 @@ class _ByteRange:
 
 
 def _range_rows(fd: int, start: int, stop: int | None, delimiter: str) -> Iterator[list[str]]:
-    # strict: a range that ends inside a quoted field, off a record
-    # boundary, raises "unexpected end of data" instead of yielding the
-    # open field; a U+FEFF past offset 0 is data, as it is in one pass
-    import csv
+    # the strict reader of one pass: a range that ends inside a quoted
+    # field, off a record boundary, raises "unexpected end of data"
+    # instead of yielding the open field; a U+FEFF past offset 0 is data,
+    # as it is in one pass
+    from .ingestion import read_rows
 
     encoding = "utf-8-sig" if start == 0 else "utf-8"
     text = io.TextIOWrapper(_ByteRange(fd, start, stop), encoding=encoding, newline="")
-    return csv.reader(text, delimiter=delimiter, strict=True)
+    return read_rows(text, delimiter)
 
 
 def _split_point(fd: int, size: int) -> int:
@@ -343,8 +344,8 @@ def _count_split(fd: int, size: int, schema: ColumnSchema, delimiter: str) -> Gr
     processes that read it by offset: a forked child counts the bytes from
     the first LF at or after the middle byte on, this process those before
     it. Return None when there is no such LF, the split is not a record
-    boundary, either range holds text that only one pass's lenient reader
-    takes (``"x"y``) or either count fails; one pass then reads the file."""
+    boundary or either count fails; one pass then reads the file, and
+    reports any fault."""
     import csv
 
     from .ingestion import GroupTable, count_rows, header_positions
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser(
         "dist", help="marginal-benefit score distribution over all confusion matrices of size n"
     )
-    p_dist.add_argument("--n", type=int, required=True, help=f"sample size (1 to {DIST_MAX})")
+    p_dist.add_argument("--n", type=int, required=True, help="sample size, at least 1")
 
     p_verify = sub.add_parser(
         "verify", help="check every counting/distribution identity against full enumeration"

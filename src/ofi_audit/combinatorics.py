@@ -11,9 +11,8 @@ set of all such quadruples this module provides
 * the exact multiplicity of every marginal-benefit score ``(fp - fn)/n``,
   without enumeration, from the one closed form
   ``floor((n - |d| + 2)^2 / 4)`` for d = fp - fn, given for any range of
-  d (:func:`score_counts`); over all of [-n, n] it is
-  :func:`pair_score_counts`, wrapped by
-  :func:`marginal_benefit_distribution`,
+  d (:func:`score_counts`), and over all of [-n, n] as one int64 array
+  (:func:`marginal_benefit_distribution`),
 * that distribution as CSV text in fixed-size pieces, each made on its
   own from the closed form and the gcds of its scores with n
   (:func:`distribution_csv_chunks`), so its memory does not grow with n,
@@ -38,8 +37,6 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import floordiv, mul
 from typing import Iterator
-
-from . import DIST_MAX
 
 #: Standard deviation of a symmetric triangular distribution on [-1, 1].
 TRIANGULAR_STD = 1 / math.sqrt(6)
@@ -103,20 +100,6 @@ def count_value(x: int, n: int) -> int:
     return termial(n - x + 1)
 
 
-@dataclass(frozen=True)
-class ScoreDistribution:
-    """Exact multiplicity of every score (fp - fn)/n over all quadruples.
-
-    ``counts[d + n]`` is the multiplicity of the score d/n, for d in
-    [-n, n], held as an int64 ``array("q")``. The multiplicities sum to
-    total_combinations(n), the array is symmetric, and its middle entry
-    (score zero) is the unique maximum.
-    """
-
-    n: int
-    counts: array
-
-
 def _quarter_squares(a: int, b: int) -> list[int]:
     """floor(x^2/4) for every x in [a, b): m^2 at x = 2m and m(m+1) at
     x = 2m + 1, each form built with one ``map`` over its own m."""
@@ -142,13 +125,6 @@ def score_counts(n: int, start: int, stop: int) -> list[int]:
     above = _quarter_squares(n + 3 - stop, n + 3 - max(start, 0))
     above.reverse()
     return below + above
-
-
-def pair_score_counts(n: int) -> array:
-    """Multiplicity of every score difference fp - fn over all quadruples
-    with cell sum n, indexed d + n, as an int64 ``array("q")``: the
-    closed form of :func:`score_counts` over [-n, n]."""
-    return array("q", score_counts(n, -n, n + 1))
 
 
 def prime_powers(n: int) -> list[tuple[int, int]]:
@@ -185,23 +161,18 @@ def score_gcds(powers: list[tuple[int, int]], start: int, stop: int) -> list[int
     return gcds
 
 
-def _require_dist_size(n: int) -> None:
-    _require_positive(n)
-    if n > DIST_MAX:
-        raise ValueError(
-            f"n must be <= {DIST_MAX}, got {n}; the total count would overflow int64"
-        )
+def marginal_benefit_distribution(n: int) -> array:
+    """Exact multiplicity of every score (fp - fn)/n over all quadruples
+    with cell sum n, as an int64 ``array("q")`` indexed d + n for d in
+    [-n, n].
 
-
-def marginal_benefit_distribution(n: int) -> ScoreDistribution:
-    """Distribution of the marginal-benefit score over all quadruples.
-
-    Computed in closed form without enumerating quadruples (see
-    :func:`score_counts`), in O(n) time and memory.
-    Raises ValueError for n outside [1, DIST_MAX].
+    It is the closed form of :func:`score_counts` over [-n, n], with no
+    quadruple enumerated, in O(n) time and memory. The multiplicities sum
+    to total_combinations(n), the array is symmetric, and its middle entry
+    (score zero) is the unique maximum. Raises ValueError for n < 1.
     """
-    _require_dist_size(n)
-    return ScoreDistribution(n=n, counts=pair_score_counts(n))
+    _require_positive(n)
+    return array("q", score_counts(n, -n, n + 1))
 
 
 def distribution_csv_chunks(n: int) -> Iterator[str]:
@@ -213,9 +184,9 @@ def distribution_csv_chunks(n: int) -> Iterator[str]:
     by :func:`score_counts` and its scores' gcds by :func:`score_gcds`,
     so no array spans the 2n + 1 scores and the memory does not grow
     with n. The text ",n/g," is made once for each divisor g of n.
-    Raises ValueError for n outside [1, DIST_MAX] before any text.
+    Raises ValueError for n < 1 before any text.
     """
-    _require_dist_size(n)
+    _require_positive(n)
     powers = prime_powers(n)
     small = [g for g in range(1, math.isqrt(n) + 1) if n % g == 0]
     denominators = {g: f",{n // g}," for g in small + [n // g for g in small]}

@@ -22,14 +22,10 @@ hundreds and is itself checked against the stream route.
 numpy stays inside the kernel and the running totals that
 :func:`enumerations` keeps over its layers, the package's only use of it,
 and each imports it when it runs: importing this module, or running
-:func:`stream`, loads no numpy. So ``verify`` can fork a child that
-streams the largest sizes of the stream span while the parent loads
-numpy and enumerates, and sends its records when it is done (or is
-lost, and the parent streams those sizes itself). Both routes
-give records of plain values: ints, tuples of ints, an int64
-``array("q")`` and exact ``Fraction`` moments; :meth:`Enumeration.plain`
-turns one into what ``marshal`` writes, and
-:meth:`Enumeration.from_plain` turns it back.
+:func:`stream`, loads no numpy. Both routes give records of plain
+values: ints, tuples of ints, an int64 ``array("q")`` and exact
+``Fraction`` moments; :meth:`Enumeration.plain` turns one into what
+``marshal`` writes, and :meth:`Enumeration.from_plain` turns it back.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from fractions import Fraction
 from itertools import islice, starmap
 from typing import TYPE_CHECKING, Iterator
 
-from .combinatorics import ScoreDistribution, enumerate_cms
+from .combinatorics import enumerate_cms
 from .metrics import BinaryConfusion, marginal_benefit
 
 if TYPE_CHECKING:
@@ -59,28 +55,27 @@ class Enumeration:
 
     ``cell_counts[c][x]`` counts the quadruples whose cell c equals x:
     four tuples of n + 1 ints, cells ordered (tp, fn, fp, tn).
-    ``histogram`` holds the multiplicity of every score (fp - fn)/n, and
-    ``mean`` and ``variance`` are the score's exact population moments.
+    ``histogram[d + n]`` is the multiplicity of the score d/n, for d in
+    [-n, n], in an int64 ``array("q")``, and ``mean`` and ``variance``
+    are the score's exact population moments.
     """
 
     count: int
     cell_counts: tuple[tuple[int, ...], ...]
-    histogram: ScoreDistribution
+    histogram: array
     mean: Fraction
     variance: Fraction
 
     def plain(self) -> tuple:
         """The record as ints, tuples and bytes, which ``marshal`` writes."""
-        histogram = self.histogram
-        return (self.count, self.cell_counts, histogram.n, histogram.counts.tobytes(),
+        return (self.count, self.cell_counts, self.histogram.tobytes(),
                 self.mean.as_integer_ratio(), self.variance.as_integer_ratio())
 
     @classmethod
     def from_plain(cls, plain: tuple) -> Enumeration:
         """The record that :meth:`plain` gave ``plain`` for."""
-        count, cell_counts, n, raw, mean, variance = plain
-        return cls(count, cell_counts, ScoreDistribution(n, array("q", raw)),
-                   Fraction(*mean), Fraction(*variance))
+        count, cell_counts, raw, mean, variance = plain
+        return cls(count, cell_counts, array("q", raw), Fraction(*mean), Fraction(*variance))
 
 
 def enum_by_sum(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -135,7 +130,7 @@ def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
         variance = Fraction(int(scores @ d_sq), count * n * n) - mean**2
         cell_counts = (*map(tuple, cells[:, : n + 1].tolist()), tuple(reversed(per_sum)))
         counts = array("q", scores[n_max - n : n_max + n + 1].tobytes())
-        yield Enumeration(count, cell_counts, ScoreDistribution(n, counts), mean, variance)
+        yield Enumeration(count, cell_counts, counts, mean, variance)
 
 
 def stream(n: int) -> Enumeration:
@@ -172,4 +167,4 @@ def stream(n: int) -> Enumeration:
         if n % q == 0 and -n <= d <= n:
             score_counts[d + n] = k
     cell_counts = tuple(tuple(map(counts.__getitem__, range(n + 1))) for counts in cells)
-    return Enumeration(count, cell_counts, ScoreDistribution(n, score_counts), mean, variance)
+    return Enumeration(count, cell_counts, score_counts, mean, variance)

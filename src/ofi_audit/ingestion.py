@@ -100,11 +100,19 @@ def iter_records(
     the first bad row is always reported. Raises SchemaError when a
     configured column is missing, RowValueError for a non-binary value, a
     missing cell or a blank group (carrying the 1-based data row number),
-    ValueError naming the CSV line for text the csv module rejects, and
-    EmptyDatasetError when no data rows follow the header.
+    ValueError naming the CSV line for text the strict csv reader of
+    :func:`read_rows` rejects, and EmptyDatasetError when no data rows
+    follow the header.
     """
-    reader = csv.reader(source, delimiter=delimiter)
-    return _records(reader, schema or ColumnSchema())
+    return _records(read_rows(source, delimiter), schema or ColumnSchema())
+
+
+def read_rows(source: Iterable[str], delimiter: str) -> Iterator[list[str]]:
+    """The csv reader that every route reads records with. It is strict:
+    text after a closing quote (``"x"y``) and a quoted field still open
+    at the end of the input raise csv.Error, so no malformed field is
+    read as some other value."""
+    return csv.reader(source, delimiter=delimiter, strict=True)
 
 
 def header_positions(reader: Iterator[list[str]], schema: ColumnSchema) -> dict[str, int]:

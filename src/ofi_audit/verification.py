@@ -5,19 +5,14 @@ sample sizes and reports one result per identity, with the first n it
 fails at. One pass over the triples (tp, fn, fp) with tp + fn + fp <=
 n_max gives the enumeration of every size in the range; it is
 O(n_max^3), so ranges are guarded at n <= 500 (about 21 million triples
-at the cap). The checks read the records' plain ints, tuples and
+at the cap); :func:`check_range` refuses a larger or empty range
+without enumerating. The checks read the records' plain ints, tuples and
 ``array("q")`` counts directly, without numpy.
 
 Up to n = 40 each size is also walked by the definitional stream, the
-larger part of a run. The ``verify`` command checks its range with
-:func:`check_range` before anything loads numpy, and may then fork a
-child that streams the largest of those sizes while this process
-enumerates, and sends its records when it is done: it hands
-:func:`run_identity_checks` a ``stream`` that returns the child's record
-of such a size, and each record is compared at the n where it would have
-been streamed, so the report is the one a single process gives. The
-child is only a speed-up: when it is lost, this process streams those
-sizes itself.
+larger part of a run. :func:`run_identity_checks` takes the stream
+route as a function of n, called at the n where its record is
+compared, so a caller may supply the records from elsewhere.
 """
 
 from __future__ import annotations
@@ -95,16 +90,15 @@ def _check_single_n(
             yield "count-increment", f"n={n}, x={x}: increment {increment} != {n - x + 2}"
             break
 
-    dist = marginal_benefit_distribution(n)
-    if dist != record.histogram:
+    # counts[i] is the multiplicity of the score (i - n)/n
+    counts = marginal_benefit_distribution(n)
+    if counts != record.histogram:
         yield "distribution", f"n={n}: closed form and enumeration disagree"
 
-    total = sum(dist.counts)
+    total = sum(counts)
     if total != expected_total:
         yield "distribution-total", f"n={n}: multiplicities sum to {total}, expected {expected_total}"
 
-    # counts[i] is the multiplicity of the score (i - n)/n
-    counts = dist.counts
     i = next((i for i in range(n) if counts[i] != counts[2 * n - i]), None)
     if i is not None:
         yield "distribution-symmetry", (

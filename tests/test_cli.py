@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from ofi_audit import combinatorics, exhaustive
 from ofi_audit.audit import AuditConfig, build_report, parse_report, serialize_report
 from ofi_audit.cli import build_parser, main
-from ofi_audit.combinatorics import DIST_MAX
 from ofi_audit.formatting import format_fraction
 from ofi_audit.ingestion import RowValueError, aggregate, flip_polarity, iter_records
 
@@ -635,6 +634,19 @@ class TestAuditInput:
         code, out, err = run(capsys, "audit", "--input", str(path), *sample)
         assert (code, out, err) == (1, "", f"error [parse]: {message}\n")
 
+    @pytest.mark.parametrize("sample", [(), ("--sample", "1", "--seed", "1")],
+                             ids=["all-rows", "sample"])
+    @pytest.mark.parametrize("text, message", [
+        ('group,label,prediction\na,1,1\n"x"y,1,0\n', "CSV line 3: ',' expected after '\"'"),
+        ('group,label,prediction\na,1,1\n"x,1,0\n', "CSV line 3: unexpected end of data"),
+    ], ids=["text-after-a-closing-quote", "quote-open-at-the-end"])
+    def test_malformed_quoting_fails_at_parse_stage(self, capsys, tmp_path, text, message,
+                                                    sample):
+        path = tmp_path / "quotes.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "audit", "--input", str(path), *sample)
+        assert (code, out, err) == (1, "", f"error [parse]: {message}\n")
+
     @settings(max_examples=60, deadline=None)
     @given(csv_inputs)
     def test_cli_and_library_agree(self, case):
@@ -691,12 +703,6 @@ class TestDist:
         assert out == ""
         assert err == "error [dist]: n must be >= 1, got 0\n"
 
-    def test_rejects_n_past_the_int64_limit(self, capsys):
-        code, out, err = run(capsys, "dist", "--n", str(DIST_MAX + 1))
-        assert code == 1
-        assert out == ""
-        assert "error [dist]" in err and str(DIST_MAX) in err
-
 
 class TestVerify:
     def test_help_states_each_default(self, capsys):
@@ -742,16 +748,19 @@ class TestVerify:
         assert "[verify]" in err
 
 
-# the originals, taken before any test patches them
-PAIR_SCORE_COUNTS = combinatorics.pair_score_counts
+# the originals, taken before any test patches them; the _pair_counts
+# faults patch score_counts(n, start, stop), the one closed form that
+# both dist and verify's distribution take
+SCORE_COUNTS = combinatorics.score_counts
 ENUM_BY_SUM = exhaustive.enum_by_sum
 MARGINAL_BENEFIT = exhaustive.marginal_benefit
 
 
-def _pair_counts_off_at_the_ends(n):
-    counts = PAIR_SCORE_COUNTS(n)
-    counts[0] += 1  # |d| = n
-    counts[-1] += 1
+def _pair_counts_off_at_the_ends(n, start, stop):
+    counts = SCORE_COUNTS(n, start, stop)
+    for d in (-n, n):  # |d| = n
+        if start <= d < stop:
+            counts[d - start] += 1
     return counts
 
 
@@ -768,17 +777,18 @@ def _enumeration_without(triple):
     return kernel
 
 
-def _pair_counts_off_at_one_end(n):
-    counts = PAIR_SCORE_COUNTS(n)
-    counts[0] += 1  # d = -n only
+def _pair_counts_off_at_one_end(n, start, stop):
+    counts = SCORE_COUNTS(n, start, stop)
+    if start == -n < stop:  # d = -n only
+        counts[0] += 1
     return counts
 
 
-def _pair_counts_tied_at_two_n_ths(n):
+def _pair_counts_tied_at_two_n_ths(n, start, stop):
     # from n = 4 on, the score 2/n as frequent as 0
-    counts = PAIR_SCORE_COUNTS(n)
-    if n >= 4:
-        counts[n + 2] = counts[n]
+    counts = SCORE_COUNTS(n, start, stop)
+    if n >= 4 and start <= 2 < stop:
+        counts[2 - start] = SCORE_COUNTS(n, 0, 1)[0]
     return counts
 
 
@@ -797,7 +807,7 @@ class TestVerifyFails:
     """A fault on either side of an identity makes `verify` fail loudly."""
 
     @pytest.mark.parametrize("module, name, fault, identity", [
-        (combinatorics, "pair_score_counts", _pair_counts_off_at_the_ends, "distribution"),
+        (combinatorics, "score_counts", _pair_counts_off_at_the_ends, "distribution"),
         # (0, 0, 0) is the quadruple (0, 0, 0, n) of every size
         (exhaustive, "enum_by_sum", _enumeration_without((0, 0, 0)), "cardinality"),
         (exhaustive, "marginal_benefit", _marginal_benefit_wrong_once, "stream-equivalence"),
@@ -832,13 +842,13 @@ class TestVerifyFails:
             "FAIL cell-counts: enumerated per-cell value counts match the triangular "
             "closed form  [n=3: cell 0 value 1: enumerated 5, closed form 6]",
         ]),
-        (combinatorics, "pair_score_counts", _pair_counts_off_at_the_ends, ("--n-max", "6"), [
+        (combinatorics, "score_counts", _pair_counts_off_at_the_ends, ("--n-max", "6"), [
             "FAIL distribution-total: distribution multiplicities sum to the total count"
             "  [n=1: multiplicities sum to 6, expected 4]",
             "FAIL distribution-mode: zero is the unique most frequent score"
             "  [n=1: counts[-1]=2 >= counts[0]=2]",
         ]),
-        (combinatorics, "pair_score_counts", _pair_counts_off_at_one_end, ("--n-max", "6"), [
+        (combinatorics, "score_counts", _pair_counts_off_at_one_end, ("--n-max", "6"), [
             "FAIL distribution-total: distribution multiplicities sum to the total count"
             "  [n=1: multiplicities sum to 5, expected 4]",
             "FAIL distribution-symmetry: multiplicities at s and -s agree"
@@ -846,7 +856,7 @@ class TestVerifyFails:
             "FAIL distribution-mode: zero is the unique most frequent score"
             "  [n=1: counts[-1]=2 >= counts[0]=2]",
         ]),
-        (combinatorics, "pair_score_counts", _pair_counts_tied_at_two_n_ths,
+        (combinatorics, "score_counts", _pair_counts_tied_at_two_n_ths,
          ("--n-min", "3", "--n-max", "6"), [
             "FAIL distribution-total: distribution multiplicities sum to the total count"
             "  [n=4: multiplicities sum to 40, expected 35]",
@@ -869,9 +879,6 @@ class TestVerifyFails:
         for line in lines:
             identity = line.split(":")[0]
             assert [x for x in out.splitlines() if x.startswith(identity + ":")] == [line]
-
-
-SCORE_COUNTS = combinatorics.score_counts
 
 
 def _score_counts_off_at_zero(n, start, stop):

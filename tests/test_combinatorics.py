@@ -8,19 +8,20 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofi_audit import exhaustive
 from ofi_audit.combinatorics import (
     CSV_CHUNK_ROWS,
-    DIST_MAX,
     TRIANGULAR_STD,
-    ScoreDistribution,
     b_stats,
     count_value,
     distribution_csv_chunks,
     enumerate_cms,
     marginal_benefit_distribution,
     prime_powers,
+    score_counts,
     score_gcds,
     termial,
     total_combinations,
@@ -158,9 +159,8 @@ class TestCountIncrement:
 
 class TestDistribution:
     def test_size_one(self):
-        dist = marginal_benefit_distribution(1)
         # scores -1, 0, 1 at indices d + n
-        assert dist.counts.tolist() == [1, 2, 1]
+        assert marginal_benefit_distribution(1).tolist() == [1, 2, 1]
 
     def test_matches_enumeration_histogram(self):
         for n in range(1, 15):
@@ -168,8 +168,7 @@ class TestDistribution:
 
     @pytest.mark.parametrize("n", [1, 2, 6, 17, 50])
     def test_total_symmetry_mode(self, n):
-        dist = marginal_benefit_distribution(n)
-        counts = dist.counts
+        counts = marginal_benefit_distribution(n)
         assert sum(counts) == total_combinations(n)
         assert counts == counts[::-1]
         # zero, at index n, is the unique most frequent score
@@ -197,7 +196,7 @@ class TestDistribution:
         # dist writes from the closed form that verify checks
         for n in range(1, 301):
             mults = [mult for _, _, mult in csv_rows(n)]
-            assert mults == marginal_benefit_distribution(n).counts.tolist(), n
+            assert mults == marginal_benefit_distribution(n).tolist(), n
             assert mults == pair_score_counts_loops(n), n
 
     @pytest.mark.parametrize("n", [2049, 3071, 4096, 5000, 5040, 7919])
@@ -221,7 +220,7 @@ class TestDistribution:
             (2, 2), (4, 2), (8, 2), (16, 2), (3, 3), (9, 3), (5, 5), (7, 7), (11, 11), (13, 13),
         ]
         assert prime_powers(2 * 7919) == [(2, 2), (7919, 7919)]
-        assert prime_powers(DIST_MAX) == [(2, 2), (4, 2), (8, 2), (476347, 476347)]
+        assert prime_powers(3_810_776) == [(2, 2), (4, 2), (8, 2), (476347, 476347)]
 
     def test_csv_text_comes_in_bounded_pieces(self):
         # 2n + 1 = CSV_CHUNK_ROWS + 1 rows: one full piece and one single row
@@ -231,16 +230,16 @@ class TestDistribution:
         assert [piece.count("\n") for piece in pieces] == [CSV_CHUNK_ROWS, 1]
 
     def test_csv_rejects_sizes_before_any_text(self):
-        for n in (0, DIST_MAX + 1):
-            with pytest.raises(ValueError):
-                distribution_csv_chunks(n)
+        with pytest.raises(ValueError):
+            distribution_csv_chunks(0)
 
     def test_first_csv_piece_at_the_limit_allocates_no_array(self):
-        # an array over the 2n + 1 scores at DIST_MAX is 61 MB of int64
-        # counts and 15 MB of int32 gcds; the header and one piece are not
+        # an array over the 2n + 1 scores at the prime n = 9999999967 is
+        # 160 GB of int64 counts and 40 GB of int32 gcds; the header and
+        # one piece are not
         tracemalloc.start()
         try:
-            chunks = distribution_csv_chunks(DIST_MAX)
+            chunks = distribution_csv_chunks(9_999_999_967)
             next(chunks), next(chunks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -265,19 +264,34 @@ class TestDistribution:
 
     def test_equality_compares_every_multiplicity(self):
         dist = marginal_benefit_distribution(7)
-        assert dist == ScoreDistribution(n=7, counts=array("q", dist.counts))
-        changed = array("q", dist.counts)
+        assert dist == array("q", dist)
+        changed = array("q", dist)
         changed[3] += 1
-        assert dist != ScoreDistribution(n=7, counts=changed)
+        assert dist != changed
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
             marginal_benefit_distribution(0)
 
-    def test_limit_is_the_last_total_that_fits_int64(self):
-        assert total_combinations(DIST_MAX) <= 2**63 - 1 < total_combinations(DIST_MAX + 1)
-        with pytest.raises(ValueError, match=str(DIST_MAX)):
-            marginal_benefit_distribution(DIST_MAX + 1)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10**10), st.integers(0, 2 * 10**10), st.integers(0, 512))
+    @example(3_810_777, 0, 512)
+    @example(3_810_777, 3_810_777 - 256, 512)
+    @example(2**33, 2**33, 512)
+    @example(9_999_999_967, 2 * 9_999_999_967 - 511, 512)
+    def test_pieces_are_exact_at_any_size(self, n, offset, width):
+        # far past where an int64 total overflows (n = 3810777): a window
+        # of at most 512 d, starting offset % (2n + 1) places above -n
+        start = -n + offset % (2 * n + 1)
+        stop = min(start + width, n + 1)
+        expected = []
+        for d in range(start, stop):
+            m = (n - abs(d)) // 2 + 1
+            expected.append(m * (n + 1 - abs(d)) - m * (m - 1))
+        assert score_counts(n, start, stop) == expected
+        powers = prime_powers(n)
+        assert score_gcds(powers, start, stop) == [math.gcd(d, n) for d in range(start, stop)]
+        assert math.prod(p for _, p in powers) == n
 
 
 class TestEnumerationRecord:
@@ -297,23 +311,23 @@ class TestEnumerationRecord:
         record = exhaustive.stream(6)
         on_grid = sum(1 for _, fn, fp, _ in enumerate_cms(6) if fp == fn)
         assert record.count == total_combinations(6)
-        assert record.histogram.counts.tolist() == [0] * 6 + [on_grid] + [0] * 6
+        assert record.histogram.tolist() == [0] * 6 + [on_grid] + [0] * 6
 
     def test_range_starts_at_n_min(self):
         records = list(exhaustive.enumerations(7, 9))
-        assert [record.histogram.n for record in records] == [7, 8, 9]
+        assert [len(record.histogram) for record in records] == [15, 17, 19]
         assert records[0] == exhaustive.stream(7)
 
     def test_equality_compares_every_field(self):
         (record,) = exhaustive.enumerations(5, 5)
         cells = [list(counts) for counts in record.cell_counts]
         cells[2][1] += 1
-        counts = array("q", record.histogram.counts)
+        counts = array("q", record.histogram)
         counts[0] += 1
         for changed in (
             replace(record, count=record.count + 1),
             replace(record, cell_counts=tuple(map(tuple, cells))),
-            replace(record, histogram=ScoreDistribution(n=5, counts=counts)),
+            replace(record, histogram=counts),
             replace(record, mean=Fraction(1, 5)),
             replace(record, variance=record.variance + 1),
         ):
@@ -380,8 +394,8 @@ class TestNonTriangularWitness:
         assert abs(b_stats(6).std - TRIANGULAR_STD) < 1e-12
         dist = marginal_benefit_distribution(6)
         brute_var = sum(
-            Fraction(i - 6, 6) ** 2 * m for i, m in enumerate(dist.counts.tolist())
-        ) / sum(dist.counts)
+            Fraction(i - 6, 6) ** 2 * m for i, m in enumerate(dist.tolist())
+        ) / sum(dist)
         assert brute_var == Fraction(1, 6)
 
     def test_gap_exceeds_008_away_from_the_window(self):

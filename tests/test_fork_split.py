@@ -3,11 +3,10 @@
 From ``SPLIT_MIN_BYTES`` on, ``audit`` without ``--sample`` counts a
 regular input file in two byte ranges split at the first LF at or after
 the middle byte: a forked child counts the second range while the parent
-counts the first, each with a strict csv reader. Both read the file the
-parent opened, by offset, so a file renamed over the input path is not
-read. When the split is not a record boundary, either range holds text
-that only a lenient reader accepts, or either count fails, the parent
-counts the same open file in one pass, which reports any fault. The
+counts the first, each with the strict csv reader of one pass. Both read
+the file the parent opened, by offset, so a file renamed over the input
+path is not read. When the split is not a record boundary or either
+count fails, the parent counts the same open file in one pass, which reports any fault. The
 child is only a speed-up: when it cannot be had, or is lost, the parent
 counts the second range too. Each case runs in a fresh ``-X dev``
 interpreter (see probe.py), with ``SPLIT_MIN_BYTES`` patched to 1 in the
@@ -134,12 +133,13 @@ def test_quoted_field_across_the_split_is_counted_in_one_pass(tmp_path):
 
 
 def test_text_after_a_closing_quote_in_the_first_range_is_counted_in_one_pass(tmp_path):
-    # the lenient reader of one pass reads "x"y as the name xy; the first
-    # range's strict reader refuses it, so the file is counted in one pass
+    # "x"y is no name: the first range's reader refuses it, and one pass,
+    # which reads as strictly, reports it at its line
     head = HEADER + b"\n" + rows(b"\n", NAMES) + b'"x"y,1,0\n'
     data = split_after(head, rows(b"\n", NAMES + ["xy"]))
     code, stderr, _, split = compare(tmp_path, data)
-    assert (code, stderr, split) == (0, "", False)
+    assert (code, split) == (1, False)
+    assert stderr == "error [parse]: CSV line 16: ',' expected after '\"'\n"
 
 
 def test_text_after_a_closing_quote_in_the_second_range_is_counted_in_one_pass(tmp_path):
@@ -147,7 +147,8 @@ def test_text_after_a_closing_quote_in_the_second_range_is_counted_in_one_pass(t
     tail = b'"x"y,1,0\n' + rows(b"\n", NAMES + ["xy"])
     data = split_after(HEADER + b"\n" + rows(b"\n", NAMES), tail)
     code, stderr, _, split = compare(tmp_path, data)
-    assert (code, stderr, split) == (0, "", False)
+    assert (code, split) == (1, False)
+    assert stderr == "error [parse]: CSV line 17: ',' expected after '\"'\n"
 
 
 @pytest.mark.parametrize("bad", [b"", b"g1,2,1\n"], ids=["counted", "bad-value-in-tail"])

@@ -1,5 +1,6 @@
 """Parsing, polarity flipping and per-group aggregation."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -111,6 +112,17 @@ class TestParseRecords:
         assert (err.value.row, err.value.column) == (4, "label")
         with pytest.raises(RowValueError, match="row 4"):
             list(iter_records(lines))
+
+    @pytest.mark.parametrize("text, message", [
+        ('group,label,prediction\n"x"y,1,0\n', "CSV line 2: ',' expected after '\"'"),
+        ('group,label,prediction\n"x,1,0\n', "CSV line 2: unexpected end of data"),
+    ], ids=["text-after-a-closing-quote", "quote-open-at-the-end"])
+    def test_malformed_quoting_is_refused_at_its_line(self, text, message):
+        # neither is read as some other group ("xy") or row (a short one)
+        lines = io.StringIO(text, newline="")
+        with pytest.raises(ValueError) as err:
+            list(iter_records(lines))
+        assert type(err.value) is ValueError and str(err.value) == message
 
     @pytest.mark.parametrize("row, column, problem", [
         (" ,yes,1", "group", "group identifier is empty"),

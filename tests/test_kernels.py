@@ -2,13 +2,14 @@
 closed-form distribution, built with the standard library, and the
 enumeration records, whose kernel is the one numpy routine."""
 
+import marshal
 from array import array
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from ofi_audit.combinatorics import ScoreDistribution, pair_score_counts
+from ofi_audit.combinatorics import marginal_benefit_distribution
 from ofi_audit.exhaustive import Enumeration, enumerations, stream
 from reference import enumeration_loops, pair_score_counts_loops
 
@@ -20,8 +21,7 @@ FIELDS = ("count", "cell_counts", "histogram", "mean", "variance")
 @cache
 def loops_record(n: int) -> Enumeration:
     count, cells, scores, mean, variance = enumeration_loops(n)
-    histogram = ScoreDistribution(n, array("q", scores))
-    return Enumeration(count, tuple(map(tuple, cells)), histogram, mean, variance)
+    return Enumeration(count, tuple(map(tuple, cells)), array("q", scores), mean, variance)
 
 
 def plain(value) -> bool:
@@ -48,18 +48,26 @@ def test_kernel_record_matches_plain_loops(one_pass, field, n):
 
 def test_closed_form_matches_pair_counting_loops():
     for n in range(1, 301):
-        assert pair_score_counts(n).tolist() == pair_score_counts_loops(n), n
+        assert marginal_benefit_distribution(n).tolist() == pair_score_counts_loops(n), n
 
 
 @pytest.mark.parametrize("route", ["enumerations", "stream"])
 def test_records_hold_plain_values(route):
     records = enumerations(1, 9) if route == "enumerations" else map(stream, range(1, 10))
     for n, record in enumerate(records, 1):
-        assert type(record.histogram.n) is int
-        assert plain((record.count, record.cell_counts, record.histogram.counts,
+        assert plain((record.count, record.cell_counts, record.histogram,
                       record.mean, record.variance)), n
         assert [len(counts) for counts in record.cell_counts] == [n + 1] * 4
+        assert len(record.histogram) == 2 * n + 1
+
+
+@pytest.mark.parametrize("route", ["enumerations", "stream"])
+def test_records_round_trip_through_marshal(route):
+    # the form in which verify's forked stream child sends its records
+    records = enumerations(1, 12) if route == "enumerations" else map(stream, range(1, 13))
+    for n, record in enumerate(records, 1):
+        assert Enumeration.from_plain(marshal.loads(marshal.dumps(record.plain()))) == record, n
 
 
 def test_closed_form_counts_are_int64():
-    assert pair_score_counts(9).typecode == "q"
+    assert marginal_benefit_distribution(9).typecode == "q"

@@ -1,6 +1,6 @@
 """The README's Library example runs, the package root exports its names,
-and the README states the report schema that reports carry, the largest
-size that `dist` takes, the enumeration guard that `verify` applies, the bound of its stream
+and the README states the report schema that reports carry, the
+enumeration guard that `verify` applies, the bound of its stream
 cross-check and the size from which it streams in a forked child, the
 group count from which `audit` forks its heatmap writer and the file
 size from which it counts an input in two processes."""
@@ -16,7 +16,6 @@ from pathlib import Path
 
 import ofi_audit
 from ofi_audit.cli import FORK_MIN_GROUPS, SPLIT_MIN_BYTES, STREAM_CHILD_MIN
-from ofi_audit.combinatorics import DIST_MAX
 from ofi_audit.verification import ENUMERATION_MAX, STREAM_CHECK_MAX
 
 README = Path(__file__).parent.parent / "README.md"
@@ -75,11 +74,6 @@ def test_stated_schema_is_the_one_reports_carry():
     table = ofi_audit.aggregate(ofi_audit.iter_records(lines))
     written = json.loads(ofi_audit.serialize_report(ofi_audit.build_report(table)))["schema"]
     assert stated == {str(written)}
-
-
-def test_stated_dist_max_is_the_one_dist_applies():
-    stated = set(re.findall(r"`DIST_MAX = (\d+)`", README.read_text(encoding="utf-8")))
-    assert stated == {str(DIST_MAX)}
 
 
 def test_stated_guard_is_the_one_verify_applies():
