@@ -117,13 +117,13 @@ SPLIT_MIN_BYTES = 8 << 20
 
 #: Smallest size that ``verify`` streams in a forked child: the child
 #: walks the sizes from here to the top of the stream span while the
-#: parent loads numpy, enumerates and streams the sizes below. Stream
-#: cost grows as C(n+3, 3), so 33..40 hold 77k of the 136k quadruples in
-#: 1..40. In 10 interleaved rounds of ``verify --n-max 200`` on 2 vCPUs
-#: (time after the CLI import), the median was 0.63 s from 31, 0.59 from
-#: 32, 0.52 from 33, 0.56 from 34 and 0.63 from 35; at --n-max 40, 0.57
-#: from 31 and 0.49 from 33 (8 rounds).
-STREAM_CHILD_MIN = 33
+#: parent enumerates and streams the sizes below. Stream cost grows as
+#: C(n+3, 3), so 35..40 hold 62k of the 136k quadruples in 1..40. In two
+#: sets of 10 interleaved rounds on 2 vCPUs (time after the CLI import),
+#: the medians from 32, 33, 34 and 35 were 0.52, 0.47, 0.46 and 0.42 s,
+#: then 0.48, 0.44, 0.44 and 0.41 s, at ``--n-max 200``; and 0.35, 0.39,
+#: 0.36 and 0.35 s, then 0.43, 0.37, 0.37 and 0.35 s, at ``--n-max 40``.
+STREAM_CHILD_MIN = 35
 
 def _check_output(path: str) -> os.stat_result | None:
     """The status of the file an output path names, or None for one that
@@ -171,8 +171,8 @@ def _child_outputs(
 
 def _can_fork() -> bool:
     # fork copies only the calling thread, so a lock that another thread
-    # holds (numpy's OpenBLAS pool, say) would stay held in the child; on
-    # one usable core a second process adds only its own cost
+    # holds (a library caller's worker thread, say) would stay held in the
+    # child; on one usable core a second process adds only its own cost
     if sys.platform != "linux" or not hasattr(os, "fork"):
         return False
     try:
@@ -686,10 +686,6 @@ def _stream_sizes(sizes: range) -> list[tuple]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import importlib.util
-
-    # neither module loads numpy: the enumeration kernel, which no other
-    # subcommand runs, imports it when it starts
     from . import exhaustive
     from .verification import STREAM_CHECK_MAX, check_range, run_identity_checks
 
@@ -697,15 +693,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check_range(args.n_min, args.n_max)
     except ValueError as exc:
         return _fail("verify", str(exc))
-    # numpy is the verify extra's, not a dependency of the package; its
-    # absence fails here, before a child is forked
-    if importlib.util.find_spec("numpy") is None:
-        return _fail("verify", "numpy is not installed; verify needs ofi-audit[verify]")
 
-    # the largest stream sizes are walked in a forked child, started while
-    # this process has no numpy thread pool; each of its records is taken
-    # where this process would have streamed that size, so every check
-    # runs in the order, and fails with the lines, of one process
+    # the largest stream sizes are walked in a forked child; each of its
+    # records is taken where this process would have streamed that size, so
+    # every check runs in the order, and fails with the lines, of one process
     sizes = range(max(args.n_min, STREAM_CHILD_MIN), min(args.n_max, STREAM_CHECK_MAX) + 1)
     streamed: dict[int, Enumeration] = {}
     forks = sizes and _can_fork()

@@ -23,9 +23,8 @@ set of all such quadruples this module provides
 Everything here runs on the standard library. Every closed form is
 checked against full enumeration by the test suite and by the ``verify``
 CLI subcommand: :mod:`ofi_audit.exhaustive` holds the enumeration-based
-reference computations, its numpy enumeration kernel included, and
-:mod:`ofi_audit.verification` the checks, among them the count identities
-that only it checks.
+reference computations, and :mod:`ofi_audit.verification` the checks,
+among them the count identities that only it checks.
 """
 
 from __future__ import annotations

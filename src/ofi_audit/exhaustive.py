@@ -13,16 +13,13 @@ iterator and ``Counter`` calls, but the scoring itself stays one exact
 :class:`~ofi_audit.metrics.BinaryConfusion` and one ``Fraction`` per
 quadruple, so its cost grows with the cubic count of quadruples and
 ``verify`` runs it only up to n = 40. :func:`enumerations` gives the
-record of every size up to n_max from one pass of the int64 numpy kernel
+record of every size up to n_max from one pass of the kernel
 :func:`enum_by_sum` over the triples (tp, fn, fp) with tp + fn + fp <=
 n_max, taken in order of their sum s: the quadruples with cell sum n are
 the triples with s <= n, tn being n - s. That pass handles n_max in the
 hundreds and is itself checked against the stream route.
 
-numpy stays inside the kernel and the running totals that
-:func:`enumerations` keeps over its layers, the package's only use of it,
-and each imports it when it runs: importing this module, or running
-:func:`stream`, loads no numpy. Both routes give records of plain
+Both routes run on the standard library and give records of plain
 values: ints, tuples of ints, an int64 ``array("q")`` and exact
 ``Fraction`` moments; :meth:`Enumeration.plain` turns one into what
 ``marshal`` writes, and :meth:`Enumeration.from_plain` turns it back.
@@ -30,18 +27,17 @@ values: ints, tuples of ints, an int64 ``array("q")`` and exact
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, starmap
-from typing import TYPE_CHECKING, Iterator
+from operator import add, mul
+from typing import Iterator
 
 from .combinatorics import enumerate_cms
 from .metrics import BinaryConfusion, marginal_benefit
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Quadruples :func:`stream` takes from the walk at a time. Larger
 #: batches run no faster, and at 1024 the batch and its column iterators
@@ -78,27 +74,44 @@ class Enumeration:
         return cls(count, cell_counts, array("q", raw), Fraction(*mean), Fraction(*variance))
 
 
-def enum_by_sum(n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def enum_by_sum(n_max: int) -> Iterator[tuple[tuple[array, array, array], array]]:
     """Count the triples (tp, fn, fp) with tp + fn + fp = s, for each sum
     s in 0..n_max in turn.
 
-    Yields ``(cell_counts, score_counts)``: ``cell_counts[c, x]``, how
-    many of the triples have cell c equal to x, shape (3, n_max + 1) with
-    cells ordered (tp, fn, fp); and ``score_counts[d + n_max]``, how many
-    have fp - fn = d, shape (2 * n_max + 1,).
-    """
-    import numpy as np
+    Yields ``(cell_counts, score_counts)`` in int64 ``array("q")``s:
+    ``cell_counts[c][x]``, how many of the triples have cell c equal to
+    x, cells ordered (tp, fn, fp); ``score_counts[d + n_max]``, how many
+    have fp - fn = d.
 
+    Row r holds the pairs (fn, fp) with fn + fp = r. Each row is walked
+    once and its fn, fp and fp - fn counts packed into one int, a 64-bit
+    lane per count; no lane holds more than the triples of one sum, so
+    none carries into the next. The triples of sum s are the rows r <= s
+    with tp = s - r: they take one C-level int addition per row, and
+    their tp counts are the rows' lengths, the triples walked in each.
+    """
     size = n_max + 1
-    r = np.arange(size, dtype=np.int64)
+    rows: list[int] = []
+    lengths = array("q")
+    for r in range(size):
+        # lane 4x counts fn = x, 4x + 1 fp = x, 4x + 2 fp - fn = x and
+        # 4x + 3 fn - fp = x > 0, so row r fills only lanes below 4(r + 1)
+        row = array("q", bytes(32 * (r + 1)))
+        length = 0
+        for fn in range(r + 1):
+            fp = r - fn
+            d = fp - fn
+            row[4 * fn] += 1
+            row[4 * fp + 1] += 1
+            row[4 * d + 2 if d >= 0 else 3 - 4 * d] += 1
+            length += 1
+        rows.append(int.from_bytes(row.tobytes(), sys.byteorder))
+        lengths.append(length)
     for s in range(size):
-        tp_axis, fn_axis = r[: s + 1, None], r[None, : s + 1]
-        valid = tp_axis + fn_axis <= s
-        tp = np.broadcast_to(tp_axis, valid.shape)[valid]
-        fn = np.broadcast_to(fn_axis, valid.shape)[valid]
-        fp = s - tp - fn
-        cell_counts = np.stack([np.bincount(v, minlength=size) for v in (tp, fn, fp)])
-        yield cell_counts, np.bincount(fp - fn + n_max, minlength=2 * size - 1)
+        layer = array("q", sum(rows[: s + 1]).to_bytes(32 * size, sys.byteorder))
+        tp = lengths[s::-1] + array("q", bytes(8 * (n_max - s)))
+        # the scores d = -n_max..-1 from lanes 4|d| + 3, then 0..n_max
+        yield (tp, layer[::4], layer[1::4]), layer[:3:-4] + layer[2::4]
 
 
 def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
@@ -109,27 +122,25 @@ def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
     being n - s, so running totals over s give every size; the moments
     come from the integer sums of d = fp - fn and d^2.
     """
-    import numpy as np
-
     size = n_max + 1
-    cells = np.zeros((3, size), dtype=np.int64)
-    scores = np.zeros(2 * size - 1, dtype=np.int64)
-    d = np.arange(-n_max, n_max + 1, dtype=np.int64)
-    d_sq = d * d
+    cells = [[0] * size] * 3
+    scores = [0] * (2 * size - 1)
+    d = range(-n_max, n_max + 1)
+    d_sq = list(map(mul, d, d))
     # triples per sum s; a quadruple of size n has tn = x exactly when s = n - x
     per_sum: list[int] = []
     for n, (layer_cells, layer_scores) in enumerate(enum_by_sum(n_max)):
         # with the triples of sum n added, the totals cover size n
-        cells += layer_cells
-        scores += layer_scores
-        per_sum.append(int(layer_cells[0].sum()))
+        cells = [list(map(add, total, layer)) for total, layer in zip(cells, layer_cells)]
+        scores = list(map(add, scores, layer_scores))
+        per_sum.append(sum(layer_cells[0]))
         if n < max(n_min, 1):
             continue
         count = sum(per_sum)
-        mean = Fraction(int(scores @ d), count * n)
-        variance = Fraction(int(scores @ d_sq), count * n * n) - mean**2
-        cell_counts = (*map(tuple, cells[:, : n + 1].tolist()), tuple(reversed(per_sum)))
-        counts = array("q", scores[n_max - n : n_max + n + 1].tobytes())
+        mean = Fraction(sum(map(mul, scores, d)), count * n)
+        variance = Fraction(sum(map(mul, scores, d_sq)), count * n * n) - mean**2
+        cell_counts = (*(tuple(total[: n + 1]) for total in cells), tuple(reversed(per_sum)))
+        counts = array("q", scores[n_max - n : n_max + n + 1])
         yield Enumeration(count, cell_counts, counts, mean, variance)
 
 

@@ -7,7 +7,7 @@ n_max gives the enumeration of every size in the range; it is
 O(n_max^3), so ranges are guarded at n <= 500 (about 21 million triples
 at the cap); :func:`check_range` refuses a larger or empty range
 without enumerating. The checks read the records' plain ints, tuples and
-``array("q")`` counts directly, without numpy.
+``array("q")`` counts directly.
 
 Up to n = 40 each size is also walked by the definitional stream, the
 larger part of a run. :func:`run_identity_checks` takes the stream
@@ -21,12 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from . import exhaustive
-from .combinatorics import (
-    count_value,
-    marginal_benefit_distribution,
-    total_combinations,
-)
+from . import combinatorics, exhaustive
+from .combinatorics import count_value, marginal_benefit_distribution, total_combinations
 
 #: Largest n the verify command will enumerate.
 ENUMERATION_MAX = 500
@@ -112,10 +108,12 @@ def _check_single_n(
             f"n={n}: counts[{Fraction(i - n, n)}]={counts[i]} >= counts[0]={counts[n]}"
         )
 
-    if record.mean != 0 or record.variance != Fraction(n + 4, 10 * n):
+    # looked up through the module, so the moments checked are the ones dist prints
+    stats = combinatorics.b_stats(n)
+    if record.mean != stats.mean or record.variance != stats.variance:
         yield "moments", (
             f"n={n}: enumerated mean {record.mean}, variance {record.variance}, "
-            f"expected 0 and {Fraction(n + 4, 10 * n)}"
+            f"expected {stats.mean} and {stats.variance}"
         )
 
     if n <= STREAM_CHECK_MAX and stream(n) != record:

@@ -24,8 +24,9 @@ SRC = Path(__file__).parent.parent / "src"
 # both on a process that may use one core only, "in-order" has no os.fork
 # (the path every other platform takes), "no-pipe" has an os.pipe that
 # fails with EMFILE, "die" kills a forked child when it renders a
-# heatmap, validates its first new row or streams n = 36, "stall" has a
-# forked child wait for as long as its parent lives when it renders a
+# heatmap, validates its first new row or streams the size
+# STREAM_CHILD_MIN + 1, "stall" has a forked child wait for as long as
+# its parent lives when it renders a
 # heatmap or validates a row, "short" has a child send its message one
 # byte short, "garble" has it send the bytes b"?" for its message (the
 # lost child's work then runs in the parent, as with "die"),
@@ -33,7 +34,7 @@ SRC = Path(__file__).parent.parent / "src"
 # validation of a row with a field "raise" raise RuntimeError, "replace"
 # renames other.csv in the working directory over the --input path when
 # a child is started, before it forks, "no-numpy" makes numpy
-# unimportable, as in an install without the verify extra,
+# unimportable, as in an install without the test extra,
 # "misscore=N" scores one quadruple of size N wrongly (in parent and
 # child alike), "default" leaves the module as it is. The last stderr
 # line reports the exit code (or the name of the exception main()
@@ -76,7 +77,7 @@ if "die" in modes:
         die()
         return validate(*args)
     def dying_stream(n):
-        if n == 36:
+        if n == cli.STREAM_CHILD_MIN + 1:
             die()
         return stream(n)
     heatmap.heatmap_chunks = dying_heatmap

@@ -754,6 +754,7 @@ class TestVerify:
 SCORE_COUNTS = combinatorics.score_counts
 ENUM_BY_SUM = exhaustive.enum_by_sum
 MARGINAL_BENEFIT = exhaustive.marginal_benefit
+B_STATS = combinatorics.b_stats
 
 
 def _pair_counts_off_at_the_ends(n, start, stop):
@@ -771,7 +772,8 @@ def _enumeration_without(triple):
     def kernel(n_max):
         for s, (cells, scores) in enumerate(ENUM_BY_SUM(n_max)):
             if s == tp + fn + fp:
-                cells[[0, 1, 2], [tp, fn, fp]] -= 1
+                for counts, value in zip(cells, (tp, fn, fp)):
+                    counts[value] -= 1
                 scores[fp - fn + n_max] -= 1
             yield cells, scores
     return kernel
@@ -901,3 +903,27 @@ def test_dist_and_verify_share_one_closed_form(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n-max", "6")
     assert code == 1
     assert "FAIL distribution: " in out
+
+
+def _b_stats_variance_off(n):
+    # the variance one 10n-th too high
+    stats = B_STATS(n)
+    variance = stats.variance + Fraction(1, 10 * n)
+    return combinatorics.BStats(n, stats.mean, variance, float(variance) ** 0.5)
+
+
+def test_dist_and_verify_share_one_form_of_the_moments(capsys, monkeypatch):
+    # a fault in b_stats reaches dist's summary and fails verify's moments
+    # identity: verify has no variance of its own
+    _, _, before = run(capsys, "dist", "--n", "5")
+    monkeypatch.setattr(combinatorics, "b_stats", _b_stats_variance_off)
+    code, _, after = run(capsys, "dist", "--n", "5")
+    assert code == 0
+    assert "variance=9/50 (0.180000)" in before
+    assert "variance=1/5 (0.200000)" in after
+    code, out, _ = run(capsys, "verify", "--n-max", "6")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL moments: enumerated mean is 0 and variance is (n+4)/(10n) exactly"
+        "  [n=1: enumerated mean 0, variance 1/2, expected 0 and 3/5]"
+    ]

@@ -1,11 +1,11 @@
 """The verify stream check, its largest sizes walked in a forked child.
 
 On Linux, in a process with one thread that may use two or more cores,
-``verify`` forks one child before numpy loads. The child streams the
-sizes from ``STREAM_CHILD_MIN`` to the top of the stream span, while the
-parent enumerates, runs the other checks and streams the smaller sizes.
-The parent compares each of the child's records where it would have
-streamed that size. The child is only a speed-up: when it cannot be had,
+``verify`` forks one child once its range is checked. The child
+streams the sizes from ``STREAM_CHILD_MIN`` to the top of the stream
+span, while the parent enumerates, runs the other checks and streams the
+smaller sizes. The parent compares each of the child's records where it
+would have streamed that size. The child is only a speed-up: when it cannot be had,
 exits nonzero or sends a message that does not decode, the parent
 streams its sizes itself. Each case runs in a fresh ``-X dev``
 interpreter (see probe.py) and is compared with the path that has no
@@ -116,7 +116,20 @@ def test_without_numpy_a_range_error_keeps_its_line(tmp_path, argv, line):
     assert run_probe("no-numpy", "verify", *argv, cwd=tmp_path) == (1, 0, "", line, None)
 
 
-def test_without_numpy_verify_fails_before_any_fork(tmp_path):
-    # numpy is the verify extra's: an install without it gets one line
-    line = "error [verify]: numpy is not installed; verify needs ofi-audit[verify]\n"
-    assert run_probe("no-numpy", "verify", "--n-max", "40", cwd=tmp_path) == (1, 0, "", line, None)
+@pytest.mark.parametrize("argv, span", [
+    (("--n-max", "40"), "[1, 40]"),
+    (("--n-min", "35", "--n-max", "38"), "[35, 38]"),
+], ids=["stream-span", "inside-the-span"])
+def test_without_numpy_verify_prints_what_it_prints_with_it(tmp_path, argv, span):
+    # numpy is only the test extra's: verify runs on the standard library,
+    # in two processes or in one
+    modes = ("default", "no-numpy", "in-order,no-numpy", "one-core")
+    runs = {mode: run_probe(mode, "verify", *argv, cwd=tmp_path) for mode in modes}
+    assert {mode: child_cpu > 0 for mode, (_, child_cpu, *_) in runs.items()} == {
+        "default": True, "no-numpy": True, "in-order,no-numpy": False, "one-core": False,
+    }
+    outcomes = {(code, stdout, stderr) for code, _, stdout, stderr, _ in runs.values()}
+    assert len(outcomes) == 1
+    code, stdout, stderr = outcomes.pop()
+    assert (code, stderr) == (0, "")
+    assert stdout.endswith(f"all identities hold for n in {span}\n")

@@ -7,15 +7,12 @@ package but the CLI, nor ``dataclasses`` or ``fractions``; ``dist``
 loads no audit-side module, ``verify`` none of ``audit``'s input or
 output, and ``audit`` loads ``heatmap`` only for a heatmap output.
 
-numpy serves only ``verify``: ``dist`` computes its closed form and CSV
-rows with the standard library, and within the package only
-``exhaustive``, home of the enumeration kernel, imports numpy, when the
-kernel runs. So ``verify`` checks its range, and forks its stream child,
-before numpy loads. Without numpy, as in an install without the
-``verify`` extra, every other command gives the same bytes. No output
-needs the ``xml.sax`` -> ``urllib`` -> ``http``/``email``/``ssl`` chain.
-Each case runs in a fresh interpreter, because this process has long
-since loaded numpy. The CLI takes no verdict function from ``metrics``:
+Every subcommand runs on the standard library: no module of the
+package imports numpy, which only the ``test`` extra installs, and
+without it every command gives the same bytes. No output needs the
+``xml.sax`` -> ``urllib`` -> ``http``/``email``/``ssl`` chain. Each case
+runs in a fresh interpreter, because this process has long since loaded
+numpy. The CLI takes no verdict function from ``metrics``:
 it reads every verdict off ``build_report``.
 """
 
@@ -35,7 +32,7 @@ import ofi_audit
 SRC = Path(__file__).parent.parent / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: Modules that no invocation other than ``verify`` may load.
+#: Modules that no invocation may load.
 HEAVY = ("numpy", "xml.sax", "urllib.request", "http.client", "email", "ssl")
 
 # the probes' preamble, run alone by BARE: the modules it loads, those
@@ -140,8 +137,9 @@ def test_audit_side_loads_none_of_the_heavy_modules(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [("verify", "--n-max", "3")], ids=["verify"])
-def test_kernel_subcommands_load_numpy(tmp_path, argv):
-    assert "numpy" in loaded_modules(*argv, cwd=tmp_path)
+def test_no_subcommand_loads_numpy(tmp_path, argv):
+    # the audit side's commands are checked above
+    assert loaded_modules(*argv, cwd=tmp_path).isdisjoint(HEAVY)
 
 
 def test_the_stream_route_loads_no_numpy(tmp_path):
@@ -214,8 +212,7 @@ def test_cli_takes_no_verdict_route_from_metrics():
     assert names == {"BinaryConfusion", "ThresholdError"}
 
 
-def test_only_the_enumeration_kernel_imports_numpy():
-    # verification and the records check plain ints, tuples and arrays
+def test_no_module_of_the_package_imports_numpy():
     importers = set()
     for path in sorted((SRC / "ofi_audit").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -227,17 +224,7 @@ def test_only_the_enumeration_kernel_imports_numpy():
                 continue
             if any(module.split(".")[0] == "numpy" for module in modules):
                 importers.add(path.name)
-    assert importers == {"exhaustive.py"}
-    # and there only the kernel and the running totals over its layers use it
-    tree = ast.parse((SRC / "ofi_audit" / "exhaustive.py").read_text(encoding="utf-8"))
-    users = {
-        getattr(node, "name", None)
-        for node in tree.body
-        if not isinstance(node, ast.Import)
-        for name in ast.walk(node)
-        if isinstance(name, ast.Name) and name.id == "np"
-    }
-    assert users == {"enum_by_sum", "enumerations"}
+    assert importers == set()
 
 
 def test_only_the_child_primitive_forks_pipes_waits_kills_or_marshals():
@@ -299,7 +286,7 @@ AUDIT = ("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "
     ("default", ("dist", "--n", "40")),
 ], ids=["audit", "audit-split", "audit-fork", "audit-sample", "scenario", "dist"])
 def test_without_numpy_every_other_command_is_unchanged(tmp_path, mode, argv):
-    # numpy is the verify extra's; the split and the forked heatmap writer
+    # numpy is the test extra's; the split and the forked heatmap writer
     # still run in two processes without it
     runs = []
     for modes in (mode, mode + ",no-numpy"):

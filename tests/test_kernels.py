@@ -1,16 +1,17 @@
 """The counting kernels against their plain-loop references: the
-closed-form distribution, built with the standard library, and the
-enumeration records, whose kernel is the one numpy routine."""
+closed-form distribution and the enumeration records, whose kernel adds
+packed rows of counts."""
 
 import marshal
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
 from ofi_audit.combinatorics import marginal_benefit_distribution
-from ofi_audit.exhaustive import Enumeration, enumerations, stream
+from ofi_audit.exhaustive import Enumeration, enum_by_sum, enumerations, stream
 from reference import enumeration_loops, pair_score_counts_loops
 
 # one pass to ENUM_N_MAX gives the record of every size up to it
@@ -25,7 +26,8 @@ def loops_record(n: int) -> Enumeration:
 
 
 def plain(value) -> bool:
-    # an int, a Fraction, an int64 array or a tuple of these: no numpy value
+    # an int, a Fraction, an int64 array or a tuple of these: no list and
+    # no other array type
     if isinstance(value, tuple):
         return all(map(plain, value))
     if isinstance(value, array):
@@ -49,6 +51,18 @@ def test_kernel_record_matches_plain_loops(one_pass, field, n):
 def test_closed_form_matches_pair_counting_loops():
     for n in range(1, 301):
         assert marginal_benefit_distribution(n).tolist() == pair_score_counts_loops(n), n
+
+
+def test_each_layer_counts_the_triples_of_its_sum():
+    # three int64 arrays of cell counts and one of score counts per sum s
+    n_max = 12
+    for s, (cells, scores) in enumerate(enum_by_sum(n_max)):
+        triples = [(tp, fn, s - tp - fn) for tp in range(s + 1) for fn in range(s + 1 - tp)]
+        for c, counts in enumerate(cells):
+            tally = Counter(triple[c] for triple in triples)
+            assert counts == array("q", map(tally.__getitem__, range(n_max + 1))), (s, c)
+        tally = Counter(fp - fn + n_max for _, fn, fp in triples)
+        assert scores == array("q", map(tally.__getitem__, range(2 * n_max + 1))), s
 
 
 @pytest.mark.parametrize("route", ["enumerations", "stream"])

@@ -47,7 +47,7 @@ def test_library_example_runs(tmp_path, fixtures_dir, monkeypatch, capsys):
 
 
 def test_library_example_runs_without_numpy(tmp_path, fixtures_dir):
-    # numpy is the verify extra's: the example gives the same output, in a
+    # numpy is the test extra's: the example gives the same output, in a
     # fresh interpreter, with numpy unimportable
     shutil.copy(fixtures_dir / "scenario_a.csv", tmp_path / "data.csv")
     runs = [
