@@ -33,8 +33,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import floordiv, mul
+from itertools import chain, groupby, repeat
+from operator import floordiv, itemgetter, mul
 from typing import Iterator
 
 #: Standard deviation of a symmetric triangular distribution on [-1, 1].
@@ -185,10 +185,10 @@ def distribution_csv_chunks(n: int) -> Iterator[str]:
     with n. The text ",n/g," is made once for each divisor g of n.
     Raises ValueError for n < 1 before any text.
     """
-    _require_positive(n)
-    powers = prime_powers(n)
-    small = [g for g in range(1, math.isqrt(n) + 1) if n % g == 0]
-    denominators = {g: f",{n // g}," for g in small + [n // g for g in small]}
+    powers = prime_powers(n)  # raises for n < 1
+    denominators = {1: f",{n},"}
+    for _, powers_of_p in groupby(powers, itemgetter(1)):
+        denominators |= {g * q: f",{n // g // q}," for q, _ in powers_of_p for g in [*denominators]}
 
     def piece(start: int) -> str:
         stop = min(start + CSV_CHUNK_ROWS, n + 1)

@@ -123,8 +123,8 @@ def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
         )
     yield "".join(parts)
 
-    # the diverging palette runs from the center color outward, linear in
-    # the value and clamped at the palette edges
+    # a diverging palette from the center color, linear in the value, clamped
+    # at its edges; the high one, 2, is tested in ints: num / den may overflow
     low, mid, high = (_hex_to_rgb(c) for c in (LOW_COLOR, MID_COLOR, HIGH_COLOR))
     palette: dict[Rgb, tuple[str, str]] = {}  # fill and text color of each mix
     # the x attributes are the same down a column, the y attributes along a
@@ -146,7 +146,7 @@ def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
                     parts.append(template % (rect_x, "url(#undef-hatch)", text_x, "#333333", "undef"))
                     continue
                 num = den = 1
-            t = (num / den - center) / span
+            t = (num / den - center) / span if num < 2 * den else 1.0
             if t < 0:
                 rgb = _mix(mid, low, 1.0 if t < -1.0 else -t)
             else:

@@ -60,7 +60,7 @@ class BinaryConfusion:
     def __post_init__(self) -> None:
         for name in ("tp", "fn", "fp", "tn"):
             value = getattr(self, name)
-            # plain ints are stored as given; bools and numpy integers become int
+            # plain ints are stored as given; bools and other __index__ types become int
             if type(value) is not int:
                 value = index(value)
                 object.__setattr__(self, name, value)

@@ -2,11 +2,12 @@
 with the CLI's fork settings patched by mode, and reports what became of
 its child processes.
 
-A fresh interpreter is needed because the test process has loaded
-numpy, which the ``test`` extra installs, and numpy's thread pool keeps
-the CLI on its one-process paths. Under ``-X dev`` a file or pipe left
-unclosed prints a ResourceWarning into the stderr that the tests compare
-whole.
+A fresh interpreter is needed for three reasons. Under ``-X dev`` a file
+or pipe left unclosed prints a ResourceWarning into the stderr that the
+tests compare whole. A mode patches module functions and constants, and
+those patches must not leak into other tests. And the CPU time of the
+children waited for is one process's own count, which the test process
+would blur with every child it has ever had.
 """
 
 from __future__ import annotations
@@ -21,23 +22,21 @@ SRC = Path(__file__).parent.parent / "src"
 
 # modes, joined by commas: "fork" forks the heatmap writer at any group
 # count, "split" counts any input file in two processes, "one-core" does
-# both on a process that may use one core only, "in-order" has no os.fork
-# (the path every other platform takes), "no-pipe" has an os.pipe that
-# fails with EMFILE, "die" kills a forked child when it renders a
-# heatmap, validates its first new row or streams the size
+# both on a process that may use one core only, "in-order" has no
+# os.fork (the path every other platform takes), "no-pipe" has an
+# os.pipe that fails with EMFILE, "die" kills a forked child when it
+# renders a heatmap, validates its first new row or streams the size
 # STREAM_CHILD_MIN + 1, "stall" has a forked child wait for as long as
-# its parent lives when it renders a
-# heatmap or validates a row, "short" has a child send its message one
-# byte short, "garble" has it send the bytes b"?" for its message (the
-# lost child's work then runs in the parent, as with "die"),
-# "raise" makes verify's enumeration, audit's report rendering and the
-# validation of a row with a field "raise" raise RuntimeError, "replace"
-# renames other.csv in the working directory over the --input path when
-# a child is started, before it forks, "no-numpy" makes numpy
-# unimportable, as in an install without the test extra,
-# "misscore=N" scores one quadruple of size N wrongly (in parent and
-# child alike), "default" leaves the module as it is. The last stderr
-# line reports the exit code (or the name of the exception main()
+# its parent lives when it renders a heatmap or validates a row, "short"
+# has a child send its message one byte short, "garble" has it send the
+# bytes b"?" for its message (the lost child's work then runs in the
+# parent, as with "die"), "raise" makes verify's enumeration, audit's
+# report rendering and the validation of a row with a field "raise"
+# raise RuntimeError, "replace" renames other.csv in the working
+# directory over the --input path when a child is started, before it
+# forks, "misscore=N" scores one quadruple of size N wrongly (in parent
+# and child alike), "default" leaves the module as it is. The last
+# stderr line reports the exit code (or the name of the exception main()
 # raised), whether a child is left, the CPU time of the children waited
 # for and whether the two-process count was used (true), fell back to
 # one pass (false) or was not tried (null).
@@ -48,8 +47,6 @@ import errno, json, marshal, os, resource, signal, sys, time
 from fractions import Fraction
 modes, *argv = sys.argv[1:]
 modes = set(modes.split(","))
-if "no-numpy" in modes:
-    sys.modules["numpy"] = None
 from ofi_audit import audit, cli, exhaustive, heatmap, ingestion
 parent = os.getpid()
 split = None

@@ -199,10 +199,11 @@ class TestDistribution:
             assert mults == marginal_benefit_distribution(n).tolist(), n
             assert mults == pair_score_counts_loops(n), n
 
-    @pytest.mark.parametrize("n", [2049, 3071, 4096, 5000, 5040, 7919])
+    @pytest.mark.parametrize("n", [2049, 3071, 3600, 4096, 5000, 5040, 7919])
     def test_csv_rows_match_reduced_fractions_across_chunks(self, n):
-        # d = 0 falls inside a chunk at 2049, 5000, 5040 and 7919, closes
-        # one at 3071 and opens one at 4096; 5040 has 60 divisors, 7919 two
+        # d = 0 falls inside a chunk at 2049, 3600, 5000, 5040 and 7919,
+        # closes one at 3071 and opens one at 4096; 5040 has 60 divisors,
+        # 7919 two, and the square 3600 has its root 60 among its 45
         assert 2 * n + 1 > CSV_CHUNK_ROWS
         assert csv_rows(n) == oracle_rows(n)
 

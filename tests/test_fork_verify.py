@@ -52,8 +52,11 @@ def test_no_child_without_child_sizes(tmp_path, argv):
 
 @pytest.mark.parametrize("mode", ["one-core", "in-order"])
 def test_one_usable_core_or_no_fork_streams_in_one_process(tmp_path, mode):
-    code, child_cpu, stdout, stderr, _ = run_probe(mode, "verify", "--n-max", "40", cwd=tmp_path)
-    assert (code, stderr, child_cpu) == (0, "", 0)
+    argv = ("--n-max", "40")
+    code, child_cpu, stdout, stderr, _ = run_probe(mode, "verify", *argv, cwd=tmp_path)
+    assert child_cpu == 0
+    assert (code, stdout, stderr) == in_order(tmp_path, *argv)
+    assert (code, stderr) == (0, "")
     assert stdout.endswith("all identities hold for n in [1, 40]\n")
 
 
@@ -99,37 +102,10 @@ def test_a_parent_that_raises_reaps_its_child(tmp_path):
     assert (code, stdout, stderr) == ("RuntimeError", "", "")
 
 
-RANGE_ERRORS = pytest.mark.parametrize("argv, line", [
+@pytest.mark.parametrize("argv, line", [
     (("--n-max", "501"),
      "error [verify]: n_max 501 exceeds the enumeration guard 500; full enumeration is O(n^3)\n"),
     (("--n-min", "0"), "error [verify]: need 1 <= n_min <= n_max, got [0, 40]\n"),
 ], ids=["past-the-guard", "n-min-zero"])
-
-
-@RANGE_ERRORS
 def test_range_error_forks_no_child(tmp_path, argv, line):
     assert run_probe("default", "verify", *argv, cwd=tmp_path) == (1, 0, "", line, None)
-
-
-@RANGE_ERRORS
-def test_without_numpy_a_range_error_keeps_its_line(tmp_path, argv, line):
-    assert run_probe("no-numpy", "verify", *argv, cwd=tmp_path) == (1, 0, "", line, None)
-
-
-@pytest.mark.parametrize("argv, span", [
-    (("--n-max", "40"), "[1, 40]"),
-    (("--n-min", "35", "--n-max", "38"), "[35, 38]"),
-], ids=["stream-span", "inside-the-span"])
-def test_without_numpy_verify_prints_what_it_prints_with_it(tmp_path, argv, span):
-    # numpy is only the test extra's: verify runs on the standard library,
-    # in two processes or in one
-    modes = ("default", "no-numpy", "in-order,no-numpy", "one-core")
-    runs = {mode: run_probe(mode, "verify", *argv, cwd=tmp_path) for mode in modes}
-    assert {mode: child_cpu > 0 for mode, (_, child_cpu, *_) in runs.items()} == {
-        "default": True, "no-numpy": True, "in-order,no-numpy": False, "one-core": False,
-    }
-    outcomes = {(code, stdout, stderr) for code, _, stdout, stderr, _ in runs.values()}
-    assert len(outcomes) == 1
-    code, stdout, stderr = outcomes.pop()
-    assert (code, stderr) == (0, "")
-    assert stdout.endswith(f"all identities hold for n in {span}\n")

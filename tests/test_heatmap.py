@@ -7,7 +7,7 @@ import pytest
 
 from ofi_audit.audit import PairwiseMatrix, build_report
 from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, heatmap_chunks
-from ofi_audit.ingestion import PredictionRecord, aggregate
+from ofi_audit.ingestion import GroupTable, PredictionRecord, aggregate
 from ofi_audit.metrics import BinaryConfusion, DiScore
 
 
@@ -81,6 +81,15 @@ def test_extreme_values_clamp_to_palette_edges():
     svg = render(grid)
     fills = {el.get("fill") for el in svg_elements(svg, "cell")}
     assert HIGH_COLOR in fills and LOW_COLOR in fills
+
+
+def test_di_past_the_float_range_takes_the_high_edge():
+    # a's rate is 1 and b's 1/(10^400 + 1): a DI of 10^400 + 1 has no float
+    table = GroupTable({
+        "a": BinaryConfusion(10**400, 0, 0, 0), "b": BinaryConfusion(1, 0, 0, 10**400)
+    })
+    cells = svg_elements(render(build_report(table).di_grid), "cell")
+    assert [el.get("fill") for el in cells] == [MID_COLOR, HIGH_COLOR, LOW_COLOR, MID_COLOR]
 
 
 def test_empty_matrix_rejected():

@@ -8,12 +8,11 @@ loads no audit-side module, ``verify`` none of ``audit``'s input or
 output, and ``audit`` loads ``heatmap`` only for a heatmap output.
 
 Every subcommand runs on the standard library: no module of the
-package imports numpy, which only the ``test`` extra installs, and
-without it every command gives the same bytes. No output needs the
-``xml.sax`` -> ``urllib`` -> ``http``/``email``/``ssl`` chain. Each case
-runs in a fresh interpreter, because this process has long since loaded
-numpy. The CLI takes no verdict function from ``metrics``:
-it reads every verdict off ``build_report``.
+package, and no test, imports numpy. No output needs the ``xml.sax`` ->
+``urllib`` -> ``http``/``email``/``ssl`` chain. Each case runs in a
+fresh interpreter, because this process has loaded every module of the
+package. The CLI takes no verdict function from ``metrics``: it reads
+every verdict off ``build_report``.
 """
 
 import ast
@@ -25,12 +24,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from probe import run_probe
 
 import ofi_audit
 
 SRC = Path(__file__).parent.parent / "src"
-FIXTURES = Path(__file__).parent / "fixtures"
+TESTS = Path(__file__).parent
+FIXTURES = TESTS / "fixtures"
 
 #: Modules that no invocation may load.
 HEAVY = ("numpy", "xml.sax", "urllib.request", "http.client", "email", "ssl")
@@ -54,24 +53,18 @@ print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 """
 
 
-def probe_modules(*argv: str, cwd: Path, probe: str = PROBE) -> tuple[set[str], str]:
-    """The modules loaded by the end of ``probe`` and the stderr before
-    its last line."""
+def loaded_modules(*argv: str, cwd: Path, probe: str = PROBE) -> set[str]:
+    """The modules loaded by the end of ``probe``."""
     done = subprocess.run(
         [sys.executable, "-c", probe, *argv],
         cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
     )
-    *err, last = done.stderr.splitlines(keepends=True)
-    return set(json.loads(last)), "".join(err)
-
-
-def loaded_modules(*argv: str, cwd: Path) -> set[str]:
-    return probe_modules(*argv, cwd=cwd)[0]
+    return set(json.loads(done.stderr.splitlines()[-1]))
 
 
 @pytest.fixture(scope="module")
 def bare(tmp_path_factory) -> set[str]:
-    return probe_modules(cwd=tmp_path_factory.mktemp("bare"), probe=BARE)[0]
+    return loaded_modules(cwd=tmp_path_factory.mktemp("bare"), probe=BARE)
 
 
 def added_modules(*argv: str, cwd: Path, bare: set[str]) -> set[str]:
@@ -127,41 +120,14 @@ def test_each_invocation_loads_only_the_package_modules_it_runs(tmp_path, bare, 
     ("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "report.json",
      "--out-heatmap-ofi", "ofi.svg", "--out-grid-csv", "grid"),
     ("dist", "--n", "3"),
-], ids=["import", "version", "scenario", "audit", "dist"])
-def test_audit_side_loads_none_of_the_heavy_modules(tmp_path, argv):
+    ("verify", "--n-max", "3"),
+], ids=["import", "version", "scenario", "audit", "dist", "verify"])
+def test_no_command_loads_a_heavy_module(tmp_path, argv):
     assert loaded_modules(*argv, cwd=tmp_path).isdisjoint(HEAVY)
     if argv[:1] == ("audit",):
         assert {p.name for p in tmp_path.iterdir()} == {
             "report.json", "ofi.svg", "grid.ofi.csv", "grid.di.csv"
         }
-
-
-@pytest.mark.parametrize("argv", [("verify", "--n-max", "3")], ids=["verify"])
-def test_no_subcommand_loads_numpy(tmp_path, argv):
-    # the audit side's commands are checked above
-    assert loaded_modules(*argv, cwd=tmp_path).isdisjoint(HEAVY)
-
-
-def test_the_stream_route_loads_no_numpy(tmp_path):
-    probe = """\
-import json, sys
-import ofi_audit.exhaustive
-ofi_audit.exhaustive.stream(8)
-print(json.dumps(sorted(sys.modules)), file=sys.stderr)
-"""
-    modules, _ = probe_modules(cwd=tmp_path, probe=probe)
-    assert "ofi_audit.exhaustive" in modules and "numpy" not in modules
-
-
-@pytest.mark.parametrize("argv, line", [
-    (("--n-max", "501"),
-     "error [verify]: n_max 501 exceeds the enumeration guard 500; full enumeration is O(n^3)\n"),
-    (("--n-min", "0"), "error [verify]: need 1 <= n_min <= n_max, got [0, 40]\n"),
-], ids=["past-the-guard", "n-min-zero"])
-def test_verify_range_errors_load_no_numpy(tmp_path, argv, line):
-    modules, err = probe_modules("verify", *argv, cwd=tmp_path)
-    assert err == line
-    assert "numpy" not in modules
 
 
 #: Each root name and the submodule that defines it.
@@ -213,8 +179,9 @@ def test_cli_takes_no_verdict_route_from_metrics():
 
 
 def test_no_module_of_the_package_imports_numpy():
+    # nor any test: the suite runs as an install without numpy runs it
     importers = set()
-    for path in sorted((SRC / "ofi_audit").glob("*.py")):
+    for path in sorted([*(SRC / "ofi_audit").glob("*.py"), *TESTS.glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -271,43 +238,3 @@ def test_audit_opens_its_input_path_once():
     counters = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
     for name in ("_count_split", "_count_tail"):
         assert counters[name].args.args[0].arg == "fd"
-
-
-AUDIT = ("audit", "--input", str(FIXTURES / "scenario_a.csv"), "--out-report", "report.json",
-         "--out-heatmap-ofi", "ofi.svg", "--out-grid-csv", "grid")
-
-
-@pytest.mark.parametrize("mode, argv", [
-    ("default", AUDIT),
-    ("split", AUDIT),
-    ("fork", AUDIT),
-    ("default", (*AUDIT, "--sample", "20", "--seed", "3")),
-    ("default", ("scenario", "1", "0", "0", "5", "7", "0", "1", "10")),
-    ("default", ("dist", "--n", "40")),
-], ids=["audit", "audit-split", "audit-fork", "audit-sample", "scenario", "dist"])
-def test_without_numpy_every_other_command_is_unchanged(tmp_path, mode, argv):
-    # numpy is the test extra's; the split and the forked heatmap writer
-    # still run in two processes without it
-    runs = []
-    for modes in (mode, mode + ",no-numpy"):
-        cwd = tmp_path / modes
-        cwd.mkdir()
-        code, child_cpu, stdout, stderr, split = run_probe(modes, *argv, cwd=cwd)
-        files = {path.name: path.read_bytes() for path in cwd.iterdir()}
-        runs.append((code, stdout, stderr, split, child_cpu > 0, files))
-    assert runs[1] == runs[0]
-    code, _, _, split, forked, _ = runs[0]
-    assert (code, split, forked) == (0, mode == "split" or None, mode != "default")
-
-
-def test_without_numpy_every_root_name_loads(tmp_path):
-    probe = PREAMBLE + """\
-sys.modules["numpy"] = None
-import ofi_audit
-for name in ofi_audit.__all__:
-    getattr(ofi_audit, name)
-print(json.dumps(sorted(sys.modules)), file=sys.stderr)
-"""
-    modules, err = probe_modules(cwd=tmp_path, probe=probe)
-    assert err == ""
-    assert {f"ofi_audit.{home}" for home in HOMES.values()} <= modules

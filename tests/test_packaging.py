@@ -1,7 +1,7 @@
 """The package metadata states what each command needs: every subcommand
-runs on the standard library, so the package requires nothing, and
-numpy is only the ``test`` extra's, for the tests and probes that import
-it and for the benchmark harness."""
+runs on the standard library, so the package requires nothing. numpy is
+only the ``test`` extra's, for the benchmark harness; no test and no
+subcommand imports it."""
 
 import re
 from pathlib import Path

@@ -17,8 +17,9 @@ record must exit with the same code and stderr; the report's
 table, and a file the library refuses must fail at the ``parse`` stage
 with the library's message.
 
-The whole loop runs in one fresh ``-X dev`` interpreter: this process
-has loaded numpy, whose thread pool a forked child must not inherit.
+The whole loop runs in one fresh ``-X dev`` interpreter, where a file
+or pipe left unclosed shows as a ResourceWarning in the stderr compared,
+and the lowered size gate does not leak into other tests.
 """
 
 import json

@@ -7,11 +7,8 @@ size from which it counts an input in two processes."""
 
 import ast
 import json
-import os
 import re
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import ofi_audit
@@ -19,7 +16,6 @@ from ofi_audit.cli import FORK_MIN_GROUPS, SPLIT_MIN_BYTES, STREAM_CHILD_MIN
 from ofi_audit.verification import ENUMERATION_MAX, STREAM_CHECK_MAX
 
 README = Path(__file__).parent.parent / "README.md"
-SRC = Path(__file__).parent.parent / "src"
 
 
 def library_block() -> str:
@@ -44,23 +40,6 @@ def test_library_example_runs(tmp_path, fixtures_dir, monkeypatch, capsys):
     exec(compile(library_block(), "README.md", "exec"), {})
     # two reports: the table as read and flipped
     assert capsys.readouterr().out.count('"pairs"') == 2
-
-
-def test_library_example_runs_without_numpy(tmp_path, fixtures_dir):
-    # numpy is the test extra's: the example gives the same output, in a
-    # fresh interpreter, with numpy unimportable
-    shutil.copy(fixtures_dir / "scenario_a.csv", tmp_path / "data.csv")
-    runs = [
-        subprocess.run(
-            [sys.executable, "-c", prelude + library_block()], cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-            timeout=120,
-        )
-        for prelude in ("", 'import sys\nsys.modules["numpy"] = None\n')
-    ]
-    outcomes = [(done.returncode, done.stdout, done.stderr) for done in runs]
-    assert outcomes[1] == outcomes[0]
-    assert outcomes[0][0] == 0 and outcomes[0][1].count('"pairs"') == 2
 
 
 def test_root_exports_are_the_documented_names():
