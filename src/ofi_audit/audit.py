@@ -19,6 +19,7 @@ from .metrics import (
     FOUR_FIFTHS_LOW,
     BiasVerdict,
     BinaryConfusion,
+    EmptyGroupError,
     ThresholdError,
     _check_di_band,
     _check_ofi_threshold,
@@ -234,6 +235,8 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
     group_metrics = {}
     for name in names:
         cm = table.groups[name]
+        if cm.n == 0:
+            raise EmptyGroupError(f"group {name!r} has no observations (n=0)")
         group_metrics[name] = GroupMetrics(
             benefit=benefit(cm),
             expected_benefit=expected_benefit(cm),

@@ -87,11 +87,11 @@ def enum_by_sum(n_max: int) -> Iterator[tuple[tuple[array, array, array], array]
     once and its fn, fp and fp - fn counts packed into one int, a 64-bit
     lane per count; no lane holds more than the triples of one sum, so
     none carries into the next. The triples of sum s are the rows r <= s
-    with tp = s - r: they take one C-level int addition per row, and
-    their tp counts are the rows' lengths, the triples walked in each.
+    with tp = s - r: their packed counts are those of sum s - 1 plus row
+    s, one C-level int addition, and their tp counts are the rows' lengths.
     """
     size = n_max + 1
-    rows: list[int] = []
+    packed = 0
     lengths = array("q")
     for r in range(size):
         # lane 4x counts fn = x, 4x + 1 fp = x, 4x + 2 fp - fn = x and
@@ -105,11 +105,11 @@ def enum_by_sum(n_max: int) -> Iterator[tuple[tuple[array, array, array], array]
             row[4 * fp + 1] += 1
             row[4 * d + 2 if d >= 0 else 3 - 4 * d] += 1
             length += 1
-        rows.append(int.from_bytes(row.tobytes(), sys.byteorder))
+        packed += int.from_bytes(row.tobytes(), sys.byteorder)
         lengths.append(length)
-    for s in range(size):
-        layer = array("q", sum(rows[: s + 1]).to_bytes(32 * size, sys.byteorder))
-        tp = lengths[s::-1] + array("q", bytes(8 * (n_max - s)))
+        # the triples of sum r
+        layer = array("q", packed.to_bytes(32 * size, sys.byteorder))
+        tp = lengths[::-1] + array("q", bytes(8 * (n_max - r)))
         # the scores d = -n_max..-1 from lanes 4|d| + 3, then 0..n_max
         yield (tp, layer[::4], layer[1::4]), layer[:3:-4] + layer[2::4]
 

@@ -4,7 +4,9 @@ The output is a single deterministic SVG document: one colored cell per
 ordered group pair, group labels on both axes and the 2-decimal value
 overlaid per cell. OFI grids use a diverging palette centered at 0 and
 clamped to [-2, 2]; DI grids center at 1 and clamp to [0, 2]. Undefined
-DI cells are hatched and labeled "undef".
+DI cells are hatched and labeled "undef". One ``<style>`` sheet, keyed on
+the element classes, states the fonts, text anchors and cell stroke once;
+each element carries only its position, its fill and its text.
 """
 
 from __future__ import annotations
@@ -85,8 +87,7 @@ def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
     center, span = (1.0, 1.0) if matrix.metric == "di" else (0.0, 2.0)
 
     cell = CELL_SIZE
-    left = LABEL_SPACE
-    top = LABEL_SPACE
+    left = top = LABEL_SPACE
     width = left + size * cell + 10
     height = top + size * cell + 10
 
@@ -100,27 +101,27 @@ def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
         '      <rect width="8" height="8" fill="#e8e8e8"/>\n'
         '      <line x1="0" y1="0" x2="0" y2="8" stroke="#9a9a9a" stroke-width="3"/>\n'
         "    </pattern>\n"
-        "  </defs>\n",
-        f'  <text class="title" x="{left}" y="{FONT_SIZE + 6}" '
-        f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE + 2}" '
-        f'font-weight="bold">{_escape(matrix.metric.upper())}</text>\n',
+        "  </defs>\n"
+        "  <style>\n"
+        f"    text {{ font-family: {FONT_FAMILY}; font-size: {FONT_SIZE}px }}\n"
+        f"    .title {{ font-size: {FONT_SIZE + 2}px; font-weight: bold }}\n"
+        "    .axis-label { text-anchor: end }\n"
+        "    .cell { stroke: #ffffff; stroke-width: 1 }\n"
+        "    .cell-value { text-anchor: middle }\n"
+        "  </style>\n",
+        f'  <text class="title" x="{left}" y="{FONT_SIZE + 6}">'
+        f"{_escape(matrix.metric.upper())}</text>\n",
     ]
 
     for j, label in enumerate(labels):
         x = left + j * cell + cell / 2
         parts.append(
             f'  <text class="axis-label" x="{x:.1f}" y="{top - 8}" '
-            f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
-            f'text-anchor="end" transform="rotate(-40 {x:.1f} {top - 8})">'
-            f"{label}</text>\n"
+            f'transform="rotate(-40 {x:.1f} {top - 8})">{label}</text>\n'
         )
     for i, label in enumerate(labels):
         y = top + i * cell + cell / 2 + FONT_SIZE / 3
-        parts.append(
-            f'  <text class="axis-label" x="{left - 8}" y="{y:.1f}" '
-            f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
-            f'text-anchor="end">{label}</text>\n'
-        )
+        parts.append(f'  <text class="axis-label" x="{left - 8}" y="{y:.1f}">{label}</text>\n')
     yield "".join(parts)
 
     # a diverging palette from the center color, linear in the value, clamped
@@ -133,11 +134,9 @@ def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
     for i, row in enumerate(matrix.integer_rows()):
         y = top + i * cell
         template = (
-            f'  <rect class="cell" x="%d" y="{y}" width="{cell}" '
-            f'height="{cell}" fill="%s" stroke="#ffffff" stroke-width="1"/>\n'
+            f'  <rect class="cell" x="%d" y="{y}" width="{cell}" height="{cell}" fill="%s"/>\n'
             f'  <text class="cell-value" x="%s" y="{y + cell / 2 + FONT_SIZE / 3:.1f}" '
-            f'font-family="{FONT_FAMILY}" font-size="{FONT_SIZE}" '
-            f'text-anchor="middle" fill="%s">%s</text>\n'
+            'fill="%s">%s</text>\n'
         )
         parts = []
         for (rect_x, text_x), (num, den) in zip(columns, row):

@@ -473,6 +473,8 @@ class TestSerialization:
          "pairwise ofi needs at least 2 groups, have 1"),
         (lambda doc: doc["dataset"]["confusion"].pop("b"),
          "pairwise ofi needs at least 2 groups, have 1"),
+        (lambda doc: doc["dataset"]["confusion"].__setitem__("b", [0, 0, 0, 0]),
+         "group 'b' has no observations (n=0)"),
         (lambda doc: doc["config"].__setitem__("group_order", ["a", "c"]), "unknown group 'c'"),
         (lambda doc: doc["config"].__setitem__("group_order", ["a", "a"]),
          "duplicate group 'a' in group order"),
@@ -480,7 +482,7 @@ class TestSerialization:
         # top-level order ["a", "b"] no longer matches
         (lambda doc: doc["config"].__setitem__("group_order", ["b", "a"]),
          """report line 36 is '        "2"', but its counts and config give '        "1/2"'"""),
-    ], ids=["one-group", "one-counted-group", "unknown-group", "duplicate-group",
+    ], ids=["one-group", "one-counted-group", "empty-group", "unknown-group", "duplicate-group",
             "config-order-disagrees"])
     def test_rejects_group_orders_build_report_would_not_give(self, edit, message):
         table = table_from({"a": BinaryConfusion(1, 0, 0, 0), "b": BinaryConfusion(1, 0, 0, 1)})

@@ -116,8 +116,8 @@ DI:  {CONTEXTUAL_DI}  verdict: no bias indicated (band 4/5..5/4)
         ([*README_CELLS, "--ofi-threshold", "0"], "OFI threshold must be > 0, got 0"),
         ([*README_CELLS, "--di-low", "2", "--di-high", "1"], "bad DI band [2, 1]"),
         ([*README_CELLS, "--di-low", "0"], "bad DI band [0, 5/4]"),
-        (["1", "0", "0", "5", "0", "0", "0", "0"], "group has no observations (n=0)"),
-        (["0", "0", "0", "0", "7", "0", "1", "10"], "group has no observations (n=0)"),
+        (["1", "0", "0", "5", "0", "0", "0", "0"], "group 'j' has no observations (n=0)"),
+        (["0", "0", "0", "0", "7", "0", "1", "10"], "group 'i' has no observations (n=0)"),
         # the thresholds are checked before the groups' metrics, the cells first
         (["1", "0", "0", "5", "0", "0", "0", "0", "--ofi-threshold", "0"],
          "OFI threshold must be > 0, got 0"),

@@ -1,5 +1,6 @@
 """Structural checks on the SVG heatmap output."""
 
+import re
 from fractions import Fraction
 from xml.etree import ElementTree
 
@@ -24,6 +25,10 @@ def two_group_table(i_cm: BinaryConfusion, j_cm: BinaryConfusion):
 REPORT = build_report(
     two_group_table(BinaryConfusion(1, 0, 0, 5), BinaryConfusion(7, 0, 1, 10))
 )
+UNDEFINED_DI = build_report(
+    two_group_table(BinaryConfusion(1, 0, 0, 5), BinaryConfusion(0, 7, 0, 11))
+).di_grid
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def render(grid: PairwiseMatrix) -> str:
@@ -67,9 +72,7 @@ def test_di_centers_at_one():
 
 
 def test_undefined_di_is_hatched():
-    table = two_group_table(BinaryConfusion(1, 0, 0, 5), BinaryConfusion(0, 7, 0, 11))
-    report = build_report(table)
-    svg = render(report.di_grid)
+    svg = render(UNDEFINED_DI)
     assert 'url(#undef-hatch)' in svg
     assert "undef" in {el.text for el in svg_elements(svg, "cell-value")}
 
@@ -127,3 +130,85 @@ def test_greater_than_and_carriage_return_are_escaped():
     assert ">a&gt;b</text>" in svg and ">c&#13;d</text>" in svg
     labels = [el.text for el in svg_elements(svg, "axis-label")]
     assert labels == ["a>b", "c\rd"] * 2  # a literal CR would parse back as LF
+
+
+@pytest.mark.parametrize("grid", [REPORT.ofi_grid, REPORT.di_grid, UNDEFINED_DI],
+                         ids=["ofi", "di", "undefined-di"])
+def test_each_element_carries_only_what_varies(grid):
+    svg = render(grid)
+    for el in svg_elements(svg, "cell"):
+        assert sorted(el.attrib) == ["class", "fill", "height", "width", "x", "y"]
+    for el in svg_elements(svg, "cell-value"):
+        assert sorted(el.attrib) == ["class", "fill", "x", "y"]
+    # the hatch pattern in <defs> keeps its own stroke; nothing else styles itself
+    styled = [
+        (el.tag, name)
+        for child in ElementTree.fromstring(svg) if child.tag != f"{SVG}defs"
+        for el in child.iter()
+        for name in el.attrib if name.startswith(("font-", "text-anchor", "stroke"))
+    ]
+    assert styled == []
+
+
+def resolved(svg: str) -> list[tuple[str, dict[str, str], str]]:
+    """Each classed element's tag, attributes and text once the <style>
+    sheet is applied: the type rule first, then the class rules, which
+    win; a length of n px is n user units."""
+    root = ElementTree.fromstring(svg)
+    rules = re.findall(r"(\S+) \{ ([^}]*) \}", root.find(f"{SVG}style").text)
+    out = []
+    for el in root.iter():
+        if el.get("class") is None:
+            continue
+        attrs = dict(el.attrib)
+        for selector, body in sorted(rules, key=lambda rule: rule[0].startswith(".")):
+            if selector in (el.tag[len(SVG):], "." + el.get("class")):
+                for declaration in body.split("; "):
+                    name, value = declaration.split(": ")
+                    attrs[name] = re.sub(r"^(\d+)px$", r"\1", value)
+        out.append((el.tag[len(SVG):], attrs, el.text))
+    return out
+
+
+FONT = {"font-family": "Helvetica, Arial, sans-serif", "font-size": "12"}
+
+
+def written_before(title: str, cells: list[tuple]) -> list[tuple[str, dict[str, str], str]]:
+    """The classed elements of a 2x2 grid, with each attribute as the
+    element itself carried it before the stylesheet."""
+    elements = [
+        ("text", {"class": "title", "x": "120", "y": "18", **FONT, "font-size": "14",
+                  "font-weight": "bold"}, title),
+        ("text", {"class": "axis-label", "x": "152.0", "y": "112", **FONT, "text-anchor": "end",
+                  "transform": "rotate(-40 152.0 112)"}, "i"),
+        ("text", {"class": "axis-label", "x": "216.0", "y": "112", **FONT, "text-anchor": "end",
+                  "transform": "rotate(-40 216.0 112)"}, "j"),
+        ("text", {"class": "axis-label", "x": "112", "y": "156.0", **FONT, "text-anchor": "end"}, "i"),
+        ("text", {"class": "axis-label", "x": "112", "y": "220.0", **FONT, "text-anchor": "end"}, "j"),
+    ]
+    for x, y, fill, text_x, text_y, text_fill, value in cells:
+        elements += [
+            ("rect", {"class": "cell", "x": x, "y": y, "width": "64", "height": "64", "fill": fill,
+                      "stroke": "#ffffff", "stroke-width": "1"}, None),
+            ("text", {"class": "cell-value", "x": text_x, "y": text_y, **FONT,
+                      "text-anchor": "middle", "fill": text_fill}, value),
+        ]
+    return elements
+
+
+@pytest.mark.parametrize("grid, title, cells", [
+    (REPORT.ofi_grid, "OFI", [
+        ("120", "120", "#f7f7f7", "152.0", "156.0", "#1a1a1a", "0.00"),
+        ("184", "120", "#f1f3f5", "216.0", "156.0", "#1a1a1a", "-0.06"),
+        ("120", "184", "#f5f1f1", "152.0", "220.0", "#1a1a1a", "0.06"),
+        ("184", "184", "#f7f7f7", "216.0", "220.0", "#1a1a1a", "0.00"),
+    ]),
+    (REPORT.di_grid, "DI", [
+        ("120", "120", "#f7f7f7", "152.0", "156.0", "#1a1a1a", "1.00"),
+        ("184", "120", "#719cc8", "216.0", "156.0", "#1a1a1a", "0.38"),
+        ("120", "184", "#b2182b", "152.0", "220.0", "#ffffff", "2.67"),
+        ("184", "184", "#f7f7f7", "216.0", "220.0", "#1a1a1a", "1.00"),
+    ]),
+], ids=["ofi", "di"])
+def test_the_stylesheet_resolves_to_the_inline_attributes(grid, title, cells):
+    assert resolved(render(grid)) == written_before(title, cells)
