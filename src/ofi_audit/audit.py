@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +28,6 @@ from .metrics import (
     di_rule,
     expected_benefit,
     marginal_benefit,
-    ofi_rule,
 )
 
 
@@ -181,22 +181,65 @@ class AuditReport:
         return {name: self.table.groups[name].n for name in self.ofi_grid.group_order}
 
 
+def _ranked(scores: tuple[Fraction, ...]) -> tuple[list[Fraction], list[int]]:
+    # the scores in ascending order, and each score's rank: its place in
+    # that order, tied scores in group order
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranks = [0] * len(scores)
+    for rank, index in enumerate(order):
+        ranks[index] = rank
+    return [scores[index] for index in order], ranks
+
+
+def _rank_verdicts(
+    size: int, zeros: int, zero_v: BiasVerdict, below: int, above: int
+) -> list[BiasVerdict]:
+    # the verdict of a second group at each rank: zero_v below rank
+    # ``zeros``, then bias toward the first below ``below``, no indication
+    # below ``above`` and bias toward the second from there on
+    return (
+        [zero_v] * zeros
+        + [BiasVerdict.BIAS_TOWARD_FIRST] * (below - zeros)
+        + [BiasVerdict.NO_BIAS_INDICATED] * (above - below)
+        + [BiasVerdict.BIAS_TOWARD_SECOND] * (size - above)
+    )
+
+
 def _verdict_rows(
     report: AuditReport,
 ) -> Iterator[tuple[str, list[tuple[str, BiasVerdict, BiasVerdict]]]]:
     # per grid row, its group and the (second group, OFI verdict, DI
-    # verdict) of each pair it starts, decided on the grids' integer
-    # pairs; the config's thresholds were validated when it was built
+    # verdict) of each pair it starts. Both rules are monotone in the
+    # second group's score: OFI flags toward the first iff B_j < B_i - t
+    # and toward the second iff B_j > B_i + t; DI, for b_j > 0, toward
+    # the first iff b_j < b_i/high and toward the second iff b_j > b_i/low.
+    # So each row's cut points are found once by bisection on the exact
+    # sorted scores, and a pair's verdict is where the second group's rank
+    # falls between them. A benefit of 0 ranks first: b_j = 0 is an
+    # undefined DI, or the contextual 1 when b_i = 0 too, which di_rule
+    # judges as the value 1. The config's thresholds were validated when
+    # it was built.
     config = report.config
     threshold, low, high = config.ofi_threshold, config.di_low, config.di_high
     names = report.ofi_grid.group_order
-    rows = zip(names, report.ofi_grid.integer_rows(), report.di_grid.integer_rows())
-    for i, (first, ofi_row, di_row) in enumerate(rows):
-        yield first, [
-            (second, ofi_rule(ofi_x, ofi_y, threshold), di_rule(di_x, di_y, low, high))
-            for j, (second, (ofi_x, ofi_y), (di_x, di_y)) in enumerate(zip(names, ofi_row, di_row))
-            if j != i
-        ]
+    size = len(names)
+    ofi_sorted, ofi_ranks = _ranked(report.ofi_grid.scores)
+    di_sorted, di_ranks = _ranked(report.di_grid.scores)
+    zeros = bisect_right(di_sorted, 0)
+    contextual = di_rule(0, 0, low, high)
+    scores = zip(report.ofi_grid.scores, report.di_grid.scores)
+    for i, (first, (ofi_i, di_i)) in enumerate(zip(names, scores)):
+        ofi_v = _rank_verdicts(
+            size, 0, BiasVerdict.UNDEFINED,
+            bisect_left(ofi_sorted, ofi_i - threshold), bisect_right(ofi_sorted, ofi_i + threshold),
+        )
+        di_v = _rank_verdicts(
+            size, zeros, BiasVerdict.UNDEFINED if di_i else contextual,
+            bisect_left(di_sorted, di_i / high, zeros), bisect_right(di_sorted, di_i / low, zeros),
+        )
+        row = list(zip(names, map(ofi_v.__getitem__, ofi_ranks), map(di_v.__getitem__, di_ranks)))
+        del row[i]
+        yield first, row
 
 
 def _group_order(available: Collection[str], group_order: Iterable[str]) -> tuple[str, ...]:
@@ -225,10 +268,11 @@ def build_report(table: GroupTable, config: AuditConfig | None = None) -> AuditR
     Each group's benefit b = (tp + fp)/n and marginal benefit
     B = (fp - fn)/n are computed once, and the report keeps these per
     group beside the table: every grid cell and pair verdict is computed
-    from their numerators and denominators when it is read or written. A
-    verdict is an exact integer comparison: OFI is
-    (a_i·m_j - a_j·m_i)/(m_i·m_j) for B = a/m, DI is (c_i·n_j)/(c_j·n_i)
-    for b = c/n.
+    from them when it is read or written. A cell is exact integer
+    arithmetic: OFI is (a_i·m_j - a_j·m_i)/(m_i·m_j) for B = a/m, DI is
+    (c_i·n_j)/(c_j·n_i) for b = c/n. A verdict is an exact comparison of
+    the second group's score with the first's, by rank among the sorted
+    scores.
     """
     config = config or AuditConfig()
     names = _group_order(table.groups, config.group_order or sorted(table.groups))
@@ -301,16 +345,20 @@ def _grid_rows(grid: PairwiseMatrix) -> Iterator[str]:
 def _pair_rows(report: AuditReport) -> Iterator[str]:
     # one chunk per grid row: the pairs that its group starts
     quoted = {name: json.dumps(name) for name in report.ofi_grid.group_order}
+    # keyed on the verdicts' _value_ strings: an Enum member hashes through
+    # a Python-level __hash__, a str in C, and there is a lookup per pair
     tails = {
-        (ofi_v, di_v): _PAIR_TAIL % (ofi_v.value, di_v.value, _diagnosis(ofi_v, di_v).value)
+        (ofi_v._value_, di_v._value_):
+            _PAIR_TAIL % (ofi_v.value, di_v.value, _diagnosis(ofi_v, di_v).value)
         for ofi_v in BiasVerdict
         for di_v in BiasVerdict
     }
     for first, row in _verdict_rows(report):
         head = "    [\n      " + quoted[first] + ",\n      "
-        yield ",\n".join(
-            head + quoted[second] + tails[ofi_v, di_v] for second, ofi_v, di_v in row
-        )
+        yield ",\n".join([
+            head + quoted[second] + tails[ofi_v._value_, di_v._value_]
+            for second, ofi_v, di_v in row
+        ])
 
 
 def report_chunks(report: AuditReport) -> Iterator[str]:

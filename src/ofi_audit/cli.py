@@ -104,7 +104,11 @@ T = TypeVar("T")
 #: while it writes the report and grid CSVs itself. In A/B runs on 2 vCPUs
 #: the fork never won at 8 or 30 groups and lost some run sets at 100 and
 #: 150, where a host that lent no second core left only the fork's cost
-#: and the two processes' contention; from 200 on it won every set.
+#: and the two processes' contention; from 200 on it won every set. Re-run
+#: once the heatmap took its colors from a step table (whole invocations,
+#: 3 sets of 8 alternating pairs per size), the forked median was 13-29%
+#: below the in-order one at 150 groups, 21-22% at 200 and 17-33% at 300,
+#: and the fork was faster in 7 or 8 of the 8 pairs of every set.
 FORK_MIN_GROUPS = 200
 
 #: Input file size from which ``audit`` counts the rows in two processes,

@@ -35,20 +35,30 @@ def format_fraction(value: Fraction) -> str:
     return ratio_text(value.numerator, value.denominator)
 
 
-def fixed_text(num: int, den: int, places: int = 2) -> str:
-    """Render num/den, den > 0, with ``places`` decimal places.
+def rounded_units(num: int, den: int, places: int) -> int:
+    """num/den, den > 0, in units of 10^-places, rounded half to even.
 
-    The integer core of :func:`format_fixed`: it rounds the magnitude,
-    ``divmod(|num|·10^places, den)``, half to even, which rounds the same
-    way on both sides of zero; a value that rounds to zero has no sign.
+    The one rounding rule of every decimal this package writes: it rounds
+    the magnitude, ``divmod(|num|·10^places, den)``, so it rounds the same
+    way on both sides of zero, and a value that rounds to zero is 0.
     """
     units, rest = divmod(abs(num) * 10**places, den)
     if 2 * rest > den or (2 * rest == den and units % 2):
         units += 1
-    sign = "-" if num < 0 and units else ""
+    return -units if num < 0 else units
+
+
+def fixed_text(num: int, den: int, places: int = 2) -> str:
+    """Render num/den, den > 0, with ``places`` decimal places.
+
+    The integer core of :func:`format_fixed`: the value is rounded by
+    :func:`rounded_units`, so a value that rounds to zero has no sign.
+    """
+    units = rounded_units(num, den, places)
+    sign = "-" if units < 0 else ""
     if places == 0:
-        return f"{sign}{units}"
-    whole, frac = divmod(units, 10**places)
+        return f"{sign}{abs(units)}"
+    whole, frac = divmod(abs(units), 10**places)
     return "%s%d.%0*d" % (sign, whole, places, frac)
 
 

@@ -7,15 +7,26 @@ clamped to [-2, 2]; DI grids center at 1 and clamp to [0, 2]. Undefined
 DI cells are hatched and labeled "undef". One ``<style>`` sheet, keyed on
 the element classes, states the fonts, text anchors and cell stroke once;
 each element carries only its position, its fill and its text.
+
+A cell's color is the palette's mix at its position t in [-1, 1], each
+channel ``round(a + (b - a)·t)`` in floats. The colors are looked up in a
+step table: one slot per step [k, k + 1)/STEPS of t, holding the colors
+of the step when its two ends mix alike, filled in when a cell first
+falls in it. That is exact, since each channel is monotone in t: when
+both ends of a step mix to the same color, so does every t between them.
+STEPS is a power of two, so t·STEPS, and the step it floors to, are
+exact. Only a cell in a step whose ends mix apart is mixed on its own.
+A cell's text is kept per rounded hundredth.
 """
 
 from __future__ import annotations
 
 import re
+from math import floor
 from typing import Iterator
 
 from .audit import PairwiseMatrix
-from .formatting import fixed_text
+from .formatting import fixed_text, rounded_units
 
 
 CELL_SIZE = 64
@@ -26,6 +37,8 @@ VALUE_PLACES = 2
 LOW_COLOR = "#2166ac"
 MID_COLOR = "#f7f7f7"
 HIGH_COLOR = "#b2182b"
+#: Steps of the color table per unit of t: a power of two.
+STEPS = 4096
 
 
 Rgb = tuple[int, int, int]
@@ -128,6 +141,31 @@ def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
     # at its edges; the high one, 2, is tested in ints: num / den may overflow
     low, mid, high = (_hex_to_rgb(c) for c in (LOW_COLOR, MID_COLOR, HIGH_COLOR))
     palette: dict[Rgb, tuple[str, str]] = {}  # fill and text color of each mix
+
+    def mix_colors(t: float) -> tuple[str, str]:
+        # the fill and text color of the mix at t, in [-1, 1]
+        rgb = _mix(mid, low, -t) if t < 0 else _mix(mid, high, t)
+        found = palette.get(rgb)
+        if found is None:
+            found = palette[rgb] = (
+                "#%02x%02x%02x" % rgb, "#ffffff" if _is_dark(rgb) else "#1a1a1a"
+            )
+        return found
+
+    # slot STEPS + k: the colors of every t in the step [k, k + 1)/STEPS, or
+    # False when its two ends mix apart; None until a cell first meets it.
+    # The last slot is t = 1 alone.
+    steps: list[tuple[str, str] | bool | None] = [None] * (2 * STEPS + 1)
+
+    def step_colors(step: int, t: float) -> tuple[str, str]:
+        # the colors of t, in a step whose slot holds no colors
+        if steps[step] is None:
+            k = step - STEPS
+            ends = mix_colors(k / STEPS), mix_colors(min(k + 1, STEPS) / STEPS)
+            steps[step] = ends[0] if ends[0] == ends[1] else False
+        return steps[step] or mix_colors(t)
+
+    texts: dict[int, str] = {}  # the text of each rounded value, in hundredths
     # the x attributes are the same down a column, the y attributes along a
     # row; a cell fills in its two x, its fill, its text color and its text
     columns = [(left + j * cell, f"{left + j * cell + cell / 2:.1f}") for j in range(size)]
@@ -146,17 +184,16 @@ def _svg_pieces(matrix: PairwiseMatrix, labels: list[str]) -> Iterator[str]:
                     continue
                 num = den = 1
             t = (num / den - center) / span if num < 2 * den else 1.0
-            if t < 0:
-                rgb = _mix(mid, low, 1.0 if t < -1.0 else -t)
-            else:
-                rgb = _mix(mid, high, 1.0 if t > 1.0 else t)
-            colors = palette.get(rgb)
-            if colors is None:
-                colors = palette[rgb] = (
-                    "#%02x%02x%02x" % rgb, "#ffffff" if _is_dark(rgb) else "#1a1a1a"
-                )
-            parts.append(template % (
-                rect_x, colors[0], text_x, colors[1], fixed_text(num, den, VALUE_PLACES)
-            ))
+            if t < -1.0:
+                t = -1.0
+            elif t > 1.0:
+                t = 1.0
+            step = floor(t * STEPS) + STEPS
+            colors = steps[step] or step_colors(step, t)
+            units = rounded_units(num, den, VALUE_PLACES)
+            text = texts.get(units)
+            if text is None:
+                text = texts[units] = fixed_text(units, 10**VALUE_PLACES, VALUE_PLACES)
+            parts.append(template % (rect_x, colors[0], text_x, colors[1], text))
         yield "".join(parts)
     yield "</svg>\n"

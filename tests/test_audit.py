@@ -10,6 +10,7 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import heatmap_cell_loops
 
 from ofi_audit.audit import (
     AuditConfig,
@@ -22,17 +23,20 @@ from ofi_audit.audit import (
     parse_report,
     serialize_report,
 )
-from ofi_audit.formatting import format_fixed
-from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, heatmap_chunks
+from ofi_audit.heatmap import heatmap_chunks
 from ofi_audit.ingestion import GroupTable, PredictionRecord, aggregate
 from ofi_audit.metrics import (
     BiasVerdict,
     BinaryConfusion,
     DiKind,
     DiScore,
+    benefit,
+    di_rule,
     disparate_impact,
     four_fifths_verdict,
+    marginal_benefit,
     ofi,
+    ofi_rule,
     ofi_verdict,
 )
 
@@ -202,31 +206,26 @@ class TestGridMatchesTwoGroupMetrics:
                 ]
 
 
-def heatmap_cells(grid) -> list[tuple[str, str]]:
-    # each SVG cell's text and fill, row by row
+def heatmap_cells(grid) -> list[tuple[str, str, str]]:
+    # each SVG cell's fill, text color and text, row by row
     root = ElementTree.fromstring("".join(heatmap_chunks(grid)))
-    fills = [el.get("fill") for el in root.iter() if el.get("class") == "cell"]
-    texts = [el.text for el in root.iter() if el.get("class") == "cell-value"]
-    return list(zip(texts, fills, strict=True))
+    rects = [el for el in root.iter() if el.get("class") == "cell"]
+    texts = [el for el in root.iter() if el.get("class") == "cell-value"]
+    return [(rect.get("fill"), text.get("fill"), text.text)
+            for rect, text in zip(rects, texts, strict=True)]
 
 
-def reference_heatmap_cell(metric: str, value) -> tuple[str, str]:
-    # the heatmap's rule as it was written per Fraction: a float position
-    # on the diverging palette, clamped at its edges, and the text rounded
-    # from the exact value
+def reference_heatmap_cell(metric: str, value) -> tuple[str, str, str]:
+    # the one-cell reference rule, given a two-group function's value as
+    # the heatmap's integer pair: a DI with no value is 0/0 when
+    # contextual, else 1/0
     if metric == "di":
+        if value.kind is DiKind.UNDEFINED_ZERO_DENOMINATOR:
+            return heatmap_cell_loops(metric, 1, 0)
+        if value.kind is DiKind.CONTEXTUAL_ONE:
+            return heatmap_cell_loops(metric, 0, 0)
         value = value.value
-    if value is None:
-        return "undef", "url(#undef-hatch)"
-    center, span = (1.0, 1.0) if metric == "di" else (0.0, 2.0)
-    t = max(-1.0, min(1.0, (value.numerator / value.denominator - center) / span))
-    edge, t = (LOW_COLOR, -t) if t < 0 else (HIGH_COLOR, t)
-    rgb = [round(m + (e - m) * t) for m, e in zip(rgb_of(MID_COLOR), rgb_of(edge))]
-    return format_fixed(value, 2), "#{:02x}{:02x}{:02x}".format(*rgb)
-
-
-def rgb_of(color: str) -> list[int]:
-    return [int(color[k:k + 2], 16) for k in (1, 3, 5)]
+    return heatmap_cell_loops(metric, value.numerator, value.denominator)
 
 
 # thresholds and band edges that the small tables above hit exactly, and
@@ -304,6 +303,64 @@ class TestVerdictsMatchFractionVerdicts:
                 assert _diagnosis(ofi_v, di_v) == fraction_diagnosis(ofi_value, di_v, threshold)
                 assert ofi_v == fraction_verdict(ofi_value, -threshold, threshold)
                 assert di_v == fraction_verdict(di.value, low, high)
+
+
+# small cells: tied scores and zero benefits are common
+small_cms = st.builds(BinaryConfusion, *[st.integers(min_value=0, max_value=3)] * 4).filter(
+    lambda cm: cm.n > 0
+)
+
+
+@st.composite
+def ranked_audits(draw):
+    """A table with repeated groups, and a config whose threshold and band
+    edges are drawn from the table's own cells as often as not, so that an
+    edge equals a cell value exactly."""
+    cms = draw(st.lists(small_cms, min_size=2, max_size=7))
+    cms += draw(st.lists(st.sampled_from(cms), max_size=3))
+    names = tuple(f"g{k}" for k in range(len(cms)))
+    marginals = [marginal_benefit(cm) for cm in cms]
+    benefits = [benefit(cm) for cm in cms]
+    ofi_cells = sorted({abs(a - b) for a in marginals for b in marginals} - {0})
+    di_cells = sorted({a / b for a in benefits for b in benefits if a and b})
+    threshold = draw(st.one_of(edges, st.sampled_from([*ofi_cells, Fraction(3, 10)])))
+    low, high = sorted(draw(st.lists(
+        st.one_of(edges, st.sampled_from([*di_cells, Fraction(11, 10), Fraction(2)])),
+        min_size=2, max_size=2,
+    )))
+    order = tuple(draw(st.permutations(names)))
+    return GroupTable(dict(zip(names, cms))), AuditConfig(threshold, low, high, order)
+
+
+class TestVerdictsByRank:
+    """_verdict_rows decides each pair by rank as the integer rules decide
+    it on the pair's grid cells."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_audits())
+    # ties, zero benefits on either side of a pair, and a DI band that
+    # excludes 1, so that a contextual 1 is flagged
+    @example((table_from({"a": BinaryConfusion(0, 1, 0, 1), "b": BinaryConfusion(0, 2, 0, 2),
+                          "c": BinaryConfusion(1, 0, 1, 2), "d": BinaryConfusion(1, 0, 1, 2)}),
+              AuditConfig(Fraction(1, 4), Fraction(11, 10), Fraction(2))))
+    # OFI 1/2 against the threshold 1/2, DI 1/2 and 2 against the band [1/2, 2]
+    @example((table_from({"a": BinaryConfusion(1, 0, 0, 1), "b": BinaryConfusion(0, 0, 1, 0),
+                          "c": BinaryConfusion(0, 1, 0, 1)}),
+              AuditConfig(Fraction(1, 2), Fraction(1, 2), Fraction(2))))
+    def test_every_pair_equals_the_integer_rules(self, case):
+        table, config = case
+        report = build_report(table, config)
+        names = report.ofi_grid.group_order
+        rows = zip(names, report.ofi_grid.integer_rows(), report.di_grid.integer_rows())
+        assert list(_verdict_rows(report)) == [
+            (first, [
+                (second, ofi_rule(ofi_x, ofi_y, config.ofi_threshold),
+                 di_rule(di_x, di_y, config.di_low, config.di_high))
+                for j, (second, (ofi_x, ofi_y), (di_x, di_y))
+                in enumerate(zip(names, ofi_row, di_row)) if j != i
+            ])
+            for i, (first, ofi_row, di_row) in enumerate(rows)
+        ]
 
 
 class TestDiagnose:

@@ -1,13 +1,17 @@
 """Structural checks on the SVG heatmap output."""
 
+import math
 import re
 from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import heatmap_cell_loops
 
 from ofi_audit.audit import PairwiseMatrix, build_report
-from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, heatmap_chunks
+from ofi_audit.heatmap import HIGH_COLOR, LOW_COLOR, MID_COLOR, STEPS, heatmap_chunks
 from ofi_audit.ingestion import GroupTable, PredictionRecord, aggregate
 from ofi_audit.metrics import BinaryConfusion, DiScore
 
@@ -212,3 +216,87 @@ def written_before(title: str, cells: list[tuple]) -> list[tuple[str, dict[str, 
 ], ids=["ofi", "di"])
 def test_the_stylesheet_resolves_to_the_inline_attributes(grid, title, cells):
     assert resolved(render(grid)) == written_before(title, cells)
+
+
+CELL = re.compile(
+    r'<rect class="cell" [^>]* fill="([^"]*)"/>\n'
+    r'  <text class="cell-value" [^>]* fill="([^"]*)">([^<]*)</text>'
+)
+
+
+def assert_cells_match_the_reference(grid: PairwiseMatrix) -> None:
+    # every cell's fill, text color and text, row by row
+    cells = CELL.findall(render(grid))
+    assert cells == [
+        heatmap_cell_loops(grid.metric, x, y) for row in grid.integer_rows() for x, y in row
+    ]
+
+
+def step_values(metric: str) -> list[Fraction]:
+    """Grid cell values, each exact as a float, at the ends of the color
+    steps [k, k + 1)/STEPS of t. For each step whose two ends mix apart:
+    the value at its low end and the floats on either side of it, and the
+    float just below its high end. Of the other steps, every 64th low end.
+    """
+    center, span = (1.0, 1.0) if metric == "di" else (0.0, 2.0)
+
+    def colors(t: float) -> tuple[str, str]:
+        return heatmap_cell_loops(metric, *Fraction(center + span * t).as_integer_ratio())[:2]
+
+    values = []
+    for k in range(-STEPS, STEPS + 1):
+        v = center + span * k / STEPS
+        if k < STEPS and colors(k / STEPS) != colors((k + 1) / STEPS):
+            values += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+            values.append(math.nextafter(center + span * (k + 1) / STEPS, -math.inf))
+        elif k % 64 == 0:
+            values.append(v)
+    # a benefit, and so a DI, is never negative
+    return [Fraction(v) for v in values if v >= 0 or metric == "ofi"]
+
+
+@pytest.mark.parametrize("metric", ["ofi", "di"])
+def test_step_ends_color_as_each_cell_mixed_alone(metric):
+    # group 0 scores 0 (OFI) or 1 (DI), so the (j, 0) cells are the values
+    # themselves; the other cells are their differences or ratios, past
+    # the palette's edges too
+    base = Fraction(0) if metric == "ofi" else Fraction(1)
+    values = step_values(metric)
+    for start in range(0, len(values), 4):
+        scores = (base, *values[start:start + 4])
+        assert_cells_match_the_reference(
+            PairwiseMatrix(metric, tuple(map(str, range(len(scores)))), scores)
+        )
+
+
+@pytest.mark.parametrize("metric, scores", [
+    # DI 3/2 is t = 1/2, where a channel's mix can tie in round(); OFI 1
+    # is t = 1/2 as well
+    ("di", (Fraction(1), Fraction(3, 2))),
+    ("ofi", (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))),
+    # t = ±1 and past it: OFI ±2 and the OFI 4 and -4 between them
+    ("ofi", (Fraction(0), Fraction(2), Fraction(-2))),
+    # DI 2 (t = 1), DI past 2, DI 0 (t = -1) and undefined and contextual
+    # cells beside a zero benefit
+    ("di", (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(0))),
+    # the num >= 2·den cell whose ratio has no float
+    ("di", (Fraction(1), Fraction(1, 10**400 + 1))),
+], ids=["di-tie", "ofi-tie", "ofi-edges", "di-edges", "di-overflow"])
+def test_edge_cells_color_as_each_cell_mixed_alone(metric, scores):
+    assert_cells_match_the_reference(
+        PairwiseMatrix(metric, tuple(map(str, range(len(scores)))), scores)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["ofi", "di"]),
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12), min_size=1, max_size=8),
+)
+def test_small_grids_color_as_each_cell_mixed_alone(metric, scores):
+    # OFI scores in [-1, 1], DI scores (benefits) in [0, 1]
+    if metric == "ofi":
+        scores = [2 * s - 1 for s in scores]
+    assert_cells_match_the_reference(
+        PairwiseMatrix(metric, tuple(map(str, range(len(scores)))), tuple(scores))
+    )
