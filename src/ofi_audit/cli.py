@@ -131,18 +131,19 @@ STREAM_CHILD_MIN = 35
 
 def _check_output(path: str) -> os.stat_result | None:
     """The status of the file an output path names, or None for one that
-    is not there yet. A directory, or a new file in a directory that is
-    not there, raises the error open() would raise, before any output is
-    opened; any other fault is left for open() to report."""
+    is not there yet. A directory, a path that ends in "/", or a new file
+    in a directory that is not there or is a file, raises the error
+    open() would raise, before any output is opened; any other fault is
+    left for open() to report."""
     try:
         status = os.stat(path)
-    except FileNotFoundError:
-        if os.path.isdir(os.path.dirname(path.rstrip("/")) or "."):
-            return None
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path) from None
+    except (FileNotFoundError, NotADirectoryError):
+        if not os.path.isdir(os.path.dirname(path.rstrip("/")) or "."):
+            raise
+        status = None
     except OSError:
         return None
-    if stat.S_ISDIR(status.st_mode):
+    if path.endswith("/") or status is not None and stat.S_ISDIR(status.st_mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return status
 

@@ -13,11 +13,11 @@ iterator and ``Counter`` calls, but the scoring itself stays one exact
 :class:`~ofi_audit.metrics.BinaryConfusion` and one ``Fraction`` per
 quadruple, so its cost grows with the cubic count of quadruples and
 ``verify`` runs it only up to n = 40. :func:`enumerations` gives the
-record of every size up to n_max from one pass of the kernel
-:func:`enum_by_sum` over the triples (tp, fn, fp) with tp + fn + fp <=
-n_max, taken in order of their sum s: the quadruples with cell sum n are
-the triples with s <= n, tn being n - s. That pass handles n_max in the
-hundreds and is itself checked against the stream route.
+record of every size up to n_max from one walk of the pairs (fn, fp)
+with fn + fp <= n_max, one row fn + fp = r at a time, and two packed
+running sums over the rows: the triples (tp, fn, fp) of each sum, and
+the quadruples of each size. That walk handles n_max in the hundreds
+and is itself checked against the stream route.
 
 Both routes run on the standard library and give records of plain
 values: ints, tuples of ints, an int64 ``array("q")`` and exact
@@ -32,8 +32,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, starmap
-from operator import add, mul
+from itertools import accumulate, islice, starmap
+from operator import mul
 from typing import Iterator
 
 from .combinatorics import enumerate_cms
@@ -74,74 +74,51 @@ class Enumeration:
         return cls(count, cell_counts, array("q", raw), Fraction(*mean), Fraction(*variance))
 
 
-def enum_by_sum(n_max: int) -> Iterator[tuple[tuple[array, array, array], array]]:
-    """Count the triples (tp, fn, fp) with tp + fn + fp = s, for each sum
-    s in 0..n_max in turn.
+def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
+    """The record of each size n in n_min..n_max in turn, from one walk
+    of the pairs (fn, fp) with fn + fp <= n_max.
 
-    Yields ``(cell_counts, score_counts)`` in int64 ``array("q")``s:
-    ``cell_counts[c][x]``, how many of the triples have cell c equal to
-    x, cells ordered (tp, fn, fp); ``score_counts[d + n_max]``, how many
-    have fp - fn = d.
-
-    Row r holds the pairs (fn, fp) with fn + fp = r. Each row is walked
-    once and its fn, fp and fp - fn counts packed into one int, a 64-bit
-    lane per count; no lane holds more than the triples of one sum, so
-    none carries into the next. The triples of sum s are the rows r <= s
-    with tp = s - r: their packed counts are those of sum s - 1 plus row
-    s, one C-level int addition, and their tp counts are the rows' lengths.
+    Row r holds the pairs with fn + fp = r. Each row is walked once and
+    its fn, fp and fp - fn counts packed into one int, a 64-bit lane per
+    count. Two running sums of these ints give every size: ``triples``,
+    the sum of rows 0..s, counts the triples (tp, fn, fp) of sum s, tp
+    being s - r in row r; ``quadruples``, the sum of ``triples`` over
+    s <= n, counts the quadruples of size n, tn being n - s. No lane
+    holds more than the quadruples of one size, so none carries into the
+    next. The moments come from the integer sums of d = fp - fn and d^2.
     """
-    size = n_max + 1
-    packed = 0
-    lengths = array("q")
-    for r in range(size):
+    triples = quadruples = 0
+    lengths: list[int] = []
+    for n in range(n_max + 1):
         # lane 4x counts fn = x, 4x + 1 fp = x, 4x + 2 fp - fn = x and
-        # 4x + 3 fn - fp = x > 0, so row r fills only lanes below 4(r + 1)
-        row = array("q", bytes(32 * (r + 1)))
+        # 4x + 3 fn - fp = x > 0, so row n fills only lanes below 4(n + 1)
+        row = array("q", bytes(32 * (n + 1)))
         length = 0
-        for fn in range(r + 1):
-            fp = r - fn
+        for fn in range(n + 1):
+            fp = n - fn
             d = fp - fn
             row[4 * fn] += 1
             row[4 * fp + 1] += 1
             row[4 * d + 2 if d >= 0 else 3 - 4 * d] += 1
             length += 1
-        packed += int.from_bytes(row.tobytes(), sys.byteorder)
+        triples += int.from_bytes(row.tobytes(), sys.byteorder)
+        quadruples += triples
         lengths.append(length)
-        # the triples of sum r
-        layer = array("q", packed.to_bytes(32 * size, sys.byteorder))
-        tp = lengths[::-1] + array("q", bytes(8 * (n_max - r)))
-        # the scores d = -n_max..-1 from lanes 4|d| + 3, then 0..n_max
-        yield (tp, layer[::4], layer[1::4]), layer[:3:-4] + layer[2::4]
-
-
-def enumerations(n_min: int, n_max: int) -> Iterator[Enumeration]:
-    """The record of each size n in n_min..n_max in turn, from one pass
-    of :func:`enum_by_sum`.
-
-    The quadruples with cell sum n are the triples with sum s <= n, tn
-    being n - s, so running totals over s give every size; the moments
-    come from the integer sums of d = fp - fn and d^2.
-    """
-    size = n_max + 1
-    cells = [[0] * size] * 3
-    scores = [0] * (2 * size - 1)
-    d = range(-n_max, n_max + 1)
-    d_sq = list(map(mul, d, d))
-    # triples per sum s; a quadruple of size n has tn = x exactly when s = n - x
-    per_sum: list[int] = []
-    for n, (layer_cells, layer_scores) in enumerate(enum_by_sum(n_max)):
-        # with the triples of sum n added, the totals cover size n
-        cells = [list(map(add, total, layer)) for total, layer in zip(cells, layer_cells)]
-        scores = list(map(add, scores, layer_scores))
-        per_sum.append(sum(layer_cells[0]))
         if n < max(n_min, 1):
             continue
-        count = sum(per_sum)
-        mean = Fraction(sum(map(mul, scores, d)), count * n)
-        variance = Fraction(sum(map(mul, scores, d_sq)), count * n * n) - mean**2
-        cell_counts = (*(tuple(total[: n + 1]) for total in cells), tuple(reversed(per_sum)))
-        counts = array("q", scores[n_max - n : n_max + n + 1])
-        yield Enumeration(count, cell_counts, counts, mean, variance)
+        # a lane past size n would overflow here
+        lanes = array("q", quadruples.to_bytes(32 * (n + 1), sys.byteorder))
+        # the scores d = -n..-1 from lanes 4|d| + 3, then 0..n
+        histogram = lanes[:3:-4] + lanes[2::4]
+        # the quadruples with tp = x, and those with tn = x, number the
+        # pairs with fn + fp <= n - x
+        within = tuple(accumulate(lengths))[::-1]
+        count = sum(within)
+        ds = range(-n, n + 1)
+        mean = Fraction(sum(map(mul, histogram, ds)), count * n)
+        variance = Fraction(sum(map(mul, histogram, map(mul, ds, ds))), count * n * n) - mean**2
+        cell_counts = (within, tuple(lanes[::4]), tuple(lanes[1::4]), within)
+        yield Enumeration(count, cell_counts, histogram, mean, variance)
 
 
 def stream(n: int) -> Enumeration:

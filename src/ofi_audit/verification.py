@@ -2,11 +2,11 @@
 
 :func:`run_identity_checks` evaluates every identity over a range of
 sample sizes and reports one result per identity, with the first n it
-fails at. One pass over the triples (tp, fn, fp) with tp + fn + fp <=
-n_max gives the enumeration of every size in the range; it is
-O(n_max^3), so ranges are guarded at n <= 500 (about 21 million triples
-at the cap); :func:`check_range` refuses a larger or empty range
-without enumerating. The checks read the records' plain ints, tuples and
+fails at. One walk of the pairs (fn, fp) with fn + fp <= n_max, and two
+packed running sums over it, give the enumeration of every size in the
+range. Ranges are guarded at n <= 500 (about 21 million quadruples at
+the cap); :func:`check_range` refuses a larger or empty range without
+enumerating. The checks read the records' plain ints, tuples and
 ``array("q")`` counts directly.
 
 Up to n = 40 each size is also walked by the definitional stream, the

@@ -7,6 +7,7 @@ import io
 import json
 import sys
 import tempfile
+from array import array
 from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
@@ -284,29 +285,37 @@ class TestAudit:
     @pytest.mark.parametrize("flag, target, message", [
         ("--out-heatmap-ofi", "adir", "[Errno 21] Is a directory: '{}adir'"),
         ("--out-grid-csv", "nodir/g", "[Errno 2] No such file or directory: '{}nodir/g.ofi.csv'"),
+        # a name that ends in "/" is a directory to open(), there or not
+        ("--out-heatmap-ofi", "nodir/", "[Errno 21] Is a directory: '{}nodir/'"),
+        ("--out-heatmap-di", "afile/", "[Errno 21] Is a directory: '{}afile/'"),
+        ("--out-heatmap-di", "afile/x.svg", "[Errno 20] Not a directory: '{}afile/x.svg'"),
         # an empty path names no file: "" is passed as it is
         ("--out-report", "", "[Errno 2] No such file or directory: ''"),
         ("--out-heatmap-ofi", "", "[Errno 2] No such file or directory: ''"),
         ("--out-heatmap-di", "", "[Errno 2] No such file or directory: ''"),
         ("--out-grid-csv", "", "[Errno 2] No such file or directory: ''"),
-    ], ids=["directory", "missing-directory", "empty-report", "empty-heatmap-ofi",
-            "empty-heatmap-di", "empty-grid-csv"])
+    ], ids=["directory", "missing-directory", "new-directory", "file-as-directory",
+            "file-in-a-file", "empty-report", "empty-heatmap-ofi", "empty-heatmap-di",
+            "empty-grid-csv"])
     @pytest.mark.parametrize("report_exists", [False, True])
     def test_directory_output_fails_before_any_output_is_opened(
         self, capsys, fixtures_dir, tmp_path, flag, target, message, report_exists
     ):
         (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("file\n")
         report = tmp_path / "report.json"
         if report_exists:
             report.write_text("old\n")
+        # as text: a Path would drop a trailing "/"
         code, out, err = run(
             capsys, "audit", "--input", str(fixtures_dir / "scenario_a.csv"),
-            "--out-report", str(report), flag, str(tmp_path / target) if target else "",
+            "--out-report", str(report), flag, f"{tmp_path}/{target}" if target else "",
         )
         assert (code, out) == (1, "")
         assert err == "error [write]: " + message.format(f"{tmp_path}/") + "\n"
         # nothing created or truncated
-        assert {p.name for p in tmp_path.iterdir()} == {"adir"} | ({"report.json"} if report_exists else set())
+        assert {p.name for p in tmp_path.iterdir()} == {"adir", "afile"} | ({"report.json"} if report_exists else set())
+        assert (tmp_path / "afile").read_text() == "file\n"
         assert not report_exists or report.read_text() == "old\n"
 
     def test_custom_columns_and_flip(self, capsys, fixtures_dir):
@@ -724,10 +733,10 @@ class TestVerify:
         assert "[verify]" in err and "guard" in err
 
     def test_guard_is_checked_before_any_enumeration(self, capsys, monkeypatch):
-        def kernel(n_max):
+        def enumerations(n_min, n_max):
             raise AssertionError(f"enumerated to {n_max} past the guard")
 
-        monkeypatch.setattr(exhaustive, "enum_by_sum", kernel)
+        monkeypatch.setattr(exhaustive, "enumerations", enumerations)
         code, out, err = run(capsys, "verify", "--n-max", "501")
         assert code == 1
         assert out == ""
@@ -752,7 +761,7 @@ class TestVerify:
 # faults patch score_counts(n, start, stop), the one closed form that
 # both dist and verify's distribution take
 SCORE_COUNTS = combinatorics.score_counts
-ENUM_BY_SUM = exhaustive.enum_by_sum
+ENUMERATIONS = exhaustive.enumerations
 MARGINAL_BENEFIT = exhaustive.marginal_benefit
 B_STATS = combinatorics.b_stats
 
@@ -766,17 +775,29 @@ def _pair_counts_off_at_the_ends(n, start, stop):
 
 
 def _enumeration_without(triple):
-    # the kernel as if it never reached one triple (tp, fn, fp)
+    # the enumeration as if it never reached one triple (tp, fn, fp): each
+    # record of size n >= s = tp + fn + fp lacks the quadruple (tp, fn, fp, n - s)
     tp, fn, fp = triple
+    s = tp + fn + fp
 
-    def kernel(n_max):
-        for s, (cells, scores) in enumerate(ENUM_BY_SUM(n_max)):
-            if s == tp + fn + fp:
-                for counts, value in zip(cells, (tp, fn, fp)):
-                    counts[value] -= 1
-                scores[fp - fn + n_max] -= 1
-            yield cells, scores
-    return kernel
+    def enumerations(n_min, n_max):
+        for record in ENUMERATIONS(n_min, n_max):
+            n = len(record.cell_counts[0]) - 1
+            if n >= s:
+                count = record.count - 1
+                cell_counts = tuple(
+                    tuple(k - (x == value) for x, k in enumerate(counts))
+                    for counts, value in zip(record.cell_counts, (tp, fn, fp, n - s))
+                )
+                histogram = array("q", record.histogram)
+                histogram[fp - fn + n] -= 1
+                first = sum(k * (i - n) for i, k in enumerate(histogram))
+                second = sum(k * (i - n) ** 2 for i, k in enumerate(histogram))
+                mean = Fraction(first, count * n)
+                variance = Fraction(second, count * n * n) - mean**2
+                record = exhaustive.Enumeration(count, cell_counts, histogram, mean, variance)
+            yield record
+    return enumerations
 
 
 def _pair_counts_off_at_one_end(n, start, stop):
@@ -811,7 +832,7 @@ class TestVerifyFails:
     @pytest.mark.parametrize("module, name, fault, identity", [
         (combinatorics, "score_counts", _pair_counts_off_at_the_ends, "distribution"),
         # (0, 0, 0) is the quadruple (0, 0, 0, n) of every size
-        (exhaustive, "enum_by_sum", _enumeration_without((0, 0, 0)), "cardinality"),
+        (exhaustive, "enumerations", _enumeration_without((0, 0, 0)), "cardinality"),
         (exhaustive, "marginal_benefit", _marginal_benefit_wrong_once, "stream-equivalence"),
         (exhaustive, "marginal_benefit", _marginal_benefit_off_grid, "stream-equivalence"),
     ], ids=[
@@ -830,7 +851,7 @@ class TestVerifyFails:
 
     def test_missing_triple_hits_every_size_from_its_sum_up(self, capsys, monkeypatch):
         # (1, 1, 1) is a quadruple of size 3 and up, and of no smaller size
-        monkeypatch.setattr(exhaustive, "enum_by_sum", _enumeration_without((1, 1, 1)))
+        monkeypatch.setattr(exhaustive, "enumerations", _enumeration_without((1, 1, 1)))
         code, out, _ = run(capsys, "verify", "--n-max", "6")
         assert code == 1
         first_failure = next(line for line in out.splitlines() if line.startswith("FAIL"))
@@ -840,7 +861,7 @@ class TestVerifyFails:
         )
 
     @pytest.mark.parametrize("module, name, fault, argv, lines", [
-        (exhaustive, "enum_by_sum", _enumeration_without((1, 1, 1)), ("--n-max", "6"), [
+        (exhaustive, "enumerations", _enumeration_without((1, 1, 1)), ("--n-max", "6"), [
             "FAIL cell-counts: enumerated per-cell value counts match the triangular "
             "closed form  [n=3: cell 0 value 1: enumerated 5, closed form 6]",
         ]),

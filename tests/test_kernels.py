@@ -1,21 +1,24 @@
 """The counting kernels against their plain-loop references: the
-closed-form distribution and the enumeration records, whose kernel adds
-packed rows of counts."""
+closed-form distribution and the enumeration records, which two running
+sums of packed rows of counts give."""
 
 import marshal
 from array import array
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofi_audit.combinatorics import marginal_benefit_distribution
-from ofi_audit.exhaustive import Enumeration, enum_by_sum, enumerations, stream
+from ofi_audit.exhaustive import Enumeration, enumerations, stream
 from reference import enumeration_loops, pair_score_counts_loops
 
 # one pass to ENUM_N_MAX gives the record of every size up to it
 ENUM_N_MAX = 31
+# largest n_max of the sub-ranges drawn
+SUB_RANGE_MAX = 24
 FIELDS = ("count", "cell_counts", "histogram", "mean", "variance")
 
 
@@ -53,16 +56,13 @@ def test_closed_form_matches_pair_counting_loops():
         assert marginal_benefit_distribution(n).tolist() == pair_score_counts_loops(n), n
 
 
-def test_each_layer_counts_the_triples_of_its_sum():
-    # three int64 arrays of cell counts and one of score counts per sum s
-    n_max = 12
-    for s, (cells, scores) in enumerate(enum_by_sum(n_max)):
-        triples = [(tp, fn, s - tp - fn) for tp in range(s + 1) for fn in range(s + 1 - tp)]
-        for c, counts in enumerate(cells):
-            tally = Counter(triple[c] for triple in triples)
-            assert counts == array("q", map(tally.__getitem__, range(n_max + 1))), (s, c)
-        tally = Counter(fp - fn + n_max for _, fn, fp in triples)
-        assert scores == array("q", map(tally.__getitem__, range(2 * n_max + 1))), s
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, SUB_RANGE_MAX), st.integers(1, SUB_RANGE_MAX))
+def test_every_sub_range_matches_plain_loops(a, b):
+    # each size is unpacked from the running sums on its own, whatever
+    # size the range starts at
+    n_min, n_max = sorted((a, b))
+    assert list(enumerations(n_min, n_max)) == list(map(loops_record, range(n_min, n_max + 1)))
 
 
 @pytest.mark.parametrize("route", ["enumerations", "stream"])
